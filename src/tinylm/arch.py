@@ -521,12 +521,27 @@ def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:
         payload = fh.read()
     config = ModelConfig.from_dict(manifest["config"])
     tensors: dict[str, Tensor] = {}
+    expected, name = 0, None  # tensors are stored back to back from offset 0
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload[start : start + n * 8], dtype="<f8").reshape(shape)
-        tensors[entry["name"]] = Tensor(arr.copy())
+        name, shape = entry["name"], tuple(entry["shape"])
+        nbytes = (int(np.prod(shape)) if shape else 1) * 8
+        if entry["offset"] != expected:
+            raise ValueError(
+                f"checkpoint tensor {name!r}: offset {entry['offset']} != {expected}"
+            )
+        if expected + nbytes > len(payload):
+            raise ValueError(
+                f"checkpoint truncated in tensor {name!r}: needs bytes "
+                f"[{expected}, {expected + nbytes}) of a {len(payload)}-byte payload"
+            )
+        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=expected)
+        tensors[name] = Tensor(arr.reshape(shape).copy())
+        expected += nbytes
+    if len(payload) != expected:
+        raise ValueError(
+            f"checkpoint has {len(payload) - expected} trailing bytes after its "
+            f"last tensor {name!r}"
+        )
     store = ParamStore(tensors)
     store.validate(config)
     return config, store

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,9 +213,18 @@ def validate(config_file) -> PipelineConfig:
     train.setdefault("seed", raw["seed"])
     if ("lr" in train) == ("scaling" in train):
         raise ConfigError("training: exactly one of 'lr' or 'scaling'")
+    for key in ("seq_len", "batch_size", "rounds", "parts"):
+        _check_int(f"training.{key}", train[key])
+    if train.get("max_batches") is not None:
+        _check_int("training.max_batches", train["max_batches"])
+    _check_real("training.sampling_rate", train["sampling_rate"], 0.0, 1.0, open_low=True)
+    if "lr" in train:
+        _check_real("training.lr", train["lr"], 0.0, open_low=True)
+    _check_real("training.grad_clip", train["grad_clip"], 0.0)
 
     ev = raw["evaluation"]
     ev.setdefault("holdout_batches", 2)
+    _check_int("evaluation.holdout_batches", ev["holdout_batches"])
     if "cloze" in ev and "cloze_file" in ev:
         raise ConfigError("evaluation: give 'cloze' or 'cloze_file', not both")
     if "cloze_file" in ev and not _resolve(path, ev["cloze_file"]).is_file():
@@ -234,6 +244,26 @@ def validate(config_file) -> PipelineConfig:
             gen.setdefault("seed", raw["seed"])
 
     return PipelineConfig(raw=raw, path=path)
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_real(name: str, value, low: float, high: float = math.inf,
+                open_low: bool = False) -> None:
+    """value must be a finite number in [low, high], or (low, high] if open_low."""
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and (value > low if open_low else value >= low)
+        and value <= high
+    )
+    if not ok:
+        bounds = f"{'(' if open_low else '['}{low}, {high}]"
+        raise ConfigError(f"{name} must be a finite number in {bounds}, got {value!r}")
 
 
 def _resolve(config_path: Path, rel) -> Path:

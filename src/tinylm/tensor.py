@@ -3,7 +3,15 @@
 Everything is numpy under the hood. Operations executed while a Tape is
 active (and touching at least one requires_grad tensor) are recorded in
 execution order; Tape.gradients walks the record once, in reverse, and
-returns a gradient map. A tape is consumed by its backward pass.
+returns the gradients of the leaf tensors. A tape is consumed by its
+backward pass.
+
+Memory is freed by reference counting alone. Recorded outputs point back at
+their tape, so the record forms a Tape <-> Tensor cycle; the sweep breaks it
+by popping each node once its backward has run and dropping each
+intermediate gradient once it is consumed. When the caller lets go of the
+loss, nothing of the step is left for the cyclic collector. A forward that
+raises inside ``with Tape()`` drops its record the same way.
 
 The active tape is thread-local: one forward/backward pair per thread.
 """
@@ -132,6 +140,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._consumed = False
+        self._released = 0  # ops recorded before the record was released
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -141,22 +150,37 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         _STATE.tape = None
+        if exc_type is not None:
+            # a failed forward has nothing to differentiate: free it now
+            self._release()
+            self._consumed = True
         return False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        """Number of ops recorded, also after the record was released."""
+        return self._released + len(self._nodes)
+
+    def _release(self) -> list[_Node]:
+        nodes, self._nodes = self._nodes, []
+        self._released += len(nodes)
+        return nodes
 
     def gradients(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Reverse sweep from ``loss``; returns grads for every requires_grad
-        tensor that influenced it. Marks the tape consumed."""
+        leaf tensor that influenced it. The tape releases its record as it
+        sweeps, so each node and each intermediate gradient is freed as soon
+        as it is used. Marks the tape consumed."""
         if self._consumed:
             raise TapeConsumedError("tape already consumed by a backward pass")
         self._consumed = True
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        nodes = self._release()
         grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-        for node in reversed(self._nodes):
-            g_out = grads.get(node.out)
+        while nodes:
+            node = nodes.pop()
+            # every consumer of node.out was recorded later, so was swept already
+            g_out = grads.pop(node.out, None)
             if g_out is None:
                 continue
             for inp, g_in in zip(node.inputs, node.backward_fn(g_out)):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -378,4 +381,39 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = small_config(depth=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, init_params(cfg, seed=13))
+    return path
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="8 trailing bytes after its last tensor"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [8, 3])
+def test_checkpoint_rejects_truncation_naming_tensor(tmp_path, cut):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match="truncated in tensor 'layers.1.wv'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_gap_between_tensors(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    manifest["tensors"][1]["offset"] += 8
+    new = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + mlen :])
+    name = manifest["tensors"][1]["name"]
+    with pytest.raises(ValueError, match=f"tensor '{name}': offset"):
         load_checkpoint(path)

@@ -90,6 +90,47 @@ def test_validate_requires_exactly_one_lr_source(tmp_path):
         validate(path)
 
 
+BASE_TRAINING = {"seq_len": 16, "batch_size": 4, "max_batches": 10, "lr": 3e-3, "parts": 4}
+
+
+@pytest.mark.parametrize(
+    "section, key, bad",
+    [
+        ("training", "seq_len", 0),
+        ("training", "batch_size", -1),
+        ("training", "max_batches", 0),
+        ("training", "rounds", 0),
+        ("training", "parts", 2.5),
+        ("training", "sampling_rate", 1.5),
+        ("training", "lr", 0.0),
+        ("training", "grad_clip", -1.0),
+        ("evaluation", "holdout_batches", 0),
+    ],
+)
+def test_validate_rejects_out_of_range_field(tmp_path, section, key, bad):
+    base = {"training": BASE_TRAINING, "evaluation": {"holdout_batches": 2}}[section]
+    path = write_config(tmp_path, **{section: {**base, key: bad}})
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        validate(path)
+
+
+def test_validate_rejects_non_numeric_and_boolean_fields(tmp_path):
+    for bad in ("32", True, None):
+        path = write_config(tmp_path, training={**BASE_TRAINING, "seq_len": bad})
+        with pytest.raises(ConfigError, match="training.seq_len"):
+            validate(path)
+    path = write_config(tmp_path, training={**BASE_TRAINING, "lr": float("nan")})
+    with pytest.raises(ConfigError, match="training.lr"):
+        validate(path)
+
+
+def test_validate_accepts_range_edges(tmp_path):
+    training = {**BASE_TRAINING, "seq_len": 1, "sampling_rate": 1.0, "grad_clip": 0.0,
+                "max_batches": None}
+    cfg = validate(write_config(tmp_path, training=training))
+    assert cfg.section("training")["grad_clip"] == 0.0
+
+
 # ---------------------------------------------------------------------- run
 
 
@@ -284,6 +325,12 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, corpus={"path": "missing.bin"})
     assert main(["validate", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_zero_seq_len_is_config_error_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, training={**BASE_TRAINING, "seq_len": 0})
+    assert main(["run", str(path)]) == 1
+    assert "training.seq_len" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_exit_2(tmp_path, capsys):

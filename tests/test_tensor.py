@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -298,3 +300,80 @@ def test_tapes_are_thread_local():
     assert not errors
     for scale, grad in results.items():
         assert np.array_equal(grad, 2.0 * scale * w.data)
+
+
+# ------------------------------------------------------ release by refcount
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run with the cyclic collector off, so only refcounting frees memory."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _two_layer_loss(x, w1, w2):
+    hidden = silu(matmul(x, w1))
+    return tsum(mul(matmul(hidden, w2), matmul(hidden, w2))), hidden
+
+
+def _leaf_params(seed=0):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    return x, w1, w2
+
+
+def test_backward_frees_activations_without_cyclic_gc(no_cyclic_gc):
+    x, w1, w2 = _leaf_params()
+    with Tape() as tape:
+        loss, hidden = _two_layer_loss(x, w1, w2)
+    activation = weakref.ref(hidden.data)
+    del hidden
+    assert activation() is not None  # the tape's record holds it until backward
+    grads = tape.gradients(loss)
+    del loss
+    assert activation() is None
+    assert set(grads) == {w1, w2}
+
+
+def test_len_counts_recorded_ops_after_backward():
+    x, w1, w2 = _leaf_params()
+    with Tape() as tape:
+        loss, _ = _two_layer_loss(x, w1, w2)
+    recorded = len(tape)
+    assert recorded == 6  # matmul, silu, matmul, matmul, mul, sum
+    tape.gradients(loss)
+    assert len(tape) == recorded
+
+
+def test_gradient_map_holds_only_leaves():
+    x, w1, w2 = _leaf_params()
+    x.requires_grad = True
+    with Tape() as tape:
+        loss, _ = _two_layer_loss(x, w1, w2)
+    grads = tape.gradients(loss)
+    assert set(grads) == {x, w1, w2}
+    assert all(t._tape is None for t in grads)
+
+
+def test_failed_forward_releases_tape(no_cyclic_gc):
+    x, w1, w2 = _leaf_params()
+    refs = []
+    with pytest.raises(ShapeError):
+        with Tape() as tape:
+            loss, hidden = _two_layer_loss(x, w1, w2)
+            refs.append(weakref.ref(hidden.data))
+            del hidden
+            matmul(loss.reshape((1, 1)), w1)  # inner dimensions disagree
+    assert len(tape) == 7  # the six ops of the loss and the reshape
+    del loss
+    assert refs[0]() is None
+    with pytest.raises(TapeConsumedError):
+        tape.gradients(Tensor(0.0))

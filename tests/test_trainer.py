@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,29 @@ def test_zero_lr_keeps_params_fills_ledger():
         assert np.array_equal(t.data, before[k]), k
     assert len(ledger.entries) == 5
     assert all(math.isfinite(e.loss) for e in ledger.entries)
+
+
+def _train_round_peak_bytes(n_batches):
+    cfg = tiny_config()
+    params = initialize(cfg, InitScheme("constant", 0.02, 0))
+    batches = tiny_batches(cfg, n=n_batches, bsz=4, seq=16)
+    plan = TrainPlan(lr=1e-3, parts=2, seed=0)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        train_round(cfg, params, batches, plan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+
+
+def test_train_round_memory_is_one_step_without_cyclic_gc():
+    # refcounting alone must free each step: 16 steps peak like 4 steps
+    short, long = _train_round_peak_bytes(4), _train_round_peak_bytes(16)
+    assert long <= 1.10 * short, (short, long)
 
 
 def test_train_round_part_sizes_near_equal():
