@@ -30,11 +30,12 @@ from .evaluator import cloze_accuracy, load_cloze_items, perplexity, save_cloze_
 from .initializers import InitScheme, initialize
 from .surgery import InheritancePlan, build_child, convert_to_gqa, layer_skip_eval, make_plan
 from .tokenizer import (
+    BASE_SIZE,
     Vocabulary,
     compact_vocab,
-    count_frequencies,
     coverage_curve,
     encode,
+    frequencies,
     load_vocab,
     save_vocab,
     train_bpe,
@@ -155,8 +156,17 @@ def validate(config_file) -> PipelineConfig:
         raise ConfigError("tokenizer: exactly one of 'train' or 'load'")
     if "load" in tok and not _resolve(path, tok["load"]).is_file():
         raise ConfigError(f"tokenizer.load: file not found: {tok['load']}")
-    if "compact" in tok and ("size" in tok["compact"]) == ("coverage" in tok["compact"]):
-        raise ConfigError("tokenizer.compact: exactly one of 'size' or 'coverage'")
+    if "train" in tok:
+        _check_int("tokenizer.train.target_size", tok["train"].get("target_size"), BASE_SIZE)
+    if "compact" in tok:
+        compact = tok["compact"]
+        if ("size" in compact) == ("coverage" in compact):
+            raise ConfigError("tokenizer.compact: exactly one of 'size' or 'coverage'")
+        if "size" in compact:
+            _check_int("tokenizer.compact.size", compact["size"], BASE_SIZE)
+        else:
+            _check_real("tokenizer.compact.coverage", compact["coverage"], 0.0, 1.0,
+                        open_low=True)
 
     arch = raw["architecture"]
     if ("config" in arch) == ("search" in arch):
@@ -246,9 +256,9 @@ def validate(config_file) -> PipelineConfig:
     return PipelineConfig(raw=raw, path=path)
 
 
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_int(name: str, value, low: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_real(name: str, value, low: float, high: float = math.inf,
@@ -376,7 +386,8 @@ class _Run:
         self.pre_compact_vocab = vocab
         save_vocab(vocab, self.out / "vocab.txt")
         self.emit_file("vocab.txt")
-        freq = count_frequencies(self.corpus, vocab)
+        ids = encode(self.corpus, vocab)
+        freq = frequencies(ids, vocab.size)
         self.emit_text("frequencies.csv", freq.to_csv())
         self.emit_text("coverage.csv", coverage_curve(freq).to_csv())
         if "compact" in section:
@@ -386,11 +397,12 @@ class _Run:
             )
             save_vocab(vocab, self.out / "vocab_compact.txt")
             self.emit_file("vocab_compact.txt")
-            freq = count_frequencies(self.corpus, vocab)
+            ids = encode(self.corpus, vocab)
+            freq = frequencies(ids, vocab.size)
             self.emit_text("frequencies_compact.csv", freq.to_csv())
             self.emit_text("coverage_compact.csv", coverage_curve(freq).to_csv())
         self.vocab = vocab
-        self.stream = encode(self.corpus, vocab)
+        self.stream = ids
 
     def stage_arch(self) -> None:
         section = self.cfg.section("architecture")

@@ -5,10 +5,16 @@ The 256 single-byte tokens are always present and never removed, so any byte
 string stays encodable before and after compaction. Merges are applied in
 rank order, which (because a merge's operands always have smaller rank than
 its product) is equivalent to repeatedly applying the lowest-rank pair.
+
+Training counts adjacent pairs once and keeps the counts across merges: each
+merge costs one scan of the corpus to find its sites plus work proportional
+to the number of sites. The most frequent pair wins, ties breaking toward the
+smaller (left, right) id pair.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,56 +96,112 @@ class CoverageCurve:
         return "\n".join(lines) + "\n"
 
 
-def _pair_counts(ids: np.ndarray, span: int) -> dict[tuple[int, int], int]:
-    """Counts of adjacent pairs (overlapping occurrences counted, as is
-    standard for BPE training)."""
-    if ids.size < 2:
-        return {}
-    keys = ids[:-1].astype(np.int64) * span + ids[1:]
-    uniq, counts = np.unique(keys, return_counts=True)
-    return {(int(k // span), int(k % span)): int(c) for k, c in zip(uniq, counts)}
+def _merge_sites(ids: np.ndarray, left: int, right: int) -> np.ndarray:
+    """Start positions of the non-overlapping, leftmost-first occurrences of
+    (left, right). Occurrences overlap only when left == right; within a run
+    of consecutive candidates the greedy scan keeps every other one."""
+    sites = np.flatnonzero((ids[:-1] == left) & (ids[1:] == right))
+    if left == right and sites.size > 1:
+        run_start = np.ones(sites.size, dtype=bool)
+        run_start[1:] = sites[1:] != sites[:-1] + 1
+        first = sites[run_start][np.cumsum(run_start) - 1]
+        sites = sites[(sites - first) % 2 == 0]
+    return sites
+
+
+def _merge_at(ids: np.ndarray, sites: np.ndarray, merged: int) -> np.ndarray:
+    """Write ``merged`` at each site in place and drop the right operands."""
+    ids[sites] = merged
+    keep = np.ones(ids.size, dtype=bool)
+    keep[sites + 1] = False
+    return ids[keep]
 
 
 def _apply_merge(ids: np.ndarray, left: int, right: int, merged: int) -> np.ndarray:
     """Replace non-overlapping, leftmost-first occurrences of (left, right)."""
-    if ids.size < 2:
+    sites = _merge_sites(ids, left, right)
+    if sites.size == 0:
         return ids
-    cand = np.where((ids[:-1] == left) & (ids[1:] == right))[0]
-    if cand.size == 0:
-        return ids
-    if left == right:
-        kept = []
-        last = -2
-        for c in cand:
-            if c > last + 1:
-                kept.append(c)
-                last = c
-        cand = np.asarray(kept, dtype=np.intp)
-    out = ids.copy()
-    out[cand] = merged
-    return np.delete(out, cand + 1)
+    return _merge_at(ids.copy(), sites, merged)
+
+
+def _pair_keys(ids: np.ndarray, positions: np.ndarray, span: int) -> np.ndarray:
+    """Keys ``left * span + right`` of the pairs starting at ``positions``;
+    integer order is (left, right) order."""
+    return ids[positions].astype(np.int64) * span + ids[positions + 1]
+
+
+def _touched(positions: np.ndarray, offsets: tuple[int, ...], n_pairs: int) -> np.ndarray:
+    """Distinct pair positions ``p + o`` within [0, n_pairs). ``positions``
+    ascend with gaps of at least ``len(offsets) - 1``, so the row-major sums
+    never descend and duplicates are adjacent."""
+    near = (positions[:, None] + np.asarray(offsets)).ravel()
+    keep = (near >= 0) & (near < n_pairs)
+    keep[1:] &= near[1:] != near[:-1]
+    return near[keep]
 
 
 def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
     """Greedy highest-frequency pair merging until ``target_size`` tokens
     exist or no pair repeats. Ties break toward the lexicographically
-    smaller (left, right) id pair."""
+    smaller (left, right) id pair.
+
+    Pair counts (overlapping occurrences counted) are taken once; each merge
+    then subtracts the pairs that touched its sites and adds the pairs around
+    the merged tokens. The best pair comes from a max-heap of
+    (-count, key) whose entries are dropped lazily once their count is stale.
+    """
     if target_size < BASE_SIZE:
         raise ValueError(f"target_size must be >= {BASE_SIZE}, got {target_size}")
     vocab = Vocabulary.base()
     ids = np.frombuffer(corpus, dtype=np.uint8).astype(np.int32)
+    span = target_size  # every id stays below target_size
+    keys, freq = np.unique(ids[:-1].astype(np.int64) * span + ids[1:], return_counts=True)
+    counts = dict(zip(keys.tolist(), freq.tolist()))
+
+    def live_heap() -> list[tuple[int, int]]:
+        # only pairs that repeat can win, so only they enter the heap
+        heap = [(-c, k) for k, c in counts.items() if c >= 2]
+        heapq.heapify(heap)
+        return heap
+
+    heap = live_heap()
+    n_live = len(heap)  # keys with count >= 2, i.e. the heap's live entries
     while vocab.size < target_size:
-        counts = _pair_counts(ids, vocab.size)
-        if not counts:
+        while heap and counts.get(heap[0][1], 0) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_count = max(counts.values())
-        if best_count < 2:
-            break
-        best = min(p for p, c in counts.items() if c == best_count)
+        left, right = divmod(heap[0][1], span)
         merged = vocab.size
-        vocab.tokens.append(vocab.tokens[best[0]] + vocab.tokens[best[1]])
-        vocab.merges.append((best[0], best[1], merged))
-        ids = _apply_merge(ids, best[0], best[1], merged)
+        vocab.tokens.append(vocab.tokens[left] + vocab.tokens[right])
+        vocab.merges.append((left, right, merged))
+
+        sites = _merge_sites(ids, left, right)
+        # (prev, left), (left, right), (right, next) go; (prev, merged) and
+        # (merged, next) come; every other pair is unchanged
+        old = _pair_keys(ids, _touched(sites, (-1, 0, 1), ids.size - 1), span)
+        ids = _merge_at(ids, sites, merged)
+        placed = sites - np.arange(sites.size)  # merged tokens' new positions
+        new = _pair_keys(ids, _touched(placed, (-1, 0), ids.size - 1), span)
+
+        keys, inverse = np.unique(np.concatenate([old, new]), return_inverse=True)
+        delta = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(delta, inverse, np.repeat([-1, 1], [old.size, new.size]))
+        for key, d in zip(keys.tolist(), delta.tolist()):
+            if d == 0:
+                continue
+            before = counts.get(key, 0)
+            after = before + d
+            if after:
+                counts[key] = after
+            else:
+                del counts[key]
+            n_live += (after >= 2) - (before >= 2)
+            if after >= 2:
+                heapq.heappush(heap, (-after, key))
+        if len(heap) > 2 * n_live:  # stale entries outnumber live ones
+            heap = live_heap()
     return vocab
 
 
@@ -163,10 +225,14 @@ def decode(ids, vocab: Vocabulary) -> bytes:
     return b"".join(out)
 
 
-def count_frequencies(corpus: bytes, vocab: Vocabulary) -> FrequencyTable:
-    ids = encode(corpus, vocab)
-    counts = np.bincount(ids, minlength=vocab.size).astype(np.int64)
+def frequencies(ids: np.ndarray, size: int) -> FrequencyTable:
+    """Occurrence counts of already-encoded ids over a vocabulary of ``size``."""
+    counts = np.bincount(ids, minlength=size).astype(np.int64)
     return FrequencyTable(counts=counts, total_tokens=int(ids.size))
+
+
+def count_frequencies(corpus: bytes, vocab: Vocabulary) -> FrequencyTable:
+    return frequencies(encode(corpus, vocab), vocab.size)
 
 
 def _frequency_order(freq: FrequencyTable) -> np.ndarray:

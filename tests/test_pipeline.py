@@ -124,6 +124,31 @@ def test_validate_rejects_non_numeric_and_boolean_fields(tmp_path):
         validate(path)
 
 
+FEASIBLE_SEARCH = {"search": {"budget": 30_000, "depths": [2], "expansions": [2.0, 3.0],
+                              "tolerance": 0.2, "head_dim": 8}}
+
+
+@pytest.mark.parametrize(
+    "field, tokenizer",
+    [
+        ("tokenizer.train.target_size", {"train": {"target_size": "400"}}),
+        ("tokenizer.compact.size",
+         {"train": {"target_size": 300}, "compact": {"size": 255}}),
+        ("tokenizer.compact.coverage",
+         {"train": {"target_size": 300}, "compact": {"coverage": 1.5}}),
+    ],
+)
+def test_validate_rejects_bad_tokenizer_field(tmp_path, capsys, field, tokenizer):
+    # the architecture search pre-check reads these values, so they must be
+    # checked before it runs
+    assert validate(write_config(tmp_path, architecture=FEASIBLE_SEARCH))
+    path = write_config(tmp_path, tokenizer=tokenizer, architecture=FEASIBLE_SEARCH)
+    with pytest.raises(ConfigError, match=field):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_validate_accepts_range_edges(tmp_path):
     training = {**BASE_TRAINING, "seq_len": 1, "sampling_rate": 1.0, "grad_clip": 0.0,
                 "max_batches": None}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinylm.data import zipf_corpus
 from tinylm.tokenizer import (
@@ -66,6 +68,122 @@ def test_train_bpe_empty_corpus_gives_base():
 def test_train_bpe_target_below_base_rejected():
     with pytest.raises(ValueError):
         train_bpe(b"abc", 255)
+
+
+def _reference_pair_counts(ids, span):
+    if ids.size < 2:
+        return {}
+    keys = ids[:-1].astype(np.int64) * span + ids[1:]
+    uniq, counts = np.unique(keys, return_counts=True)
+    return {(int(k // span), int(k % span)): int(c) for k, c in zip(uniq, counts)}
+
+
+def _reference_apply_merge(ids, left, right, merged):
+    if ids.size < 2:
+        return ids
+    cand = np.where((ids[:-1] == left) & (ids[1:] == right))[0]
+    if cand.size == 0:
+        return ids
+    if left == right:
+        kept = []
+        last = -2
+        for c in cand:
+            if c > last + 1:
+                kept.append(c)
+                last = c
+        cand = np.asarray(kept, dtype=np.intp)
+    out = ids.copy()
+    out[cand] = merged
+    return np.delete(out, cand + 1)
+
+
+def _reference_train_bpe(corpus, target_size):
+    """Oracle: recount every adjacent pair of the whole corpus on every merge."""
+    vocab = Vocabulary.base()
+    ids = np.frombuffer(corpus, dtype=np.uint8).astype(np.int32)
+    while vocab.size < target_size:
+        counts = _reference_pair_counts(ids, vocab.size)
+        if not counts:
+            break
+        best_count = max(counts.values())
+        if best_count < 2:
+            break
+        best = min(p for p, c in counts.items() if c == best_count)
+        merged = vocab.size
+        vocab.tokens.append(vocab.tokens[best[0]] + vocab.tokens[best[1]])
+        vocab.merges.append((best[0], best[1], merged))
+        ids = _reference_apply_merge(ids, best[0], best[1], merged)
+    return vocab
+
+
+def _reference_encode(data, vocab):
+    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
+    for left, right, merged in vocab.merges:
+        ids = _reference_apply_merge(ids, left, right, merged)
+    return ids
+
+
+def _assert_matches_reference(corpus, target_size):
+    vocab = train_bpe(corpus, target_size)
+    expected = _reference_train_bpe(corpus, target_size)
+    assert vocab.tokens == expected.tokens
+    assert vocab.merges == expected.merges
+    np.testing.assert_array_equal(encode(corpus, vocab), _reference_encode(corpus, vocab))
+    return vocab
+
+
+@pytest.mark.parametrize("n_bytes, seed, target_size",
+                         [(2_000, 1, 280), (12_000, 2, 360), (30_000, 3, 420)])
+def test_train_bpe_matches_reference_on_zipf(n_bytes, seed, target_size):
+    _assert_matches_reference(zipf_corpus(n_bytes, seed=seed), target_size)
+
+
+def test_train_bpe_matches_reference_on_runs_of_one_byte():
+    # every pair is (a, a), so occurrences overlap
+    for n in range(41):
+        _assert_matches_reference(b"a" * n, 300)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+def test_train_bpe_matches_reference_on_periodic_strings(k):
+    _assert_matches_reference(b"ab" * k, 300)
+    _assert_matches_reference(b"aaab" * k, 300)
+
+
+def test_train_bpe_matches_reference_when_all_pairs_tie():
+    vocab = _assert_matches_reference(bytes(range(256)) * 3, 300)
+    assert vocab.merges[0] == (0, 1, 256)
+
+
+def test_train_bpe_tie_between_merged_ids():
+    # after ab, cd and ef merge, (256, 257) and (257, 258) both occur 8 times
+    vocab = _assert_matches_reference(b"abcdef" * 8, 260)
+    assert vocab.merges == [(97, 98, 256), (99, 100, 257), (101, 102, 258), (256, 257, 259)]
+
+
+def test_train_bpe_stops_when_no_pair_repeats():
+    vocab = _assert_matches_reference(b"abcabc", 300)
+    assert vocab.size == 258
+
+
+SMALL_ALPHABET = st.lists(st.sampled_from(b"ab c"), max_size=300).map(bytes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=SMALL_ALPHABET, target_size=st.integers(256, 320))
+def test_train_bpe_matches_reference_property(corpus, target_size):
+    _assert_matches_reference(corpus, target_size)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(corpus=SMALL_ALPHABET.filter(len), blob=st.binary(max_size=80),
+       size=st.integers(256, 300))
+def test_roundtrip_trained_and_compacted_property(corpus, blob, size):
+    vocab = train_bpe(corpus, 320)
+    compacted = compact_vocab(vocab, count_frequencies(corpus, vocab), size=size)
+    for v in (vocab, compacted):
+        for data in (corpus, blob):
+            assert decode(encode(data, v), v) == data
 
 
 # ------------------------------------------------------- count_frequencies
