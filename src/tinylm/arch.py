@@ -1,11 +1,18 @@
 """Decoder-only transformer: configuration, parameter store, forward pass
-with optional layer skipping and unit gates, greedy generation with a KV
-cache, parameter accounting, and budget-constrained config search.
+with optional layer skipping and unit gates, greedy generation, parameter
+accounting, and budget-constrained config search.
 
 The block is LLaMA-like: RMS pre-norm, rotary q/k, causal attention with
 grouped KV heads (kv_groups == n_heads is plain MHA), and a gated-SiLU FFN.
 Projections carry no biases; norms are scale-only. Embedding and output head
 are separate tensors.
+
+There is one forward path for training, scoring and decoding. Given a
+``KVCache``, ``forward`` treats its tokens as the continuation of the cached
+sequences: they take positions ``cache.length`` onward, their rotated keys
+and values are written into the cache's preallocated buffers, and attention
+reads the buffers in place. ``generate`` prefills the prompt in chunks of
+``PREFILL_CHUNK`` tokens, then feeds one token per forward.
 """
 
 from __future__ import annotations
@@ -17,9 +24,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .fileio import atomic_open
 from .tensor import (
     Tensor,
+    _active_tape,
     add,
+    causal_attention,
     concat,
     gather_rows,
     matmul,
@@ -27,13 +37,13 @@ from .tensor import (
     reshape,
     rms_normalize,
     silu,
-    softmax,
-    take,
     transpose,
 )
 
 ROPE_BASE = 10000.0
-MASK_VALUE = -1e30  # additive causal mask; exp() underflows to exactly 0
+# prompt tokens per prefill forward; bounds the chunk's [B, T, V] logits and
+# [B, H, T, S] attention probabilities, which dominate prefill memory
+PREFILL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -259,8 +269,22 @@ def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return concat([mul(x1, c) - mul(x2, s), mul(x2, c) + mul(x1, s)], axis=-1)
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), MASK_VALUE), k=1)
+class KVCache:
+    """Preallocated key/value buffers for decoding with ``forward``.
+
+    ``k[i]`` and ``v[i]`` are layer i's [B, kv_groups, capacity, head_dim]
+    buffers. Their first ``length`` positions hold the rotated keys and the
+    values of every token fed so far; ``forward(..., cache=cache)`` writes
+    its tokens at [length, length + T) and then advances ``length``.
+    """
+
+    def __init__(self, config: ModelConfig, batch: int, capacity: int):
+        shape = (batch, config.kv_groups, capacity, config.head_dim)
+        self.k = [np.zeros(shape) for _ in range(config.depth)]
+        self.v = [np.zeros(shape) for _ in range(config.depth)]
+        self.batch = batch
+        self.capacity = capacity
+        self.length = 0
 
 
 def attention_block(
@@ -273,30 +297,36 @@ def attention_block(
     kv_groups: int,
     head_dim: int,
     head_gates: Tensor | None = None,
+    cache: KVCache | None = None,
+    layer: int = 0,
 ) -> Tensor:
     """Causal rotary attention sublayer on a normalized input [B,T,d_in].
 
     Head count and widths are taken from the projection shapes, so sliced
-    weight sets (fewer heads than the parent) evaluate directly.
+    weight sets (fewer heads than the parent) evaluate directly. With
+    ``cache``, the tokens sit at positions cache.length onward: their keys
+    and values are stored in the cache's buffers for ``layer``, and
+    attention reads every cached position.
     """
     b, t, _ = x.shape
     q = reshape(matmul(x, wq), (b, t, n_heads, head_dim))
     k = reshape(matmul(x, wk), (b, t, kv_groups, head_dim))
     v = reshape(matmul(x, wv), (b, t, kv_groups, head_dim))
     q = transpose(q, (0, 2, 1, 3))  # [B,H,T,hd]
-    k = transpose(k, (0, 2, 1, 3))
+    k = transpose(k, (0, 2, 1, 3))  # [B,G,T,hd]
     v = transpose(v, (0, 2, 1, 3))
-    cos, sin = _rope_tables(t, head_dim)
+    offset = 0 if cache is None else cache.length
+    cos, sin = _rope_tables(t, head_dim, offset)
     q = _apply_rope(q, cos, sin)
     k = _apply_rope(k, cos, sin)
-    if kv_groups != n_heads:
-        expand = np.repeat(np.arange(kv_groups), n_heads // kv_groups)
-        k = take(k, expand, axis=1)
-        v = take(v, expand, axis=1)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / head_dim**0.5)
-    scores = add(scores, _causal_mask(t).reshape(1, 1, t, t))
-    probs = softmax(scores, axis=-1)
-    heads = matmul(probs, v)  # [B,H,T,hd]
+    if cache is None:
+        heads = causal_attention(q, k, v)  # [B,H,T,hd]
+    else:
+        cache.k[layer][:, :, offset : offset + t] = k.data
+        cache.v[layer][:, :, offset : offset + t] = v.data
+        heads = causal_attention(
+            q, Tensor(cache.k[layer]), Tensor(cache.v[layer]), offset + t
+        )
     if head_gates is not None:
         heads = mul(heads, reshape(head_gates, (1, n_heads, 1, 1)))
     merged = reshape(transpose(heads, (0, 2, 1, 3)), (b, t, n_heads * head_dim))
@@ -324,16 +354,33 @@ def forward(
     skip_layers: frozenset[int] | set[int] = frozenset(),
     head_gates: list[Tensor | None] | None = None,
     ffn_gates: list[Tensor | None] | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
     """Logits [B,T,V] for token ids [B,T]. Layers in ``skip_layers`` are
     bypassed entirely (their residual contribution omitted). Optional
-    per-layer gates multiply head outputs / FFN hidden channels."""
+    per-layer gates multiply head outputs / FFN hidden channels.
+
+    With ``cache`` the tokens continue the cached sequences (positions
+    cache.length onward) and are appended to the cache. A cache is for
+    inference only: it cannot be used under an active Tape.
+    """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
     bad = set(skip_layers) - set(range(config.depth))
     if bad:
         raise ValueError(f"skip_layers {sorted(bad)} outside [0, {config.depth})")
+    if cache is not None:
+        if _active_tape() is not None:
+            raise RuntimeError("forward with a KV cache cannot run under an active Tape")
+        b, t = tokens.shape
+        if b != cache.batch:
+            raise ValueError(f"batch of {b} sequences for a KV cache of {cache.batch}")
+        if cache.length + t > cache.capacity:
+            raise ValueError(
+                f"{t} tokens do not fit a KV cache holding {cache.length} of "
+                f"{cache.capacity} positions"
+            )
     x = gather_rows(params["embed"], tokens)
     for i in range(config.depth):
         if i in skip_layers:
@@ -352,6 +399,8 @@ def forward(
                 config.kv_groups,
                 config.head_dim,
                 head_gates[i] if head_gates is not None else None,
+                cache,
+                i,
             ),
         )
         f = mul(rms_normalize(x), params[p + "ffn_norm"])
@@ -366,67 +415,15 @@ def forward(
             ),
         )
     x = mul(rms_normalize(x), params["final_norm"])
-    return matmul(x, params["head"])
+    logits = matmul(x, params["head"])
+    if cache is not None:
+        cache.length += tokens.shape[1]
+    return logits
 
 
 # ---------------------------------------------------------------------------
-# inference: greedy decoding with a KV cache (plain numpy, no tape)
+# inference: greedy decoding
 # ---------------------------------------------------------------------------
-
-
-def _np_rms(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    s = ((x * x).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    return x * s * scale
-
-
-def _np_silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
-
-
-def _infer_step(
-    config: ModelConfig,
-    w: dict[str, np.ndarray],
-    token_ids: np.ndarray,
-    pos: int,
-    cache: list[dict[str, np.ndarray]],
-) -> np.ndarray:
-    """One decode step: token_ids [B] at absolute position pos -> logits [B,V].
-    Appends this step's k/v to the per-layer cache."""
-    hd, g, h = config.head_dim, config.kv_groups, config.n_heads
-    x = w["embed"][token_ids]  # [B,d]
-    cos, sin = _rope_tables(1, hd, offset=pos)
-    for i in range(config.depth):
-        p = f"layers.{i}."
-        hin = _np_rms(x, w[p + "attn_norm"])
-        b = hin.shape[0]
-        q = (hin @ w[p + "wq"]).reshape(b, h, hd)
-        k = (hin @ w[p + "wk"]).reshape(b, g, hd)
-        v = (hin @ w[p + "wv"]).reshape(b, g, hd)
-        half = hd // 2
-        for arr in (q, k):
-            a1 = arr[..., :half].copy()
-            a2 = arr[..., half:].copy()
-            arr[..., :half] = a1 * cos[0] - a2 * sin[0]
-            arr[..., half:] = a2 * cos[0] + a1 * sin[0]
-        cache[i]["k"] = np.concatenate([cache[i]["k"], k[:, :, None, :]], axis=2)
-        cache[i]["v"] = np.concatenate([cache[i]["v"], v[:, :, None, :]], axis=2)
-        kc, vc = cache[i]["k"], cache[i]["v"]  # [B,g,T,hd]
-        if g != h:
-            expand = np.repeat(np.arange(g), h // g)
-            kh, vh = kc[:, expand], vc[:, expand]
-        else:
-            kh, vh = kc, vc
-        scores = np.einsum("bhd,bhtd->bht", q, kh) / hd**0.5
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        attn = np.einsum("bht,bhtd->bhd", probs, vh).reshape(b, h * hd)
-        x = x + attn @ w[p + "wo"]
-        fin = _np_rms(x, w[p + "ffn_norm"])
-        hidden = _np_silu(fin @ w[p + "wgate"]) * (fin @ w[p + "wup"])
-        x = x + hidden @ w[p + "wdown"]
-    x = _np_rms(x, w["final_norm"])
-    return x @ w["head"]
 
 
 def generate(
@@ -435,33 +432,25 @@ def generate(
     prefix: np.ndarray,
     n_new: int,
 ) -> np.ndarray:
-    """Greedy continuation of ``prefix`` ids ([T] or [B,T]) by n_new tokens."""
+    """Greedy continuation of ``prefix`` ids ([T] or [B,T]) by n_new tokens.
+    The prefix is prefilled into a KV cache ``PREFILL_CHUNK`` tokens per
+    forward; each new token then costs one single-position forward."""
     if n_new < 1:
         raise ValueError(f"n_new must be >= 1, got {n_new}")
     prefix = np.asarray(prefix)
     squeeze = prefix.ndim == 1
     if squeeze:
         prefix = prefix[None, :]
-    if prefix.shape[1] < 1:
+    b, t = prefix.shape
+    if t < 1:
         raise ValueError("prefix must contain at least one token")
-    w = {k: t.data for k, t in params.tensors.items()}
-    b = prefix.shape[0]
-    cache = [
-        {
-            "k": np.zeros((b, config.kv_groups, 0, config.head_dim)),
-            "v": np.zeros((b, config.kv_groups, 0, config.head_dim)),
-        }
-        for _ in range(config.depth)
-    ]
-    logits = None
-    for pos in range(prefix.shape[1]):
-        logits = _infer_step(config, w, prefix[:, pos], pos, cache)
-    out = [prefix]
-    cur = logits.argmax(axis=-1)
-    out.append(cur[:, None])
-    for step in range(1, n_new):
-        logits = _infer_step(config, w, cur, prefix.shape[1] + step - 1, cache)
-        cur = logits.argmax(axis=-1)
+    cache = KVCache(config, b, t + n_new - 1)  # the last new token is never fed
+    for start in range(0, t, PREFILL_CHUNK):
+        logits = forward(config, params, prefix[:, start : start + PREFILL_CHUNK], cache=cache)
+    cur = logits.data[:, -1].argmax(axis=-1)
+    out = [prefix, cur[:, None]]
+    for _ in range(n_new - 1):
+        cur = forward(config, params, cur[:, None], cache=cache).data[:, -1].argmax(axis=-1)
         out.append(cur[:, None])
     full = np.concatenate(out, axis=1)
     return full[0] if squeeze else full
@@ -503,7 +492,7 @@ def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> None:
         entries.append({"name": name, "shape": list(t.shape), "offset": offset})
         offset += t.size * 8
     manifest = json.dumps({"config": config.to_dict(), "tensors": entries}).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(manifest)))
         fh.write(manifest)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ModelConfig, ParamStore, forward
+from .fileio import atomic_open
 from .tensor import softmax_cross_entropy
 
 
@@ -82,17 +83,37 @@ def perplexity(
     return EvalReport("perplexity", float(np.exp(mean)), len(batches), rows)
 
 
+def candidate_logliks(
+    config: ModelConfig,
+    params: ParamStore,
+    context: list[int],
+    candidates: list[list[int]],
+) -> list[float]:
+    """Mean per-token log-likelihood of each candidate after ``context``,
+    from one forward over all candidates. Rows are right-padded to the
+    longest candidate; causal attention keeps the padding, which follows
+    every scored position, out of every score."""
+    if not context or not all(candidates):
+        raise ValueError("candidate scoring needs a nonempty context and candidates")
+    start = len(context) - 1  # logits at position i predict token i+1
+    seqs = np.zeros((len(candidates), start + max(map(len, candidates))), dtype=np.intp)
+    for row, cand in zip(seqs, candidates):
+        full = context + cand
+        row[: len(full) - 1] = full[:-1]
+    logits = forward(config, params, seqs).data[:, start:]  # [C, longest, V]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return [
+        float(np.mean(logprobs[i, np.arange(len(cand)), cand]))
+        for i, cand in enumerate(candidates)
+    ]
+
+
 def candidate_loglik(
     config: ModelConfig, params: ParamStore, context: list[int], candidate: list[int]
 ) -> float:
     """Mean per-token log-likelihood of ``candidate`` after ``context``."""
-    seq = np.array(context + candidate, dtype=np.intp)[None, :]
-    logits = forward(config, params, seq[:, :-1]).data[0]  # [T-1, V]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    start = len(context) - 1  # logits at position i predict token i+1
-    lls = [logprobs[start + j, candidate[j]] for j in range(len(candidate))]
-    return float(np.mean(lls))
+    return candidate_logliks(config, params, context, [candidate])[0]
 
 
 def cloze_accuracy(
@@ -104,10 +125,7 @@ def cloze_accuracy(
     rows = []
     for i, item in enumerate(items):
         item.validate()
-        scores = [
-            candidate_loglik(config, params, item.context, cand)
-            for cand in item.candidates
-        ]
+        scores = candidate_logliks(config, params, item.context, item.candidates)
         choice = int(np.argmax(scores))  # argmax keeps the lower index on ties
         hit = choice == item.gold
         correct += hit
@@ -134,7 +152,7 @@ def load_cloze_items(path) -> list[ClozeItem]:
 
 
 def save_cloze_items(items: list[dict] | list[ClozeItem], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for item in items:
             if isinstance(item, ClozeItem):
                 d = {"context": item.context, "candidates": item.candidates, "gold": item.gold}

@@ -27,6 +27,7 @@ from .arch import (
 )
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
 from .evaluator import cloze_accuracy, load_cloze_items, perplexity, save_cloze_items
+from .fileio import atomic_open
 from .initializers import InitScheme, initialize
 from .surgery import InheritancePlan, build_child, convert_to_gqa, layer_skip_eval, make_plan
 from .tokenizer import (
@@ -52,6 +53,7 @@ from .trainer import (
 
 OUTPUT_ENV_VAR = "TINYLM_OUT"
 STAGES = ("corpus", "tokenizer", "arch", "params", "scan", "train", "eval")
+CLOZE_DEFAULTS = {"n_candidates": 4, "context_len": 16, "candidate_len": 4}
 
 
 class ConfigError(ValueError):
@@ -231,6 +233,7 @@ def validate(config_file) -> PipelineConfig:
     if "lr" in train:
         _check_real("training.lr", train["lr"], 0.0, open_low=True)
     _check_real("training.grad_clip", train["grad_clip"], 0.0)
+    _check_real("training.weight_decay", train["weight_decay"], 0.0)
 
     ev = raw["evaluation"]
     ev.setdefault("holdout_batches", 2)
@@ -239,10 +242,24 @@ def validate(config_file) -> PipelineConfig:
         raise ConfigError("evaluation: give 'cloze' or 'cloze_file', not both")
     if "cloze_file" in ev and not _resolve(path, ev["cloze_file"]).is_file():
         raise ConfigError(f"evaluation.cloze_file: file not found: {ev['cloze_file']}")
+    if "cloze" in ev:
+        cloze = {**CLOZE_DEFAULTS, **ev["cloze"]}
+        _check_int("evaluation.cloze.n_items", cloze.get("n_items"))
+        _check_int("evaluation.cloze.n_candidates", cloze["n_candidates"], 2)
+        for key in ("context_len", "candidate_len"):
+            _check_int(f"evaluation.cloze.{key}", cloze[key])
 
     if "layer_scan" in raw:
-        raw["layer_scan"].setdefault("windows", [1, 2, 3])
-        raw["layer_scan"].setdefault("batches", 2)
+        scan = raw["layer_scan"]
+        scan.setdefault("windows", [1, 2, 3])
+        scan.setdefault("batches", 2)
+        if not isinstance(scan["windows"], list) or not scan["windows"]:
+            raise ConfigError(
+                f"layer_scan.windows must be a non-empty list, got {scan['windows']!r}"
+            )
+        for i, window in enumerate(scan["windows"]):
+            _check_int(f"layer_scan.windows[{i}]", window)
+        _check_int("layer_scan.batches", scan["batches"])
 
     if has_inherit:
         gen = raw["inheritance"].get("generate")
@@ -337,7 +354,8 @@ class _Run:
 
     def emit_bytes(self, name: str, payload: bytes) -> Path:
         path = self.out / name
-        path.write_bytes(payload)
+        with atomic_open(path) as fh:
+            fh.write(payload)
         self.manifest.artifacts.append(
             {"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
              "bytes": len(payload)}
@@ -346,6 +364,11 @@ class _Run:
 
     def emit_text(self, name: str, text: str) -> Path:
         return self.emit_bytes(name, text.encode())
+
+    def write_manifest(self) -> None:
+        """(Re)write manifest.json; it is not an artifact of itself."""
+        with atomic_open(self.out / "manifest.json") as fh:
+            fh.write(self.manifest.to_json().encode())
 
     def emit_file(self, name: str) -> None:
         """Register a file already written under the output dir."""
@@ -575,14 +598,14 @@ class _Run:
             self.manifest.input_hashes["cloze_file"] = _sha256(path)
             items = load_cloze_items(path)
         elif "cloze" in section:
-            c = section["cloze"]
+            c = {**CLOZE_DEFAULTS, **section["cloze"]}
             holdout_stream = np.concatenate([b.reshape(-1) for b in self.holdout_batches])
             raw_items = make_cloze_items(
                 holdout_stream,
                 n_items=c["n_items"],
-                context_len=c.get("context_len", 16),
-                candidate_len=c.get("candidate_len", 4),
-                n_candidates=c.get("n_candidates", 4),
+                context_len=c["context_len"],
+                candidate_len=c["candidate_len"],
+                n_candidates=c["n_candidates"],
                 vocab_size=self.model_config.vocab_size,
                 seed=c.get("seed", self.cfg.seed),
             )
@@ -601,8 +624,7 @@ def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> R
     runner = _Run(config, until)
     runner.out.mkdir(parents=True, exist_ok=True)
     if dry_run:
-        manifest_path = runner.out / "manifest.json"
-        manifest_path.write_text(runner.manifest.to_json())
+        runner.write_manifest()
         return runner.manifest
     stage_fns = {
         "corpus": runner.stage_corpus,
@@ -619,9 +641,9 @@ def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> R
             runner.manifest.stages_completed.append(stage)
     except Exception as err:
         runner.manifest.failure = f"{stage}: {err}"
-        (runner.out / "manifest.json").write_text(runner.manifest.to_json())
+        runner.write_manifest()
         raise
-    (runner.out / "manifest.json").write_text(runner.manifest.to_json())
+    runner.write_manifest()
     return runner.manifest
 
 

@@ -422,7 +422,13 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    if a.data.ndim > 2 and b.data.ndim == 2 and a.shape[-2] == 1:
+        # a stack of single rows (a decode step): one GEMM, not a GEMV per
+        # row; larger stacks keep numpy's per-matrix GEMMs, whose rounding
+        # trained artifacts depend on
+        out = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], -1)
+    else:
+        out = a.data @ b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
     if a.data.ndim > 2 and b.data.ndim == 2:
@@ -464,6 +470,76 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _emit(out, (a,), bw)
+
+
+MASK_VALUE = -1e30  # additive causal mask; exp() underflows to exactly 0
+
+
+def causal_attention(q, k, v, length: int | None = None) -> Tensor:
+    """softmax(q kᵀ / sqrt(hd) + causal mask) v, recorded as one tape node.
+
+    q is [B,H,T,hd]; k and v are [B,G,S,hd] with H a multiple of G, and
+    query head h reads kv head h // (H/G) (G == H is plain MHA). Only keys
+    [:length] are read (default S), and query i sits at absolute position
+    length - T + i, so it sees keys 0 .. length - T + i. A preallocated
+    cache whose first ``length`` rows are filled can thus be read in place.
+
+    Backward reuses the saved probabilities; keys past ``length`` get zero
+    gradient. With whole keys (length == S) every GEMM sees the operand
+    layouts of the unfused composition (q @ contiguous kᵀ, scale, mask,
+    softmax, @ v), so forward and backward are bit-identical to it.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 4 or k.data.ndim != 4 or k.shape != v.shape:
+        raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    b, h, t, hd = q.shape
+    _, g, s, _ = k.shape
+    if k.shape[0] != b or k.shape[3] != hd or h % g != 0:
+        raise ShapeError(f"causal_attention: q {q.shape} does not fit k/v {k.shape}")
+    length = s if length is None else int(length)
+    if not 1 <= t <= length <= s:
+        raise ShapeError(f"causal_attention: need 1 <= T={t} <= length={length} <= S={s}")
+    r = h // g
+    scale = 1.0 / hd**0.5
+    q5 = q.data.reshape(b, g, r, t, hd)
+    k5 = k.data[:, :, None, :length]  # [B,G,1,L,hd], broadcast over the group's heads
+    v5 = v.data[:, :, None, :length]
+    kt = np.swapaxes(k5, -1, -2)
+    if length == s:
+        # whole keys (training, scoring) get the unfused chain's contiguous
+        # kᵀ, which keeps results bit-identical to it; a cache prefix is read
+        # in place, so a decode step copies nothing
+        kt = np.ascontiguousarray(kt)
+    p = q5 @ kt
+    p *= scale
+    if t > 1:
+        p += np.triu(np.full((t, length), MASK_VALUE), k=length - t + 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v5).reshape(b, h, t, hd)
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def fold(x):
+        """[B,G,r,L,hd] -> [B,G,S,hd]: sum over each group's query heads."""
+        x = x[:, :, 0] if r == 1 else x.sum(axis=2)
+        if length == s:
+            return x
+        full = np.zeros(k.shape)
+        full[:, :, :length] = x
+        return full
+
+    def bw(g_out):
+        g5 = g_out.reshape(b, g, r, t, hd)
+        dv = fold(np.swapaxes(p, -1, -2) @ g5) if need_v else None
+        dp = g5 @ np.swapaxes(v5, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= scale
+        dq = (ds @ np.swapaxes(kt, -1, -2)).reshape(q.shape) if need_q else None
+        dk = fold(np.swapaxes(np.swapaxes(q5, -1, -2) @ ds, -1, -2)) if need_k else None
+        return dq, dk, dv
+
+    return _emit(out, (q, k, v), bw)
 
 
 def rms_normalize(a, eps: float = 1e-6) -> Tensor:

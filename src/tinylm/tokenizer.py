@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import atomic_open
+
 BASE_SIZE = 256
 
 
@@ -341,7 +343,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
     lines = [t.hex() for t in vocab.tokens]
     lines.append("#MERGES")
     lines += [f"{l} {r} {m}" for (l, r, m) in vocab.merges]
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -29,6 +29,7 @@ from tinylm.surgery import (
 )
 from tinylm.tensor import (
     Tensor,
+    causal_attention,
     concat,
     exp,
     finite_diff_check,
@@ -111,6 +112,12 @@ def test_c01_gradient_correctness():
         "rms_normalize": lambda t: rms_normalize(t),
         "cross_entropy": lambda t: softmax_cross_entropy(t, [1, 0, 3]),
         "gather_rows": lambda t: gather_rows(t, np.array([[0, 1], [2, 2]])),
+        # q: 2 heads of 3 positions; one kv group sliced from the same input
+        "causal_attention": lambda t: causal_attention(
+            reshape(t, (1, 2, 3, 2)),
+            reshape(getitem(t, (slice(None), slice(0, 2))), (1, 1, 3, 2)),
+            reshape(getitem(t, (slice(None), slice(2, 4))), (1, 1, 3, 2)),
+        ),
     }
     worst = {}
     for name, op in ops.items():

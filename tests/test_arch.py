@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from tinylm.arch import (
+    PREFILL_CHUNK,
+    KVCache,
     ModelConfig,
     ParamStore,
     attention_block,
@@ -18,7 +20,7 @@ from tinylm.arch import (
     speed_bench,
 )
 from tinylm.initializers import InitScheme, initialize
-from tinylm.tensor import Tensor
+from tinylm.tensor import Tape, Tensor
 
 
 def small_config(**overrides):
@@ -323,6 +325,55 @@ def test_generate_kv_cache_matches_full_reforward():
         logits = forward(cfg, params, np.array([seq])).data[0, -1]
         seq.append(int(logits.argmax()))
     assert np.array_equal(cached, np.array(seq))
+
+
+def test_generate_batched_gqa_long_prefix_matches_full_reforward():
+    # three rows, grouped KV, and a prefix spanning more than two prefill chunks
+    cfg = small_config(depth=2, n_heads=4, kv_groups=2)
+    params = init_params(cfg, seed=13)
+    rng = np.random.default_rng(4)
+    prefix = rng.integers(0, cfg.vocab_size, size=(3, 2 * PREFILL_CHUNK + 5))
+    n_new = 6
+    cached = generate(cfg, params, prefix, n_new)
+    seq = prefix
+    for _ in range(n_new):
+        nxt = forward(cfg, params, seq).data[:, -1].argmax(axis=-1)
+        seq = np.concatenate([seq, nxt[:, None]], axis=1)
+    assert np.array_equal(cached, seq)
+
+
+def test_chunked_prefill_logits_match_full_forward():
+    cfg = small_config(depth=2, n_heads=4, kv_groups=2)
+    params = init_params(cfg, seed=14)
+    toks = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(2, 17))
+    full = forward(cfg, params, toks).data
+    cache = KVCache(cfg, batch=2, capacity=20)
+    pieces = [forward(cfg, params, toks[:, a:b], cache=cache).data
+              for a, b in ((0, 5), (5, 6), (6, 17))]
+    assert cache.length == 17
+    assert np.allclose(np.concatenate(pieces, axis=1), full, rtol=0, atol=1e-10)
+
+
+def test_forward_past_cache_capacity_raises():
+    cfg = small_config()
+    params = init_params(cfg)
+    cache = KVCache(cfg, batch=1, capacity=4)
+    forward(cfg, params, np.array([[1, 2, 3]]), cache=cache)
+    with pytest.raises(ValueError, match="KV cache"):
+        forward(cfg, params, np.array([[4, 5]]), cache=cache)
+    assert cache.length == 3
+    with pytest.raises(ValueError, match="KV cache"):
+        forward(cfg, params, np.array([[4], [5]]), cache=cache)  # batch of 2, cache of 1
+
+
+def test_forward_with_cache_under_tape_raises():
+    cfg = small_config()
+    params = init_params(cfg)
+    cache = KVCache(cfg, batch=1, capacity=4)
+    with pytest.raises(RuntimeError, match="Tape"):
+        with Tape():
+            forward(cfg, params, np.array([[1, 2]]), cache=cache)
+    assert cache.length == 0
 
 
 def test_generate_needs_new_tokens():

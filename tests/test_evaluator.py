@@ -6,6 +6,7 @@ from tinylm.data import make_cloze_items
 from tinylm.evaluator import (
     ClozeItem,
     candidate_loglik,
+    candidate_logliks,
     cloze_accuracy,
     load_cloze_items,
     perplexity,
@@ -122,6 +123,32 @@ def test_cloze_single_item_hand_scores():
     assert np.allclose(lib, hand, rtol=1e-12)
     report = cloze_accuracy(cfg, params, [item])
     assert report.rows[0]["choice"] == int(np.argmax(hand))
+
+
+def test_batched_candidate_logliks_match_per_candidate_forwards():
+    # unequal lengths: shorter rows are right-padded in the shared forward
+    cfg = ModelConfig(vocab_size=260, width=8, depth=2, n_heads=2, kv_groups=1,
+                      ffn_hidden=12)
+    params = initialize(cfg, InitScheme("constant", 0.3, seed=10))
+    context = [4, 1, 8]
+    candidates = [[9], [0, 5, 3, 2], [7, 7], [255, 1, 6]]
+    batched = candidate_logliks(cfg, params, context, candidates)
+    single = []
+    for cand in candidates:
+        seq = np.array([context + cand])
+        logits = forward(cfg, params, seq[:, :-1]).data[0]
+        z = logits - logits.max(axis=-1, keepdims=True)
+        lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        single.append(np.mean([lp[len(context) - 1 + j, c] for j, c in enumerate(cand)]))
+    assert np.allclose(batched, single, rtol=1e-12, atol=0)
+
+
+def test_candidate_logliks_reject_empty_inputs():
+    cfg, params = passthrough_model()
+    with pytest.raises(ValueError):
+        candidate_logliks(cfg, params, [], [[1], [2]])
+    with pytest.raises(ValueError):
+        candidate_logliks(cfg, params, [1], [[1], []])
 
 
 def test_cloze_choice_affine_invariant():

@@ -149,6 +149,38 @@ def test_validate_rejects_bad_tokenizer_field(tmp_path, capsys, field, tokenizer
     assert field in capsys.readouterr().err
 
 
+CLOZE = {"n_items": 4}
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("evaluation.cloze.n_items",
+         {"evaluation": {"cloze": {"n_items": 0}}}),
+        ("evaluation.cloze.n_candidates",
+         {"evaluation": {"cloze": {**CLOZE, "n_candidates": 1}}}),
+        ("evaluation.cloze.context_len",
+         {"evaluation": {"cloze": {**CLOZE, "context_len": 0}}}),
+        ("evaluation.cloze.candidate_len",
+         {"evaluation": {"cloze": {**CLOZE, "candidate_len": "3"}}}),
+        ("layer_scan.windows", {"layer_scan": {"windows": [0]}}),
+        ("layer_scan.windows", {"layer_scan": {"windows": []}}),
+        ("layer_scan.batches", {"layer_scan": {"batches": 0}}),
+        ("training.weight_decay", {"training": {**BASE_TRAINING, "weight_decay": -1}}),
+        ("training.weight_decay", {"training": {**BASE_TRAINING, "weight_decay": "x"}}),
+    ],
+    ids=["n_items", "n_candidates", "context_len", "candidate_len", "windows",
+         "windows_empty", "scan_batches", "weight_decay", "weight_decay_type"],
+)
+def test_validate_rejects_bad_eval_scan_or_decay_field(tmp_path, capsys, field, overrides):
+    # each of these used to surface only after training (exit 2), or never
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        validate(path)
+    assert main(["run", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_validate_accepts_range_edges(tmp_path):
     training = {**BASE_TRAINING, "seq_len": 1, "sampling_rate": 1.0, "grad_clip": 0.0,
                 "max_batches": None}

@@ -13,6 +13,7 @@ from tinylm.tensor import (
     Tensor,
     add,
     backward,
+    causal_attention,
     concat,
     exp,
     finite_diff_check,
@@ -50,6 +51,18 @@ def test_matmul_hand_product():
 def test_matmul_zero():
     out = matmul(Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 4))))
     assert np.array_equal(out.data, np.zeros((2, 4)))
+
+
+def test_matmul_stack_of_single_rows():
+    # [B,1,k] @ [k,n] (a decode step's projections) runs as one [B,k] GEMM
+    rng = np.random.default_rng(13)
+    a, w = rng.normal(size=(5, 1, 3)), rng.normal(size=(3, 4))
+    out = matmul(Tensor(a), Tensor(w)).data
+    assert out.shape == (5, 1, 4)
+    assert np.allclose(out, np.stack([row @ w for row in a]), rtol=1e-12, atol=1e-12)
+    probe = Tensor(rng.uniform(-1, 1, size=(5, 1, 4)))
+    err = finite_diff_check(lambda t: tsum(mul(matmul(t, Tensor(w)), probe)), Tensor(a))
+    assert err < 1e-4
 
 
 def test_matmul_shape_mismatch():
@@ -315,6 +328,100 @@ def no_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# ------------------------------------------------------------ causal_attention
+
+
+def _reference_attention(q, k, v, length):
+    """Loop over heads and queries: query i at absolute position
+    length - T + i reads keys 0 .. that position of its kv group."""
+    b, h, t, hd = q.shape
+    r = h // k.shape[1]
+    out = np.zeros(q.shape)
+    for bi in range(b):
+        for hi in range(h):
+            for i in range(t):
+                pos = length - t + i
+                keys, vals = k[bi, hi // r, : pos + 1], v[bi, hi // r, : pos + 1]
+                s = keys @ q[bi, hi, i] / math.sqrt(hd)
+                w = np.exp(s - s.max())
+                out[bi, hi, i] = (w / w.sum()) @ vals
+    return out
+
+
+# (b, h, g, t, s, hd, length): MHA, grouped KV (H=4, G=2), one query after a
+# history (a decode step), and a cache prefix (length < S)
+ATTENTION_CASES = {
+    "mha": (2, 2, 2, 3, 3, 4, None),
+    "gqa": (1, 4, 2, 3, 3, 2, None),
+    "t1": (2, 2, 1, 1, 4, 2, None),
+    "prefix": (1, 2, 1, 2, 5, 2, 3),
+}
+
+
+def _attention_inputs(rng, b, h, g, t, s, hd):
+    return (rng.uniform(-2, 2, size=(b, h, t, hd)), rng.uniform(-2, 2, size=(b, g, s, hd)),
+            rng.uniform(-2, 2, size=(b, g, s, hd)))
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_causal_attention_matches_reference(case):
+    b, h, g, t, s, hd, length = ATTENTION_CASES[case]
+    q, k, v = _attention_inputs(np.random.default_rng(21), b, h, g, t, s, hd)
+    out = causal_attention(Tensor(q), Tensor(k), Tensor(v), length).data
+    ref = _reference_attention(q, k, v, s if length is None else length)
+    assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("wrt", ["q", "k", "v"])
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_causal_attention_gradients(case, wrt):
+    b, h, g, t, s, hd, length = ATTENTION_CASES[case]
+    rng = np.random.default_rng(22)
+    index = "qkv".index(wrt)
+    for _ in range(10):
+        inputs = _attention_inputs(rng, b, h, g, t, s, hd)
+        probe = Tensor(rng.uniform(-1, 1, size=(b, h, t, hd)))
+
+        def f(x):
+            args = [Tensor(a) for a in inputs]
+            args[index] = x
+            return tsum(mul(causal_attention(*args, length), probe))
+
+        err = finite_diff_check(f, Tensor(inputs[index]), h=1e-5)
+        assert err < 1e-4, f"{case} d/d{wrt}: {err}"
+
+
+def test_causal_attention_never_reads_keys_past_length():
+    b, h, g, t, s, hd, length = ATTENTION_CASES["prefix"]
+    q, k, v = _attention_inputs(np.random.default_rng(23), b, h, g, t, s, hd)
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    with Tape() as tape:
+        out = causal_attention(qt, kt, vt, length)
+        loss = tsum(mul(out, out))
+    grads = tape.gradients(loss)
+    assert not grads[kt][:, :, length:].any() and not grads[vt][:, :, length:].any()
+    junk_k, junk_v = k.copy(), v.copy()
+    junk_k[:, :, length:] = np.nan
+    junk_v[:, :, length:] = np.nan
+    again = causal_attention(Tensor(q), Tensor(junk_k), Tensor(junk_v), length).data
+    assert np.array_equal(again, out.data)
+
+
+@pytest.mark.parametrize(
+    "q_shape, kv_shape, length",
+    [
+        ((1, 3, 2, 2), (1, 2, 2, 2), None),  # heads not a multiple of kv groups
+        ((1, 2, 2, 2), (1, 1, 2, 4), None),  # head_dim differs
+        ((1, 2, 3, 2), (1, 1, 4, 2), 2),  # more queries than keys read
+        ((1, 2, 1, 2), (1, 1, 4, 2), 5),  # length past the buffer
+    ],
+)
+def test_causal_attention_rejects_bad_shapes(q_shape, kv_shape, length):
+    with pytest.raises(ShapeError):
+        causal_attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(kv_shape)),
+                         Tensor(np.zeros(kv_shape)), length)
 
 
 def _two_layer_loss(x, w1, w2):
