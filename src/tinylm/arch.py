@@ -5,7 +5,12 @@ accounting, and budget-constrained config search.
 The block is LLaMA-like: RMS pre-norm, rotary q/k, causal attention with
 grouped KV heads (kv_groups == n_heads is plain MHA), and a gated-SiLU FFN.
 Projections carry no biases; norms are scale-only. Embedding and output head
-are separate tensors.
+are separate tensors. Each elementwise chain is one tape op with a
+handwritten backward: ``rms_norm`` (normalize and scale), ``rope`` (the
+rotation of q and k, its cos/sin tables built once per forward),
+``causal_attention`` (scores, mask, softmax and PV) and ``swiglu`` (the
+gated activation). Each evaluates the same expressions as the chain it
+replaces, so training is bit-identical to the composed ops.
 
 There is one forward path for training, scoring and decoding. Given a
 ``KVCache``, ``forward`` treats its tokens as the continuation of the cached
@@ -17,6 +22,7 @@ reads the buffers in place. ``generate`` prefills the prompt in chunks of
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 import time
@@ -30,13 +36,13 @@ from .tensor import (
     _active_tape,
     add,
     causal_attention,
-    concat,
     gather_rows,
     matmul,
     mul,
     reshape,
-    rms_normalize,
-    silu,
+    rms_norm,
+    rope,
+    swiglu,
     transpose,
 )
 
@@ -251,22 +257,13 @@ def search_configs(
 
 
 def _rope_tables(n_positions: int, head_dim: int, offset: int = 0):
+    """cos and sin of the rotary angles, each [n_positions, head_dim // 2],
+    for positions offset onward."""
     half = head_dim // 2
     inv_freq = ROPE_BASE ** (-np.arange(half) * 2.0 / head_dim)
     pos = np.arange(offset, offset + n_positions)
     angles = np.outer(pos, inv_freq)  # [T, half]
     return np.cos(angles), np.sin(angles)
-
-
-def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate (first-half, second-half) pairs of the last axis. x: [B,H,T,hd];
-    cos/sin: [T, hd//2], broadcast over batch and heads."""
-    half = x.shape[-1] // 2
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    c = cos.reshape(1, 1, *cos.shape)
-    s = sin.reshape(1, 1, *sin.shape)
-    return concat([mul(x1, c) - mul(x2, s), mul(x2, c) + mul(x1, s)], axis=-1)
 
 
 class KVCache:
@@ -286,6 +283,18 @@ class KVCache:
         self.capacity = capacity
         self.length = 0
 
+    def repeat(self, counts) -> "KVCache":
+        """A new cache whose rows are this cache's rows, row i repeated
+        counts[i] times in order, with the same capacity and length."""
+        counts = np.asarray(counts, dtype=np.intp)
+        if counts.shape != (self.batch,) or (counts < 0).any():
+            raise ValueError(f"repeat counts {counts.tolist()} for a cache of {self.batch} rows")
+        out = copy.copy(self)
+        out.k = [np.repeat(buf, counts, axis=0) for buf in self.k]
+        out.v = [np.repeat(buf, counts, axis=0) for buf in self.v]
+        out.batch = int(counts.sum())
+        return out
+
 
 def attention_block(
     x: Tensor,
@@ -299,6 +308,7 @@ def attention_block(
     head_gates: Tensor | None = None,
     cache: KVCache | None = None,
     layer: int = 0,
+    rope_tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Causal rotary attention sublayer on a normalized input [B,T,d_in].
 
@@ -306,7 +316,9 @@ def attention_block(
     weight sets (fewer heads than the parent) evaluate directly. With
     ``cache``, the tokens sit at positions cache.length onward: their keys
     and values are stored in the cache's buffers for ``layer``, and
-    attention reads every cached position.
+    attention reads every cached position. ``rope_tables`` are the tokens'
+    rotary cos/sin tables; ``forward`` builds them once for all layers, and
+    they are built here when not given.
     """
     b, t, _ = x.shape
     q = reshape(matmul(x, wq), (b, t, n_heads, head_dim))
@@ -316,9 +328,9 @@ def attention_block(
     k = transpose(k, (0, 2, 1, 3))  # [B,G,T,hd]
     v = transpose(v, (0, 2, 1, 3))
     offset = 0 if cache is None else cache.length
-    cos, sin = _rope_tables(t, head_dim, offset)
-    q = _apply_rope(q, cos, sin)
-    k = _apply_rope(k, cos, sin)
+    cos, sin = rope_tables or _rope_tables(t, head_dim, offset)
+    q = rope(q, cos, sin)
+    k = rope(k, cos, sin)
     if cache is None:
         heads = causal_attention(q, k, v)  # [B,H,T,hd]
     else:
@@ -341,7 +353,7 @@ def ffn_block(
     channel_gates: Tensor | None = None,
 ) -> Tensor:
     """Gated-SiLU FFN sublayer on a normalized input."""
-    hidden = mul(silu(matmul(x, wgate)), matmul(x, wup))
+    hidden = swiglu(matmul(x, wgate), matmul(x, wup))
     if channel_gates is not None:
         hidden = mul(hidden, channel_gates)
     return matmul(hidden, wdown)
@@ -382,11 +394,12 @@ def forward(
                 f"{cache.capacity} positions"
             )
     x = gather_rows(params["embed"], tokens)
+    tables = _rope_tables(tokens.shape[1], config.head_dim, 0 if cache is None else cache.length)
     for i in range(config.depth):
         if i in skip_layers:
             continue
         p = f"layers.{i}."
-        h = mul(rms_normalize(x), params[p + "attn_norm"])
+        h = rms_norm(x, params[p + "attn_norm"])
         x = add(
             x,
             attention_block(
@@ -401,9 +414,10 @@ def forward(
                 head_gates[i] if head_gates is not None else None,
                 cache,
                 i,
+                tables,
             ),
         )
-        f = mul(rms_normalize(x), params[p + "ffn_norm"])
+        f = rms_norm(x, params[p + "ffn_norm"])
         x = add(
             x,
             ffn_block(
@@ -414,7 +428,7 @@ def forward(
                 ffn_gates[i] if ffn_gates is not None else None,
             ),
         )
-    x = mul(rms_normalize(x), params["final_norm"])
+    x = rms_norm(x, params["final_norm"])
     logits = matmul(x, params["head"])
     if cache is not None:
         cache.length += tokens.shape[1]
@@ -505,7 +519,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("checkpoint truncated in its manifest length")
+        (mlen,) = struct.unpack("<Q", header)
         manifest = json.loads(fh.read(mlen))
         payload = fh.read()
     config = ModelConfig.from_dict(manifest["config"])

@@ -3,6 +3,9 @@
 Cloze items mirror how multiple-choice benchmarks are scored: each candidate
 continuation gets the model's mean per-token log-likelihood after the shared
 context, and the highest-scoring candidate wins (ties to the lower index).
+Items that share a context length are scored together: each context is
+prefilled once into a KV cache, and all candidates of ``CLOZE_CHUNK`` items
+then run in one cached forward (see ``score_items``).
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, forward
+from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward
 from .fileio import atomic_open
 from .tensor import softmax_cross_entropy
+
+# cloze items per prefix-shared scoring chunk; bounds the chunk's KV cache
+# rows and [rows, T, V] logits, which dominate scoring memory
+CLOZE_CHUNK = 16
 
 
 @dataclass
@@ -89,24 +96,9 @@ def candidate_logliks(
     context: list[int],
     candidates: list[list[int]],
 ) -> list[float]:
-    """Mean per-token log-likelihood of each candidate after ``context``,
-    from one forward over all candidates. Rows are right-padded to the
-    longest candidate; causal attention keeps the padding, which follows
-    every scored position, out of every score."""
-    if not context or not all(candidates):
-        raise ValueError("candidate scoring needs a nonempty context and candidates")
-    start = len(context) - 1  # logits at position i predict token i+1
-    seqs = np.zeros((len(candidates), start + max(map(len, candidates))), dtype=np.intp)
-    for row, cand in zip(seqs, candidates):
-        full = context + cand
-        row[: len(full) - 1] = full[:-1]
-    logits = forward(config, params, seqs).data[:, start:]  # [C, longest, V]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return [
-        float(np.mean(logprobs[i, np.arange(len(cand)), cand]))
-        for i, cand in enumerate(candidates)
-    ]
+    """Mean per-token log-likelihood of each candidate after ``context``:
+    the one-item case of ``score_items``."""
+    return score_items(config, params, [(context, candidates)])[0]
 
 
 def candidate_loglik(
@@ -116,16 +108,65 @@ def candidate_loglik(
     return candidate_logliks(config, params, context, [candidate])[0]
 
 
+def score_items(
+    config: ModelConfig,
+    params: ParamStore,
+    items: list[tuple[list[int], list[list[int]]]],
+) -> list[list[float]]:
+    """Candidate scores of each (context, candidates) item, in item order.
+
+    Items are grouped by context length and scored ``CLOZE_CHUNK`` at a time:
+    ``context[:-1]`` of every item in a chunk is prefilled into one KV cache
+    (``PREFILL_CHUNK`` positions per forward), whose rows are then repeated
+    once per candidate, and one cached forward runs every candidate as
+    ``[context[-1]] + candidate[:-1]``. Each context is thus computed once,
+    not once per candidate. Candidate rows are right-padded to the chunk's
+    longest; causal attention keeps the padding, which follows every scored
+    position, out of every score.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, (context, candidates) in enumerate(items):
+        if not context or not candidates or not all(candidates):
+            raise ValueError("candidate scoring needs a nonempty context and candidates")
+        by_length.setdefault(len(context), []).append(i)
+    scores: list[list[float]] = [[] for _ in items]
+    for n_ctx, indices in by_length.items():
+        for start in range(0, len(indices), CLOZE_CHUNK):
+            chunk = indices[start : start + CLOZE_CHUNK]
+            contexts = np.array([items[i][0] for i in chunk], dtype=np.intp)
+            counts = [len(items[i][1]) for i in chunk]
+            flat = [cand for i in chunk for cand in items[i][1]]
+            longest = max(map(len, flat))
+            cache = KVCache(config, len(chunk), n_ctx - 1 + longest)
+            prefix = contexts[:, :-1]
+            for at in range(0, n_ctx - 1, PREFILL_CHUNK):
+                forward(config, params, prefix[:, at : at + PREFILL_CHUNK], cache=cache)
+            seqs = np.zeros((len(flat), longest), dtype=np.intp)
+            seqs[:, 0] = np.repeat(contexts[:, -1], counts)
+            for row, cand in zip(seqs, flat):
+                row[1 : len(cand)] = cand[:-1]
+            # logits at row position j predict candidate token j
+            logits = forward(config, params, seqs, cache=cache.repeat(counts)).data
+            z = logits - logits.max(axis=-1, keepdims=True)
+            logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            rows = iter(logprobs)
+            for i in chunk:
+                for cand, lp in zip(items[i][1], rows):
+                    scores[i].append(float(np.mean(lp[np.arange(len(cand)), cand])))
+    return scores
+
+
 def cloze_accuracy(
     config: ModelConfig, params: ParamStore, items: list[ClozeItem]
 ) -> EvalReport:
     if not items:
         raise ValueError("cloze_accuracy needs a nonempty item list")
+    for item in items:
+        item.validate()
+    all_scores = score_items(config, params, [(it.context, it.candidates) for it in items])
     correct = 0
     rows = []
-    for i, item in enumerate(items):
-        item.validate()
-        scores = candidate_logliks(config, params, item.context, item.candidates)
+    for i, (item, scores) in enumerate(zip(items, all_scores)):
         choice = int(np.argmax(scores))  # argmax keeps the lower index on ties
         hit = choice == item.gold
         correct += hit

@@ -179,23 +179,31 @@ def validate(config_file) -> PipelineConfig:
             if key not in s:
                 raise ConfigError(f"architecture.search.{key} is required")
         # feasibility pre-check against the best-known vocabulary size
-        vocab_size = None
         if "compact" in tok and "size" in tok["compact"]:
             vocab_size = tok["compact"]["size"]
         elif "train" in tok:
             vocab_size = tok["train"]["target_size"]
-        elif "load" in tok:
+        else:
             vocab_size = len(
                 _resolve(path, tok["load"]).read_text().split("#MERGES")[0].split()
             )
-        if vocab_size is not None and not search_configs(
+        found = search_configs(
             s["budget"], vocab_size, s["depths"], s["expansions"],
             tolerance=s.get("tolerance", 0.05), head_dim=s.get("head_dim", 64),
-        ):
+        )
+        if not found:
             raise ConfigError(
                 "architecture.search: no feasible config for this budget and "
                 f"vocabulary size {vocab_size} (search_configs returned an empty list)"
             )
+        pick = s.get("pick", "deepest")
+        if pick not in ("deepest", "widest"):
+            _check_int("architecture.search.pick", pick, 0)
+            if pick >= len(found):
+                raise ConfigError(
+                    f"architecture.search.pick {pick} is out of range: the search finds "
+                    f"{len(found)} configs for vocabulary size {vocab_size}"
+                )
 
     if has_inherit:
         inh = raw["inheritance"]
@@ -232,6 +240,16 @@ def validate(config_file) -> PipelineConfig:
     _check_real("training.sampling_rate", train["sampling_rate"], 0.0, 1.0, open_low=True)
     if "lr" in train:
         _check_real("training.lr", train["lr"], 0.0, open_low=True)
+    else:
+        scaling = train["scaling"]
+        if not isinstance(scaling, dict):
+            raise ConfigError(f"training.scaling must be an object, got {scaling!r}")
+        for key in ("base_batch", "base_lr"):
+            if key not in scaling:
+                raise ConfigError(f"training.scaling.{key} is required")
+            _check_real(f"training.scaling.{key}", scaling[key], 0.0, open_low=True)
+        _check_real("training.scaling.increment_rate", scaling.get("increment_rate", 0.5),
+                    0.0, 1.0)
     _check_real("training.grad_clip", train["grad_clip"], 0.0)
     _check_real("training.weight_decay", train["weight_decay"], 0.0)
 
@@ -470,8 +488,13 @@ class _Run:
                 self.model_config = max(found, key=lambda c: c.depth)
             elif pick == "widest":
                 self.model_config = max(found, key=lambda c: c.width)
+            elif pick < len(found):
+                self.model_config = found[pick]
             else:
-                self.model_config = found[int(pick)]
+                raise PipelineError(
+                    f"architecture.search.pick {pick} is out of range: the search "
+                    f"found {len(found)} configs"
+                )
         # batches are needed by params (plan generation) and later stages
         train_cfg = self.cfg.section("training")
         windows = windows_from_ids(

@@ -542,6 +542,36 @@ def causal_attention(q, k, v, length: int | None = None) -> Tensor:
     return _emit(out, (q, k, v), bw)
 
 
+def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary position encoding as one tape node.
+
+    Rotates the (first-half, second-half) pairs of x's last axis: the output
+    halves are x1*c - x2*s and x2*c + x1*s. x is [..., T, hd]; cos and sin
+    are [T, hd // 2] tables, broadcast over the leading axes. Backward is
+    the inverse rotation. Forward and backward evaluate the same expressions
+    as composing the rotation from slices, products, sums and a concat, so
+    they are bit-identical to it.
+    """
+    x = _as_tensor(x)
+    half = x.shape[-1] // 2
+    if x.data.ndim < 2 or x.shape[-1] % 2 or not cos.shape == sin.shape == (x.shape[-2], half):
+        raise ShapeError(f"rope: x {x.shape} with tables {cos.shape} and {sin.shape}")
+
+    def rotate(a, sin):
+        """[a1*cos - a2*sin, a2*cos + a1*sin], built in one new array."""
+        a1, a2 = a[..., :half], a[..., half:]
+        out = np.empty(a.shape)
+        o1, o2 = out[..., :half], out[..., half:]
+        np.multiply(a1, cos, out=o1)
+        o1 -= a2 * sin
+        np.multiply(a2, cos, out=o2)
+        o2 += a1 * sin
+        return out
+
+    # rotating back by -sin gives g1*c + g2*s and g2*c - g1*s, exactly
+    return _emit(rotate(x.data, sin), (x,), lambda g: (rotate(g, -sin),))
+
+
 def rms_normalize(a, eps: float = 1e-6) -> Tensor:
     """Scale rows (last axis) to unit RMS; multiply by a learned scale outside."""
     a = _as_tensor(a)
@@ -555,6 +585,66 @@ def rms_normalize(a, eps: float = 1e-6) -> Tensor:
         return (s * (g - a.data * (xg * s * s / n)),)
 
     return _emit(out, (a,), bw)
+
+
+def rms_norm(x, scale, eps: float = 1e-6) -> Tensor:
+    """rms_normalize(x) * scale as one tape node; scale is [d] for x [..., d].
+
+    Forward and backward evaluate the same expressions, in the same order, as
+    that two-op composition, so they are bit-identical to it. The output is
+    the only new [..., d] array: backward recomputes the normalized x rather
+    than keeping it, so fewer large arrays are live at once.
+    """
+    x, scale = _as_tensor(x), _as_tensor(scale)
+    n = x.shape[-1]
+    ms = (x.data * x.data).mean(axis=-1, keepdims=True) + eps
+    s = ms**-0.5
+    out = x.data * s
+    out *= scale.data
+    need_x, need_scale = x.requires_grad, scale.requires_grad
+
+    def bw(g):
+        g_scale = _unbroadcast(g * (x.data * s), scale.shape) if need_scale else None
+        if not need_x:
+            return None, g_scale
+        g_normed = g * scale.data
+        xg = (x.data * g_normed).sum(axis=-1, keepdims=True)
+        return s * (g_normed - x.data * (xg * s * s / n)), g_scale
+
+    return _emit(out, (x, scale), bw)
+
+
+def swiglu(gate, up) -> Tensor:
+    """silu(gate) * up, the gated-FFN hidden activation, as one tape node.
+
+    gate and up have the same shape. Forward and backward evaluate the same
+    expressions, in the same order, as that two-op composition, so they are
+    bit-identical to it. The output is the only new array of that shape:
+    backward recomputes the sigmoid rather than keeping it, so fewer large
+    arrays are live at once.
+    """
+    gate, up = _as_tensor(gate), _as_tensor(up)
+    if gate.shape != up.shape:
+        raise ShapeError(f"swiglu: gate {gate.shape} and up {up.shape} differ")
+    need_gate, need_up = gate.requires_grad, up.requires_grad
+
+    def sigmoid():
+        """1 / (1 + exp(-gate)), computed in one new array."""
+        sig = np.negative(gate.data)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        return np.divide(1.0, sig, out=sig)
+
+    out = sigmoid()
+    out *= gate.data
+    out *= up.data
+
+    def bw(g):
+        sig = sigmoid()
+        g_gate = g * up.data * sig * (1.0 + gate.data * (1.0 - sig)) if need_gate else None
+        return g_gate, g * (gate.data * sig) if need_up else None
+
+    return _emit(out, (gate, up), bw)
 
 
 def softmax_cross_entropy(logits, targets) -> Tensor:

@@ -41,11 +41,14 @@ from tinylm.tensor import (
     neg,
     power,
     reshape,
+    rms_norm,
     rms_normalize,
+    rope,
     sigmoid,
     silu,
     softmax,
     softmax_cross_entropy,
+    swiglu,
     take,
     tmean,
     transpose,
@@ -74,6 +77,11 @@ from tinylm.trainer import (
 )
 import conftest
 from conftest import deletion_oracle, make_planted_problem, train_toy_parent
+
+
+# rotary tables for criterion 1's rope case: 3 positions, head_dim 4
+ROPE_COS = np.cos(np.outer(np.arange(3), [1.0, 0.1]))
+ROPE_SIN = np.sin(np.outer(np.arange(3), [1.0, 0.1]))
 
 
 def check(number, ok, detail, elapsed, budget):
@@ -118,6 +126,10 @@ def test_c01_gradient_correctness():
             reshape(getitem(t, (slice(None), slice(0, 2))), (1, 1, 3, 2)),
             reshape(getitem(t, (slice(None), slice(2, 4))), (1, 1, 3, 2)),
         ),
+        # fused layer ops, appended so every entry above keeps its draws
+        "rope": lambda t: rope(reshape(t, (1, 3, 4)), ROPE_COS, ROPE_SIN),
+        "rms_norm": lambda t: rms_norm(t, getitem(t, 0)),
+        "swiglu": lambda t: swiglu(t, mul(t, row)),
     }
     worst = {}
     for name, op in ops.items():

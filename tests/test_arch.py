@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinylm.arch import (
     PREFILL_CHUNK,
@@ -454,6 +456,63 @@ def test_checkpoint_rejects_truncation_naming_tensor(tmp_path, cut):
     path = _saved_checkpoint(tmp_path)
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ValueError, match="truncated in tensor 'layers.1.wv'"):
+        load_checkpoint(path)
+
+
+@st.composite
+def small_models(draw):
+    """A small random config and parameters drawn from a seed, each tensor
+    led by a value that a lossy encoding would mangle."""
+    head_dim = draw(st.sampled_from([2, 4]))
+    kv_groups = draw(st.integers(1, 2))
+    n_heads = kv_groups * draw(st.integers(1, 2))
+    cfg = ModelConfig(vocab_size=draw(st.integers(256, 270)), width=n_heads * head_dim,
+                      depth=draw(st.integers(1, 2)), n_heads=n_heads, kv_groups=kv_groups,
+                      ffn_hidden=draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308]
+    tensors = {}
+    for name, shape in param_shapes(cfg).items():
+        data = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        data.reshape(-1)[0] = special[rng.integers(len(special))]
+        tensors[name] = Tensor(data)
+    return cfg, ParamStore(tensors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(model=small_models())
+def test_checkpoint_roundtrip_exact_for_random_configs(tmp_path_factory, model):
+    cfg, params = model
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, cfg, params)
+    loaded_cfg, loaded = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    assert sorted(loaded.tensors) == sorted(params.tensors)
+    for name, t in params.tensors.items():
+        assert loaded[name].shape == t.shape
+        assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(model=small_models(), data=st.data())
+def test_checkpoint_truncated_inside_payload_raises(tmp_path_factory, model, data):
+    cfg, params = model
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, cfg, params)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    cut = data.draw(st.integers(16 + mlen, len(raw) - 1), label="cut")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match="truncated in tensor"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [0, 5, 8, 12, 16, 40])
+def test_checkpoint_truncated_before_payload_raises_value_error(tmp_path, cut):
+    # inside the magic, the manifest length or the manifest itself
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError):
         load_checkpoint(path)
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from tinylm.arch import ModelConfig, ParamStore, forward, param_shapes
+from tinylm import evaluator
+from tinylm.arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward, param_shapes
 from tinylm.data import make_cloze_items
 from tinylm.evaluator import (
+    CLOZE_CHUNK,
     ClozeItem,
     candidate_loglik,
     candidate_logliks,
@@ -11,6 +13,7 @@ from tinylm.evaluator import (
     load_cloze_items,
     perplexity,
     save_cloze_items,
+    score_items,
 )
 from tinylm.initializers import InitScheme, initialize
 from tinylm.tensor import Tensor
@@ -141,6 +144,97 @@ def test_batched_candidate_logliks_match_per_candidate_forwards():
         lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         single.append(np.mean([lp[len(context) - 1 + j, c] for j, c in enumerate(cand)]))
     assert np.allclose(batched, single, rtol=1e-12, atol=0)
+
+
+def _full_forward_logliks(cfg, params, context, candidates):
+    """One uncached forward per candidate over context + candidate."""
+    out = []
+    for cand in candidates:
+        logits = forward(cfg, params, np.array([context + cand])[:, :-1]).data[0]
+        z = logits - logits.max(axis=-1, keepdims=True)
+        lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        out.append(np.mean([lp[len(context) - 1 + j, c] for j, c in enumerate(cand)]))
+    return out
+
+
+def _mixed_items(rng, n_items, context_lens):
+    """Items cycling through context_lens, each with 2-4 candidates of
+    1-4 tokens."""
+    items = []
+    for i in range(n_items):
+        context = rng.integers(0, 260, size=context_lens[i % len(context_lens)]).tolist()
+        candidates = [rng.integers(0, 260, size=rng.integers(1, 5)).tolist()
+                      for _ in range(rng.integers(2, 5))]
+        items.append(ClozeItem(context, candidates, gold=0))
+    return items
+
+
+def test_prefix_shared_scores_match_per_candidate_forwards():
+    # interleaved context lengths (a single token, and one prefilled in two
+    # forwards), unequal candidate lengths, and 17 items of context length 3,
+    # more than one chunk holds
+    cfg = ModelConfig(vocab_size=260, width=8, depth=2, n_heads=2, kv_groups=1,
+                      ffn_hidden=12)
+    params = initialize(cfg, InitScheme("constant", 0.3, seed=11))
+    lengths = [3, 1, 5, 3, PREFILL_CHUNK + 8]
+    items = _mixed_items(np.random.default_rng(12), 2 * CLOZE_CHUNK + 10, lengths)
+    assert sum(len(it.context) == 3 for it in items) > CLOZE_CHUNK
+    shared = score_items(cfg, params, [(it.context, it.candidates) for it in items])
+    assert [len(s) for s in shared] == [len(it.candidates) for it in items]
+    choices = []
+    for item, scores in zip(items, shared):
+        reference = _full_forward_logliks(cfg, params, item.context, item.candidates)
+        assert np.allclose(scores, reference, rtol=1e-12, atol=0)
+        choices.append(int(np.argmax(reference)))
+    report = cloze_accuracy(cfg, params, items)
+    assert [row["choice"] for row in report.rows] == choices
+
+
+def test_cloze_runs_two_forwards_per_chunk(monkeypatch):
+    # prefill the contexts once, then score every candidate in one forward;
+    # a one-token context has nothing to prefill
+    cfg, params = passthrough_model(vocab=260)
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(kwargs.get("cache") is not None)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "forward", counting_forward)
+    rng = np.random.default_rng(13)
+    cloze_accuracy(cfg, params, _mixed_items(rng, CLOZE_CHUNK, [4]))
+    assert calls == [True, True]
+    calls.clear()
+    cloze_accuracy(cfg, params, _mixed_items(rng, CLOZE_CHUNK + 1, [4]))
+    assert len(calls) == 4
+    calls.clear()
+    cloze_accuracy(cfg, params, _mixed_items(rng, 3, [1]))
+    assert calls == [True]
+
+
+def test_kv_cache_repeat_copies_rows_in_order():
+    cfg = ModelConfig(vocab_size=260, width=8, depth=2, n_heads=2, kv_groups=1,
+                      ffn_hidden=12)
+    params = initialize(cfg, InitScheme("constant", 0.3, seed=14))
+    cache = KVCache(cfg, 3, 6)
+    forward(cfg, params, np.random.default_rng(15).integers(0, 260, size=(3, 4)),
+            cache=cache)
+    counts = [2, 0, 3]
+    rep = cache.repeat(counts)
+    assert (rep.batch, rep.capacity, rep.length) == (5, 6, 4)
+    for layer in range(cfg.depth):
+        for got, base in ((rep.k[layer], cache.k[layer]), (rep.v[layer], cache.v[layer])):
+            assert got.shape == (5, 1, 6, 4)
+            assert np.array_equal(got, base[[0, 0, 2, 2, 2]])
+    # the copy continues on its own: writing it leaves the original untouched
+    before = [k.copy() for k in cache.k]
+    forward(cfg, params, np.zeros((5, 2), dtype=int), cache=rep)
+    assert rep.length == 6 and cache.length == 4
+    assert all(np.array_equal(k, b) for k, b in zip(cache.k, before))
+    with pytest.raises(ValueError):
+        cache.repeat([1, 1])
+    with pytest.raises(ValueError):
+        cache.repeat([1, -1, 1])
 
 
 def test_candidate_logliks_reject_empty_inputs():

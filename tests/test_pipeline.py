@@ -181,6 +181,42 @@ def test_validate_rejects_bad_eval_scan_or_decay_field(tmp_path, capsys, field, 
     assert field in capsys.readouterr().err
 
 
+SCALING = {"base_batch": 64, "base_lr": 1e-3, "increment_rate": 0.5}
+NO_LR = {k: v for k, v in BASE_TRAINING.items() if k != "lr"}
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("architecture.search.pick",
+         {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "pick": "shallowest"}}}),
+        ("architecture.search.pick",
+         {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "pick": 9}}}),
+        ("training.scaling.base_lr",
+         {"training": {**NO_LR, "scaling": {**SCALING, "base_lr": -0.001}}}),
+        ("training.scaling.base_batch",
+         {"training": {**NO_LR, "scaling": {"base_lr": 1e-3}}}),
+        ("training.scaling.increment_rate",
+         {"training": {**NO_LR, "scaling": {**SCALING, "increment_rate": 2}}}),
+    ],
+    ids=["pick_name", "pick_index", "base_lr", "base_batch_missing", "increment_rate"],
+)
+def test_validate_rejects_bad_pick_or_scaling_field(tmp_path, capsys, field, overrides):
+    # each of these used to pass validate and fail the run later with exit 2
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_validate_accepts_search_pick_index_and_scaling(tmp_path):
+    search = {**FEASIBLE_SEARCH["search"], "pick": 0}
+    cfg = validate(write_config(tmp_path, architecture={"search": search},
+                                training={**NO_LR, "scaling": SCALING}))
+    assert cfg.section("architecture")["search"]["pick"] == 0
+
+
 def test_validate_accepts_range_edges(tmp_path):
     training = {**BASE_TRAINING, "seq_len": 1, "sampling_rate": 1.0, "grad_clip": 0.0,
                 "max_batches": None}

@@ -25,11 +25,14 @@ from tinylm.tensor import (
     neg,
     power,
     reshape,
+    rms_norm,
     rms_normalize,
+    rope,
     sigmoid,
     silu,
     softmax,
     softmax_cross_entropy,
+    swiglu,
     take,
     tmean,
     transpose,
@@ -422,6 +425,117 @@ def test_causal_attention_rejects_bad_shapes(q_shape, kv_shape, length):
     with pytest.raises(ShapeError):
         causal_attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(kv_shape)),
                          Tensor(np.zeros(kv_shape)), length)
+
+
+# ------------------------------------------------------------ fused layer ops
+
+
+def _rope_chain(x, cos, sin):
+    """The rotation composed from slices, products, sums and a concat."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return concat([mul(x1, cos) - mul(x2, sin), mul(x2, cos) + mul(x1, sin)], axis=-1)
+
+
+def _rope_tables(rng, t, half):
+    angles = rng.uniform(-math.pi, math.pi, size=(t, half))
+    return np.cos(angles), np.sin(angles)
+
+
+def _value_and_grads(build, arrays):
+    """build(*leaves) under a tape, reduced against a fixed random probe:
+    its output and the gradient of every leaf."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*leaves)
+        probe = np.random.default_rng(0).uniform(-1, 1, size=out.shape)
+        loss = tsum(mul(out, probe))
+    grads = tape.gradients(loss)
+    return out.data, [grads[t] for t in leaves]
+
+
+def _assert_bit_identical(fused, chain, arrays):
+    out_fused, grads_fused = _value_and_grads(fused, arrays)
+    out_chain, grads_chain = _value_and_grads(chain, arrays)
+    assert np.array_equal(out_fused, out_chain)
+    assert len(grads_fused) == len(grads_chain) == len(arrays)
+    for g_fused, g_chain in zip(grads_fused, grads_chain):
+        assert np.array_equal(g_fused, g_chain)
+
+
+# [B, heads, T, hd]: query heads, grouped kv heads (G=2 of H=4), one position
+ROPE_SHAPES = {"heads": (2, 4, 5, 6), "kv_groups": (2, 2, 5, 6), "t1": (3, 4, 1, 6)}
+
+
+@pytest.mark.parametrize("case", ROPE_SHAPES)
+def test_rope_bit_identical_to_composed_rotation(case):
+    rng = np.random.default_rng(31)
+    shape = ROPE_SHAPES[case]
+    cos, sin = _rope_tables(rng, shape[2], shape[3] // 2)
+    x = rng.uniform(-2, 2, size=shape)
+    _assert_bit_identical(lambda t: rope(t, cos, sin), lambda t: _rope_chain(t, cos, sin), [x])
+
+
+def test_rope_backward_is_inverse_rotation():
+    rng = np.random.default_rng(32)
+    cos, sin = _rope_tables(rng, 4, 3)
+    x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4, 6)), requires_grad=True)
+    with Tape() as tape:
+        out = rope(x, cos, sin)
+        loss = tsum(mul(out, Tensor(out.data)))  # gradient: the rotated x itself
+    assert np.allclose(tape.gradients(loss)[x], x.data, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape, cos_shape", [((2, 3, 5), (3, 2)), ((2, 3, 4), (3, 3)),
+                                                ((2, 3, 4), (2, 2))])
+def test_rope_rejects_bad_shapes(x_shape, cos_shape):
+    table = np.ones(cos_shape)
+    with pytest.raises(ShapeError):
+        rope(Tensor(np.zeros(x_shape)), table, table)
+
+
+# each case: x shape and how the scale is built from its leaf; the residual
+# case feeds x to a later op too, so gradients accumulate at x in sweep order
+RMS_NORM_CASES = {
+    "leaf_scale": ((2, 5, 8), lambda w: w, False),
+    "t1": ((3, 1, 8), lambda w: w, False),
+    "computed_scale": ((2, 5, 8), lambda w: exp(mul(w, 0.5)), False),
+    "residual": ((2, 5, 8), lambda w: w, True),
+}
+
+
+@pytest.mark.parametrize("case", RMS_NORM_CASES)
+def test_rms_norm_bit_identical_to_normalize_then_scale(case):
+    shape, make_scale, residual = RMS_NORM_CASES[case]
+    rng = np.random.default_rng(33)
+    arrays = [rng.uniform(-2, 2, size=shape), rng.uniform(0.5, 1.5, size=shape[-1:])]
+
+    def wrap(norm):
+        def build(x, w):
+            out = norm(x, make_scale(w))
+            return add(x, out) if residual else out
+        return build
+
+    _assert_bit_identical(wrap(rms_norm), wrap(lambda x, s: mul(rms_normalize(x), s)), arrays)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 8), (3, 1, 8)], ids=["tokens", "t1"])
+def test_swiglu_bit_identical_to_silu_times_up(shape):
+    rng = np.random.default_rng(34)
+    arrays = [rng.uniform(-3, 3, size=shape), rng.uniform(-2, 2, size=shape)]
+    _assert_bit_identical(swiglu, lambda g, u: mul(silu(g), u), arrays)
+
+
+def test_fused_ops_skip_gradients_nobody_needs():
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)), requires_grad=True)
+    const = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)))
+    with Tape() as tape:
+        loss = tsum(add(rms_norm(x, Tensor(np.ones(4))), swiglu(const, x)))
+    grads = tape.gradients(loss)
+    assert set(grads) == {x}
+    with pytest.raises(ShapeError):
+        swiglu(x, Tensor(np.zeros((2, 3, 5))))
 
 
 def _two_layer_loss(x, w1, w2):
