@@ -42,6 +42,7 @@ from .tensor import (
     reshape,
     rms_norm,
     rope,
+    softmax_cross_entropy,
     swiglu,
     transpose,
 )
@@ -433,6 +434,16 @@ def forward(
     if cache is not None:
         cache.length += tokens.shape[1]
     return logits
+
+
+def lm_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray, **forward_kwargs) -> Tensor:
+    """Mean next-token cross entropy of one [B, T+1] batch: positions
+    [:, :-1] are the inputs and [:, 1:] the targets. ``forward_kwargs``
+    (skip_layers, head_gates, ffn_gates) pass through to ``forward``. Under
+    an active Tape the result is differentiable."""
+    logits = forward(config, params, batch[:, :-1], **forward_kwargs)
+    b, t, v = logits.shape
+    return softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward
+from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward, lm_loss
 from .fileio import atomic_open
-from .tensor import softmax_cross_entropy
 
 # cloze items per prefix-shared scoring chunk; bounds the chunk's KV cache
 # rows and [rows, T, V] logits, which dominate scoring memory
@@ -31,14 +30,21 @@ class ClozeItem:
     gold: int
 
     def validate(self) -> None:
-        if len(self.context) == 0:
+        if not isinstance(self.context, list) or len(self.context) == 0:
             raise ValueError("cloze item needs a nonempty context")
-        if len(self.candidates) < 2:
+        if not isinstance(self.candidates, list) or len(self.candidates) < 2:
             raise ValueError("cloze item needs at least 2 candidates")
-        if not 0 <= self.gold < len(self.candidates):
-            raise ValueError(f"gold index {self.gold} out of range")
-        if any(len(c) == 0 for c in self.candidates):
+        if not _is_int(self.gold) or not 0 <= self.gold < len(self.candidates):
+            raise ValueError(f"gold must be an index into the candidates, got {self.gold!r}")
+        if any(not isinstance(c, list) or len(c) == 0 for c in self.candidates):
             raise ValueError("candidates must be nonempty token lists")
+        for ids in (self.context, *self.candidates):
+            if not all(_is_int(t) and t >= 0 for t in ids):
+                raise ValueError(f"token ids must be integers >= 0, got {ids!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -78,11 +84,8 @@ def perplexity(
     total_tokens = 0
     rows = []
     for i, batch in enumerate(batches):
-        logits = forward(config, params, batch[:, :-1])
-        b, t, v = logits.shape
-        loss = float(
-            softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1)).data
-        )
+        loss = float(lm_loss(config, params, batch).data)
+        b, t = batch[:, 1:].shape
         total_loss += loss * b * t
         total_tokens += b * t
         rows.append({"index": i, "loss": loss})
@@ -128,6 +131,11 @@ def score_items(
     for i, (context, candidates) in enumerate(items):
         if not context or not candidates or not all(candidates):
             raise ValueError("candidate scoring needs a nonempty context and candidates")
+        for ids in (context, *candidates):
+            if min(ids) < 0 or max(ids) >= config.vocab_size:
+                raise ValueError(
+                    f"cloze item {i}: token ids {list(ids)} outside [0, {config.vocab_size})"
+                )
         by_length.setdefault(len(context), []).append(i)
     scores: list[list[float]] = [[] for _ in items]
     for n_ctx, indices in by_length.items():
@@ -182,11 +190,9 @@ def load_cloze_items(path) -> list[ClozeItem]:
             if not line:
                 continue
             d = json.loads(line)
-            item = ClozeItem(
-                context=list(d["context"]),
-                candidates=[list(c) for c in d["candidates"]],
-                gold=int(d["gold"]),
-            )
+            if not isinstance(d, dict) or sorted(d) != ["candidates", "context", "gold"]:
+                raise ValueError(f"cloze item {len(items)}: need exactly context, candidates, gold")
+            item = ClozeItem(**d)
             item.validate()
             items.append(item)
     return items

@@ -47,6 +47,7 @@ from .trainer import (
     TrainPlan,
     curve_to_csv,
     forgetting_scan,
+    ledgers_to_csv,
     multi_round_train,
     scaled_lr,
 )
@@ -595,12 +596,7 @@ class _Run:
         self.params, ledgers = multi_round_train(
             self.model_config, self.params, self.train_batches, plan, curve=curve
         )
-        ledger_lines = ["round,batch_index,part,loss"]
-        for r, ledger in enumerate(ledgers):
-            ledger_lines += [
-                f"{r},{e.batch_index},{e.part},{e.loss!r}" for e in ledger.entries
-            ]
-        self.emit_text("ledger.csv", "\n".join(ledger_lines) + "\n")
+        self.emit_text("ledger.csv", ledgers_to_csv(ledgers))
         self.emit_text("curves.csv", curve_to_csv(curve))
         scan = forgetting_scan(self.model_config, self.params, self.train_batches, ledgers[0])
         self.emit_text(

@@ -12,14 +12,13 @@ afterwards if wanted. All tie-breaks prefer the lower index.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, forward, param_shapes
-from .tensor import Tape, Tensor, sigmoid, softmax_cross_entropy
-from .trainer import batch_loss
+from .arch import ModelConfig, ParamStore, lm_loss
+from .tensor import Tape, Tensor, sigmoid
+from .trainer import AdamW, TrainPlan
 
 CRITERIA = ("l1", "l2", "taylor", "learned")
 
@@ -66,17 +65,7 @@ def layer_skip_eval(
         raise ValueError("layer_skip_eval needs a nonempty eval set")
 
     def metric(skip: frozenset[int]) -> float:
-        losses = []
-        for batch in eval_batches:
-            logits = forward(config, params, batch[:, :-1], skip_layers=skip)
-            b, t, v = logits.shape
-            losses.append(
-                float(
-                    softmax_cross_entropy(
-                        logits.reshape((b * t, v)), batch[:, 1:].reshape(-1)
-                    ).data
-                )
-            )
+        losses = [float(lm_loss(config, params, b, skip_layers=skip).data) for b in eval_batches]
         return -float(np.mean(losses))
 
     baseline = metric(frozenset())
@@ -144,24 +133,21 @@ def _require_mha(config: ModelConfig) -> None:
         )
 
 
-def _head_weight_slices(params: ParamStore, layer: int, head: int, head_dim: int):
-    p = f"layers.{layer}."
-    cols = slice(head * head_dim, (head + 1) * head_dim)
-    return (
-        params[p + "wq"].data[:, cols],
-        params[p + "wk"].data[:, cols],
-        params[p + "wv"].data[:, cols],
-        params[p + "wo"].data[cols, :],
-    )
-
-
-def _ffn_weight_slices(params: ParamStore, layer: int, channel: int):
-    p = f"layers.{layer}."
-    return (
-        params[p + "wgate"].data[:, channel],
-        params[p + "wup"].data[:, channel],
-        params[p + "wdown"].data[channel, :],
-    )
+def _unit_sums(config: ModelConfig, per_param: dict[str, np.ndarray]):
+    """Per layer, the sum of ``per_param`` (arrays shaped like the weights,
+    keyed by parameter name) over each head's q/k/v/out block and over each
+    FFN channel's gate/up/down slices: ([n_heads] per layer, [ffn_hidden]
+    per layer)."""
+    d, h, hd = config.width, config.n_heads, config.head_dim
+    head_sums, ffn_sums = [], []
+    for p in (f"layers.{i}." for i in range(config.depth)):
+        w = {k: per_param[p + k] for k in ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown")}
+        head_sums.append(
+            sum(w[k].reshape(d, h, hd).sum(axis=(0, 2)) for k in ("wq", "wk", "wv"))
+            + w["wo"].reshape(h, hd, d).sum(axis=(1, 2))
+        )
+        ffn_sums.append(w["wgate"].sum(axis=0) + w["wup"].sum(axis=0) + w["wdown"].sum(axis=1))
+    return head_sums, ffn_sums
 
 
 def score_neurons(
@@ -174,89 +160,54 @@ def score_neurons(
 ) -> NeuronScores:
     """Importance of every head and FFN channel under one criterion.
 
-    l1 / l2 sum the unit's weight magnitudes; taylor accumulates
-    |w * dL/dw| over the given batches; learned trains relaxed gates (via
-    learn_masks with a half-size target) and reports their final openness.
+    l1 sums the unit's weight magnitudes and l2 takes the root of its summed
+    squares; taylor sums |w * dL/dw| over the given batches; learned trains
+    relaxed gates (via learn_masks with a half-size target) and reports
+    their final openness.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     _require_mha(config)
-    hd = config.head_dim
 
-    if criterion in ("l1", "l2"):
-        head_scores, ffn_scores = [], []
-        for layer in range(config.depth):
-            hs = np.zeros(config.n_heads)
-            for h in range(config.n_heads):
-                parts = _head_weight_slices(params, layer, h, hd)
-                if criterion == "l1":
-                    hs[h] = sum(np.abs(w).sum() for w in parts)
-                else:
-                    hs[h] = math.sqrt(sum((w * w).sum() for w in parts))
-            fs = np.zeros(config.ffn_hidden)
-            for c in range(config.ffn_hidden):
-                parts = _ffn_weight_slices(params, layer, c)
-                if criterion == "l1":
-                    fs[c] = sum(np.abs(w).sum() for w in parts)
-                else:
-                    fs[c] = math.sqrt(sum((w * w).sum() for w in parts))
-            head_scores.append(hs)
-            ffn_scores.append(fs)
-        return NeuronScores(criterion, head_scores, ffn_scores)
+    if criterion == "learned":
+        # train gates toward a generic half-size target and report the final
+        # gate openness (monotone in the logits used for hardening)
+        masks = learn_masks(
+            config,
+            params,
+            data_batches,
+            child_heads=max(1, config.n_heads // 2),
+            child_channels=max(1, config.ffn_hidden // 2),
+            steps=mask_steps,
+            seed=mask_seed,
+        )
+        head_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.head_logits]
+        ffn_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.ffn_logits]
+        return NeuronScores("learned", head_scores, ffn_scores)
 
     if criterion == "taylor":
         if not data_batches:
             raise ValueError("taylor criterion needs data batches")
-        head_scores = [np.zeros(config.n_heads) for _ in range(config.depth)]
-        ffn_scores = [np.zeros(config.ffn_hidden) for _ in range(config.depth)]
+        per_param = {name: 0.0 for name in params.tensors}
         params.set_requires_grad(True)
         try:
             for batch in data_batches:
                 with Tape() as tape:
-                    logits = forward(config, params, batch[:, :-1])
-                    b, t, v = logits.shape
-                    loss = softmax_cross_entropy(
-                        logits.reshape((b * t, v)), batch[:, 1:].reshape(-1)
-                    )
+                    loss = lm_loss(config, params, batch)
                 grad_map = tape.gradients(loss)
-                sal = {
-                    name: np.abs(tensor.data * grad_map[tensor])
-                    for name, tensor in params.tensors.items()
-                    if tensor in grad_map
-                }
-                for layer in range(config.depth):
-                    p = f"layers.{layer}."
-                    for h in range(config.n_heads):
-                        cols = slice(h * hd, (h + 1) * hd)
-                        head_scores[layer][h] += (
-                            sal[p + "wq"][:, cols].sum()
-                            + sal[p + "wk"][:, cols].sum()
-                            + sal[p + "wv"][:, cols].sum()
-                            + sal[p + "wo"][cols, :].sum()
-                        )
-                    ffn_scores[layer] += (
-                        sal[p + "wgate"].sum(axis=0)
-                        + sal[p + "wup"].sum(axis=0)
-                        + sal[p + "wdown"].sum(axis=1)
-                    )
+                for name, tensor in params.tensors.items():
+                    per_param[name] = per_param[name] + np.abs(tensor.data * grad_map[tensor])
         finally:
             params.set_requires_grad(False)
-        return NeuronScores(criterion, head_scores, ffn_scores)
-
-    # learned: train gates toward a generic half-size target and report the
-    # final gate openness (monotone in the logits used for hardening)
-    masks = learn_masks(
-        config,
-        params,
-        data_batches,
-        child_heads=max(1, config.n_heads // 2),
-        child_channels=max(1, config.ffn_hidden // 2),
-        steps=mask_steps,
-        seed=mask_seed,
-    )
-    head_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.head_logits]
-    ffn_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.ffn_logits]
-    return NeuronScores("learned", head_scores, ffn_scores)
+    elif criterion == "l1":
+        per_param = {name: np.abs(t.data) for name, t in params.tensors.items()}
+    else:
+        per_param = {name: t.data * t.data for name, t in params.tensors.items()}
+    head_scores, ffn_scores = _unit_sums(config, per_param)
+    if criterion == "l2":
+        head_scores = [np.sqrt(s) for s in head_scores]
+        ffn_scores = [np.sqrt(s) for s in ffn_scores]
+    return NeuronScores(criterion, head_scores, ffn_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +253,8 @@ def learn_masks(
     Gates are sigmoid(logit / tau) with tau decaying linearly; the objective
     is the task loss plus ``penalty`` times the squared gap between each
     layer's expected retained count and its target. Model weights stay
-    frozen; only the gate logits move (plain Adam)."""
+    frozen; only the gate logits move (AdamW with beta2 0.999, no weight
+    decay and no clipping)."""
     if not data_batches:
         raise ValueError("learn_masks needs data batches")
     if child_heads > config.n_heads or child_channels > config.ffn_hidden:
@@ -320,10 +272,8 @@ def learn_masks(
         Tensor(2.0 + rng.normal(0.0, 0.01, size=config.ffn_hidden), requires_grad=True)
         for _ in range(config.depth)
     ]
-    all_logits = head_logits + ffn_logits
-    m = [np.zeros(t.shape) for t in all_logits]
-    v = [np.zeros(t.shape) for t in all_logits]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    gates = ParamStore({str(i): lg for i, lg in enumerate(head_logits + ffn_logits)})
+    opt = AdamW(gates, TrainPlan(lr=lr, beta2=0.999, weight_decay=0.0, grad_clip=0.0))
     tau0, tau1 = temperature
     for step in range(steps):
         tau = tau0 + (tau1 - tau0) * (step / max(1, steps - 1))
@@ -331,17 +281,7 @@ def learn_masks(
         with Tape() as tape:
             head_gates = [sigmoid(lg * (1.0 / tau)) for lg in head_logits]
             ffn_gates = [sigmoid(lg * (1.0 / tau)) for lg in ffn_logits]
-            logits = forward(
-                config,
-                params,
-                batch[:, :-1],
-                head_gates=head_gates,
-                ffn_gates=ffn_gates,
-            )
-            b, t, vv = logits.shape
-            loss = softmax_cross_entropy(
-                logits.reshape((b * t, vv)), batch[:, 1:].reshape(-1)
-            )
+            loss = lm_loss(config, params, batch, head_gates=head_gates, ffn_gates=ffn_gates)
             for g in head_gates:
                 loss = loss + penalty * (g.sum() - float(child_heads)) ** 2
             for g in ffn_gates:
@@ -349,15 +289,7 @@ def learn_masks(
         if not np.isfinite(loss.data):
             raise RuntimeError(f"mask optimization diverged at step {step}")
         grad_map = tape.gradients(loss)
-        for i, lg in enumerate(all_logits):
-            g = grad_map.get(lg)
-            if g is None:
-                continue
-            m[i] = beta1 * m[i] + (1 - beta1) * g
-            v[i] = beta2 * v[i] + (1 - beta2) * g * g
-            m_hat = m[i] / (1 - beta1 ** (step + 1))
-            v_hat = v[i] / (1 - beta2 ** (step + 1))
-            lg.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step({name: grad_map[lg] for name, lg in gates.tensors.items()}, lr)
     return MaskParams(
         head_logits=[lg.data.copy() for lg in head_logits],
         ffn_logits=[lg.data.copy() for lg in ffn_logits],
@@ -381,49 +313,38 @@ class InheritancePlan:
     vocab_map: list[int]  # child row -> parent row for embedding/head
 
     def validate(self, parent: ModelConfig, child: ModelConfig) -> None:
-        if sorted(self.kept_layers) != self.kept_layers or len(set(self.kept_layers)) != len(
-            self.kept_layers
-        ):
-            raise PlanError("kept_layers must be strictly increasing")
+        _check_ids("kept_layers", self.kept_layers, parent.depth, increasing=True)
         if len(self.kept_layers) != child.depth:
             raise PlanError(
                 f"plan keeps {len(self.kept_layers)} layers, child depth is {child.depth}"
             )
-        if self.kept_layers and not 0 <= self.kept_layers[-1] < parent.depth:
-            raise PlanError("kept layer index outside the parent")
         if parent.head_dim != child.head_dim:
             raise PlanError(
                 f"head_dim mismatch: parent {parent.head_dim}, child {child.head_dim}"
             )
-        if len(self.head_indices) != child.depth or len(self.ffn_indices) != child.depth:
-            raise PlanError("per-layer unit lists must match child depth")
+        for name in ("head_indices", "ffn_indices"):
+            units = getattr(self, name)
+            if not isinstance(units, (list, tuple)) or len(units) != child.depth:
+                raise PlanError(f"{name} must hold one list per child layer ({child.depth})")
         for heads, chans in zip(self.head_indices, self.ffn_indices):
+            _check_ids("head_indices", heads, parent.n_heads, increasing=True)
+            _check_ids("ffn_indices", chans, parent.ffn_hidden, increasing=True)
             if len(heads) != child.n_heads:
                 raise PlanError(f"plan retains {len(heads)} heads, child has {child.n_heads}")
             if len(chans) != child.ffn_hidden:
                 raise PlanError(
                     f"plan retains {len(chans)} FFN channels, child has {child.ffn_hidden}"
                 )
-            if heads and not (0 <= min(heads) and max(heads) < parent.n_heads):
-                raise PlanError("head index outside the parent")
-            if chans and not (0 <= min(chans) and max(chans) < parent.ffn_hidden):
-                raise PlanError("FFN channel index outside the parent")
+        _check_ids("channel_plan", self.channel_plan, parent.width, increasing=True)
         if len(self.channel_plan) != child.width:
             raise PlanError(
                 f"channel plan length {len(self.channel_plan)} != child width {child.width}"
             )
-        if self.channel_plan and not (
-            0 <= min(self.channel_plan) and max(self.channel_plan) < parent.width
-        ):
-            raise PlanError("channel index outside the parent width")
+        _check_ids("vocab_map", self.vocab_map, parent.vocab_size, increasing=False)
         if len(self.vocab_map) != child.vocab_size:
             raise PlanError(
                 f"vocab map length {len(self.vocab_map)} != child vocab {child.vocab_size}"
             )
-        if self.vocab_map and not (
-            0 <= min(self.vocab_map) and max(self.vocab_map) < parent.vocab_size
-        ):
-            raise PlanError("vocab row outside the parent")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -439,14 +360,28 @@ class InheritancePlan:
 
     @classmethod
     def from_json(cls, text: str) -> "InheritancePlan":
+        """The plan as written; ``validate`` checks its entries."""
         d = json.loads(text)
-        return cls(
-            kept_layers=list(d["kept_layers"]),
-            head_indices=[list(x) for x in d["head_indices"]],
-            ffn_indices=[list(x) for x in d["ffn_indices"]],
-            channel_plan=list(d["channel_plan"]),
-            vocab_map=list(d["vocab_map"]),
-        )
+        fields = ("kept_layers", "head_indices", "ffn_indices", "channel_plan", "vocab_map")
+        if not isinstance(d, dict) or sorted(d) != sorted(fields):
+            raise PlanError(f"a plan is a JSON object with exactly the keys {fields}")
+        return cls(**d)
+
+
+def _check_ids(name: str, ids, bound: int, increasing: bool) -> None:
+    """Plan entries are integers (not bools) in [0, bound), strictly
+    increasing where ``increasing``."""
+    if not isinstance(ids, (list, tuple)):
+        raise PlanError(f"{name} must be a list of integers, got {ids!r}")
+    for i in ids:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise PlanError(f"{name} entry {i!r} is not an integer")
+        if not 0 <= i < bound:
+            raise PlanError(f"{name} entry {i} outside the parent's [0, {bound})")
+    if increasing:
+        for a, b in zip(ids, ids[1:]):
+            if a >= b:
+                raise PlanError(f"{name} must be strictly increasing; {b} follows {a}")
 
 
 def identity_plan(config: ModelConfig) -> InheritancePlan:

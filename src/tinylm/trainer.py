@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, forward
-from .tensor import Tape, softmax_cross_entropy
+from .arch import ModelConfig, ParamStore, lm_loss
+from .tensor import Tape
 
 
 class NonFiniteLossError(RuntimeError):
@@ -88,12 +88,13 @@ class BatchLossLedger:
     def part_indices(self, part: int) -> list[int]:
         return [e.batch_index for e in self.entries if e.part == part]
 
-    def to_csv(self, round_index: int = 0) -> str:
-        lines = ["round,batch_index,part,loss"]
-        lines += [
-            f"{round_index},{e.batch_index},{e.part},{e.loss!r}" for e in self.entries
-        ]
-        return "\n".join(lines) + "\n"
+
+def ledgers_to_csv(ledgers: list[BatchLossLedger]) -> str:
+    """One row per trained batch of every round, rounds numbered from 0."""
+    lines = ["round,batch_index,part,loss"]
+    for r, ledger in enumerate(ledgers):
+        lines += [f"{r},{e.batch_index},{e.part},{e.loss!r}" for e in ledger.entries]
+    return "\n".join(lines) + "\n"
 
 
 def cosine_schedule(peak: float, steps: int, floor_fraction: float) -> np.ndarray:
@@ -117,10 +118,7 @@ def part_assignment(n_batches: int, parts: int) -> np.ndarray:
 
 def batch_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray) -> float:
     """Mean next-token cross entropy of one batch, no gradients."""
-    logits = forward(config, params, batch[:, :-1])
-    b, t, v = logits.shape
-    loss = softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
-    return float(loss.data)
+    return float(lm_loss(config, params, batch).data)
 
 
 class AdamW:
@@ -191,11 +189,7 @@ def train_round(
     try:
         for i, batch in enumerate(batches):
             with Tape() as tape:
-                logits = forward(config, params, batch[:, :-1])
-                b, t, v = logits.shape
-                loss = softmax_cross_entropy(
-                    logits.reshape((b * t, v)), batch[:, 1:].reshape(-1)
-                )
+                loss = lm_loss(config, params, batch)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise NonFiniteLossError(f"non-finite loss at batch {i}")

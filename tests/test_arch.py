@@ -14,6 +14,7 @@ from tinylm.arch import (
     attention_block,
     forward,
     generate,
+    lm_loss,
     load_checkpoint,
     param_count,
     param_shapes,
@@ -22,7 +23,7 @@ from tinylm.arch import (
     speed_bench,
 )
 from tinylm.initializers import InitScheme, initialize
-from tinylm.tensor import Tape, Tensor
+from tinylm.tensor import Tape, Tensor, softmax_cross_entropy
 
 
 def small_config(**overrides):
@@ -190,6 +191,23 @@ def test_token_out_of_range():
     cfg = small_config()
     with pytest.raises(IndexError):
         forward(cfg, init_params(cfg), np.array([[0, cfg.vocab_size]]))
+
+
+@pytest.mark.parametrize("gated, skip", [(False, frozenset()), (True, frozenset()),
+                                          (False, frozenset({1})), (True, frozenset({0, 2}))])
+def test_lm_loss_is_the_inline_cross_entropy(gated, skip):
+    cfg = small_config()
+    params = init_params(cfg, sigma=0.2)
+    batch = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(3, 7))
+    rng = np.random.default_rng(6)
+    kwargs = {"skip_layers": skip}
+    if gated:
+        kwargs["head_gates"] = [Tensor(rng.uniform(size=cfg.n_heads)) for _ in range(cfg.depth)]
+        kwargs["ffn_gates"] = [Tensor(rng.uniform(size=cfg.ffn_hidden)) for _ in range(cfg.depth)]
+    logits = forward(cfg, params, batch[:, :-1], **kwargs)
+    b, t, v = logits.shape
+    inline = softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
+    assert lm_loss(cfg, params, batch, **kwargs).data.tobytes() == inline.data.tobytes()
 
 
 def test_bad_skip_index():

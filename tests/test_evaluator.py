@@ -273,6 +273,36 @@ def test_cloze_item_validation():
         ClozeItem(context=[1], candidates=[[1], [2]], gold=2).validate()
 
 
+@pytest.mark.parametrize("line", [
+    '{"context": [1, 2], "candidates": [[3], [4]], "gold": 1.7}',
+    '{"context": [1, 2], "candidates": [[3], [4]], "gold": "1"}',
+    '{"context": [1, 2], "candidates": [[3], [4]], "gold": true}',
+    '{"context": [1, 2.0], "candidates": [[3], [4]], "gold": 1}',
+    '{"context": [1, 2], "candidates": [[3.5], [4]], "gold": 1}',
+    '{"context": "ab", "candidates": [[3], [4]], "gold": 1}',
+    '{"context": [1, 2], "candidates": [[3], [-1]], "gold": 1}',
+    '{"context": [1, false], "candidates": [[3], [4]], "gold": 1}',
+    '{"context": [1, 2], "candidates": [[3], [4]]}',
+    '[[1, 2], [[3], [4]], 1]',
+])
+def test_load_cloze_items_rejects_non_integer_ids(tmp_path, line):
+    path = tmp_path / "items.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError):
+        load_cloze_items(path)
+
+
+def test_candidate_scoring_rejects_ids_outside_vocab():
+    cfg, params = passthrough_model(vocab=260)
+    for context, candidates in (([1, 2], [[-1], [259]]), ([1, 2], [[5], [260]]),
+                                ([1, 260], [[5], [6]])):
+        with pytest.raises(ValueError, match="cloze item 0"):
+            candidate_logliks(cfg, params, context, candidates)
+    items = [ClozeItem([1], [[2], [3]], gold=0), ClozeItem([1], [[2], [300]], gold=0)]
+    with pytest.raises(ValueError, match="cloze item 1"):
+        cloze_accuracy(cfg, params, items)
+
+
 def test_cloze_items_file_roundtrip(tmp_path):
     stream = np.random.default_rng(1).integers(0, 100, size=500)
     raw = make_cloze_items(stream, n_items=5, context_len=4, candidate_len=2,

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinylm.arch import (
     ModelConfig,
@@ -14,6 +18,7 @@ from tinylm.surgery import (
     InheritancePlan,
     LayerImportance,
     MaskParams,
+    NeuronScores,
     PlanError,
     build_child,
     channel_importance,
@@ -25,7 +30,7 @@ from tinylm.surgery import (
     score_neurons,
     select_layers,
 )
-from tinylm.tensor import Tensor, rms_normalize, mul
+from tinylm.tensor import Tape, Tensor, mul, rms_normalize, sigmoid, softmax_cross_entropy
 from conftest import deletion_oracle, make_planted_problem
 
 
@@ -197,6 +202,67 @@ def test_scores_nonnegative_finite():
             assert (arr >= 0).all()
 
 
+def _reference_unit_scores(cfg, params, batches, criterion):
+    """Oracle: one Python sum per head and per FFN channel over its weight
+    slices; taylor accumulates each batch's per-unit |w * dL/dw| sums."""
+    hd = cfg.head_dim
+
+    def head_parts(arrays, layer, h):
+        p, cols = f"layers.{layer}.", slice(h * hd, (h + 1) * hd)
+        return (arrays[p + "wq"][:, cols], arrays[p + "wk"][:, cols],
+                arrays[p + "wv"][:, cols], arrays[p + "wo"][cols, :])
+
+    def ffn_parts(arrays, layer, c):
+        p = f"layers.{layer}."
+        return arrays[p + "wgate"][:, c], arrays[p + "wup"][:, c], arrays[p + "wdown"][c, :]
+
+    def unit_sums(arrays):
+        heads = [np.array([sum(a.sum() for a in head_parts(arrays, layer, h))
+                           for h in range(cfg.n_heads)]) for layer in range(cfg.depth)]
+        chans = [np.array([sum(a.sum() for a in ffn_parts(arrays, layer, c))
+                           for c in range(cfg.ffn_hidden)]) for layer in range(cfg.depth)]
+        return heads, chans
+
+    weights = {name: t.data for name, t in params.tensors.items()}
+    if criterion == "l1":
+        return unit_sums({k: np.abs(w) for k, w in weights.items()})
+    if criterion == "l2":
+        heads, chans = unit_sums({k: w * w for k, w in weights.items()})
+        return [np.sqrt(x) for x in heads], [np.sqrt(x) for x in chans]
+    heads = [np.zeros(cfg.n_heads) for _ in range(cfg.depth)]
+    chans = [np.zeros(cfg.ffn_hidden) for _ in range(cfg.depth)]
+    params.set_requires_grad(True)
+    for batch in batches:
+        with Tape() as tape:
+            logits = forward(cfg, params, batch[:, :-1])
+            b, t, v = logits.shape
+            loss = softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
+        grads = tape.gradients(loss)
+        batch_heads, batch_chans = unit_sums(
+            {k: np.abs(t.data * grads[t]) for k, t in params.tensors.items()})
+        heads = [x + y for x, y in zip(heads, batch_heads)]
+        chans = [x + y for x, y in zip(chans, batch_chans)]
+    params.set_requires_grad(False)
+    return heads, chans
+
+
+@pytest.mark.parametrize("criterion", ["l1", "l2", "taylor"])
+@pytest.mark.parametrize("shape", [dict(depth=2), dict(depth=3, n_heads=4, ffn_hidden=7)])
+def test_unit_scores_match_per_unit_reference(criterion, shape):
+    cfg = mha_config(**shape)
+    params = initialize(cfg, InitScheme("constant", 0.3, seed=20))
+    batches = rand_batches(cfg, n=3, seed=4)
+    scores = score_neurons(cfg, params, batches, criterion)
+    heads, chans = _reference_unit_scores(cfg, params, batches, criterion)
+    expected = NeuronScores(criterion, heads, chans)
+    for layer in range(cfg.depth):
+        np.testing.assert_allclose(scores.head_scores[layer], heads[layer], rtol=1e-12)
+        np.testing.assert_allclose(scores.ffn_scores[layer], chans[layer], rtol=1e-12)
+        for n_heads, n_chans in ((1, 1), (cfg.n_heads // 2, cfg.ffn_hidden // 2)):
+            assert (scores.top_units(layer, n_heads, n_chans)
+                    == expected.top_units(layer, n_heads, n_chans))
+
+
 def test_scores_csv_format():
     cfg = mha_config(depth=1, ffn_hidden=3)
     params = initialize(cfg, InitScheme("constant", 0.1, seed=19))
@@ -241,6 +307,47 @@ def test_learned_mask_retains_planted_channel():
                         child_channels=1, steps=60, seed=0)
     _, chans = masks.harden()
     assert chans[0] == [planted_c]
+
+
+def _reference_learn_masks(cfg, params, batches, child_heads, child_channels, steps,
+                           lr=0.1, temperature=(2.0, 0.5), seed=0):
+    """Oracle: the mask learner with its own plain Adam (beta2 0.999)."""
+    rng = np.random.default_rng(seed)
+    logits = [Tensor(2.0 + rng.normal(0.0, 0.01, size=n), requires_grad=True)
+              for n in [cfg.n_heads] * cfg.depth + [cfg.ffn_hidden] * cfg.depth]
+    m = [np.zeros(t.shape) for t in logits]
+    v = [np.zeros(t.shape) for t in logits]
+    for step in range(steps):
+        tau = temperature[0] + (temperature[1] - temperature[0]) * (step / max(1, steps - 1))
+        batch = batches[step % len(batches)]
+        with Tape() as tape:
+            gates = [sigmoid(lg * (1.0 / tau)) for lg in logits]
+            out = forward(cfg, params, batch[:, :-1], head_gates=gates[:cfg.depth],
+                          ffn_gates=gates[cfg.depth:])
+            b, t, vv = out.shape
+            loss = softmax_cross_entropy(out.reshape((b * t, vv)), batch[:, 1:].reshape(-1))
+            for i, g in enumerate(gates):
+                target = child_heads if i < cfg.depth else child_channels
+                loss = loss + (g.sum() - float(target)) ** 2
+        grads = tape.gradients(loss)
+        for i, lg in enumerate(logits):
+            g = grads[lg]
+            m[i] = 0.9 * m[i] + (1 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
+            m_hat = m[i] / (1 - 0.9 ** (step + 1))
+            v_hat = v[i] / (1 - 0.999 ** (step + 1))
+            lg.data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return [lg.data for lg in logits]
+
+
+def test_learn_masks_matches_plain_adam_reference():
+    cfg = mha_config(depth=2)
+    params = initialize(cfg, InitScheme("constant", 0.3, seed=8))
+    batches = rand_batches(cfg, n=3, seed=9)
+    masks = learn_masks(cfg, params, batches, child_heads=1, child_channels=4, steps=50)
+    expected = _reference_learn_masks(cfg, params, batches, 1, 4, steps=50)
+    for got, want in zip(masks.head_logits + masks.ffn_logits, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_learn_masks_rejects_oversized_target():
@@ -381,6 +488,82 @@ def test_plan_json_roundtrip():
     plan = identity_plan(cfg)
     again = InheritancePlan.from_json(plan.to_json())
     assert again == plan
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kept_layers", [0, 1.5]),
+    ("kept_layers", [-1, 0]),
+    ("head_indices", [[0, 0], [0, 1]]),
+    ("head_indices", [[1, 0], [0, 1]]),
+    ("ffn_indices", [[0, 1, 1], [0, 1, 2]]),
+    ("ffn_indices", [[0, 1, 2.0], [0, 1, 2]]),
+    ("channel_plan", [0, 1, True] + list(range(3, 16))),
+    ("channel_plan", [0, 0] + list(range(2, 16))),
+    ("vocab_map", [2.5] + list(range(1, 280))),
+    ("vocab_map", [False] + list(range(1, 280))),
+])
+def test_plan_validate_rejects_bad_entries(field, value):
+    parent = mha_config(depth=2)
+    child = mha_config(depth=2, ffn_hidden=3)
+    plan = identity_plan(parent)
+    plan.ffn_indices = [[0, 1, 2], [0, 1, 2]]
+    plan.validate(parent, child)
+    setattr(plan, field, value)
+    with pytest.raises(PlanError, match=field):
+        plan.validate(parent, child)
+    with pytest.raises(PlanError, match=field):
+        InheritancePlan.from_json(plan.to_json()).validate(parent, child)
+
+
+_FUZZ_PARENT = mha_config(depth=2, width=8, n_heads=2, ffn_hidden=3, vocab_size=256)
+_FUZZ_ENTRY = st.one_of(st.integers(-2, 4), st.booleans(), st.floats(-1, 4), st.none())
+_FUZZ_JSON = st.recursive(
+    st.one_of(_FUZZ_ENTRY, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+_FUZZ_FIELD = st.one_of(
+    _FUZZ_JSON,
+    st.lists(_FUZZ_ENTRY, min_size=2, max_size=3),
+    st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=3), min_size=2, max_size=2),
+)
+
+
+@st.composite
+def _plan_texts(draw):
+    """Arbitrary text or JSON, or the parent's identity plan with one field
+    replaced, one entry changed or one key dropped."""
+    kind = draw(st.sampled_from(["text", "json", "field", "entry", "entry", "drop"]))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "json":
+        return json.dumps(draw(_FUZZ_JSON))
+    plan = json.loads(identity_plan(_FUZZ_PARENT).to_json())
+    key = draw(st.sampled_from(sorted(plan)))
+    if kind == "field":
+        plan[key] = draw(_FUZZ_FIELD)
+    elif kind == "entry":
+        entries = plan[key]
+        if key in ("head_indices", "ffn_indices"):
+            entries = entries[draw(st.integers(0, len(entries) - 1))]
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_FUZZ_ENTRY)
+    else:
+        del plan[key]
+    return json.dumps(plan)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=_plan_texts())
+def test_plan_from_json_fuzz_builds_or_raises_plan_error(text):
+    params = initialize(_FUZZ_PARENT, InitScheme("constant", 0.1, seed=0))
+    try:
+        plan = InheritancePlan.from_json(text)
+        plan.validate(_FUZZ_PARENT, _FUZZ_PARENT)
+    except ValueError:  # PlanError, or text that is not JSON
+        return
+    store = build_child(_FUZZ_PARENT, params, plan, _FUZZ_PARENT)
+    store.validate(_FUZZ_PARENT)
 
 
 def test_make_plan_end_to_end_consistency():

@@ -18,6 +18,7 @@ from tinylm.trainer import (
     batch_loss,
     cosine_schedule,
     forgetting_scan,
+    ledgers_to_csv,
     multi_round_train,
     part_assignment,
     part_probabilities,
@@ -100,6 +101,30 @@ def test_adam_three_hand_steps_quadratic():
         v_hat = v / (1 - 0.95**t)
         p = p - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-12)
         assert store["p"].data[0] == pytest.approx(p, rel=1e-14)
+
+
+def test_adamw_with_mask_plan_matches_plain_adam():
+    # learn_masks steps its gate logits with this plan; the reference is the
+    # plain Adam update it used to carry inline
+    rng = np.random.default_rng(3)
+    start = [rng.normal(2.0, 0.5, size=n) for n in (2, 5)]
+    store = ParamStore({str(i): Tensor(a.copy()) for i, a in enumerate(start)})
+    opt = AdamW(store, TrainPlan(lr=0.1, beta2=0.999, weight_decay=0.0, grad_clip=0.0))
+    ref = [a.copy() for a in start]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    for step in range(50):
+        grads = {name: np.sin(3.0 * t.data) + t.data for name, t in store.tensors.items()}
+        opt.step(grads, 0.1)
+        for i, p in enumerate(ref):
+            g = np.sin(3.0 * p) + p
+            m[i] = 0.9 * m[i] + (1 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
+            m_hat = m[i] / (1 - 0.9 ** (step + 1))
+            v_hat = v[i] / (1 - 0.999 ** (step + 1))
+            p -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, t in zip(ref, store.tensors.values()):
+            np.testing.assert_allclose(t.data, p, rtol=1e-12, atol=0)
 
 
 def test_weight_decay_decoupled_exact_factor():
@@ -352,7 +377,10 @@ def test_forgetting_untrained_parts_indistinguishable():
 
 
 def test_ledger_csv_format():
+    first = _ledger([0.5], parts=1)
     ledger = _ledger([0.25, 1.5], parts=1)
-    lines = ledger.to_csv(round_index=1).strip().splitlines()
+    lines = ledgers_to_csv([first, ledger]).strip().splitlines()
     assert lines[0] == "round,batch_index,part,loss"
-    assert lines[1] == "1,0,0,0.25"
+    assert lines[1] == "0,0,0,0.5"
+    assert lines[2] == "1,0,0,0.25"
+    assert lines[3:] == ["1,1,0,1.5"]
