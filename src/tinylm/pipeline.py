@@ -153,6 +153,10 @@ def validate(config_file) -> PipelineConfig:
         cp = _resolve(path, corpus["path"])
         if not cp.is_file():
             raise ConfigError(f"corpus.path: file not found: {cp}")
+    elif not isinstance(corpus["synthetic"], dict):
+        raise ConfigError(f"corpus.synthetic must be an object, got {corpus['synthetic']!r}")
+    else:
+        _check_int("corpus.synthetic.n_bytes", corpus["synthetic"].get("n_bytes"))
 
     tok = raw["tokenizer"]
     if ("train" in tok) == ("load" in tok):
@@ -179,6 +183,11 @@ def validate(config_file) -> PipelineConfig:
         for key in ("budget", "depths", "expansions"):
             if key not in s:
                 raise ConfigError(f"architecture.search.{key} is required")
+        if not isinstance(s["depths"], list):
+            raise ConfigError(f"architecture.search.depths must be a list, got {s['depths']!r}")
+        for i, depth in enumerate(s["depths"]):
+            _check_int(f"architecture.search.depths[{i}]", depth)
+        _check_int("architecture.search.head_dim", s.get("head_dim", 64))
         # feasibility pre-check against the best-known vocabulary size
         if "compact" in tok and "size" in tok["compact"]:
             vocab_size = tok["compact"]["size"]

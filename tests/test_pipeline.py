@@ -210,6 +210,28 @@ def test_validate_rejects_bad_pick_or_scaling_field(tmp_path, capsys, field, ove
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("architecture.search.head_dim",
+         {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "head_dim": 0}}}),
+        ("architecture.search.depths",
+         {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "depths": "x"}}}),
+        ("corpus.synthetic.n_bytes", {"corpus": {"synthetic": {"n_bytes": -5, "seed": 1}}}),
+        ("corpus.synthetic", {"corpus": {"synthetic": 5}}),
+    ],
+    ids=["head_dim_zero", "depths_string", "n_bytes_negative", "synthetic_not_object"],
+)
+def test_validate_rejects_search_or_corpus_field(tmp_path, capsys, field, overrides):
+    # the first two used to die in validate with a raw ZeroDivisionError or
+    # TypeError, and the corpus values passed validate
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_validate_accepts_search_pick_index_and_scaling(tmp_path):
     search = {**FEASIBLE_SEARCH["search"], "pick": 0}
     cfg = validate(write_config(tmp_path, architecture={"search": search},

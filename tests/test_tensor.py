@@ -145,7 +145,7 @@ def test_fan_out_accumulates():
 
 
 def test_finite_diff_quadratic():
-    err = finite_diff_check(lambda t: tsum(mul(t, t)), Tensor([3.0]), h=1e-5)
+    err = finite_diff_check(lambda t: tsum(mul(t, t)), Tensor([3.0]))
     assert err < 1e-6
 
 
@@ -158,9 +158,7 @@ def test_finite_diff_cross_entropy():
     rng = np.random.default_rng(7)
     logits = Tensor(rng.normal(size=(4, 8)))
     targets = rng.integers(0, 8, size=4)
-    err = finite_diff_check(
-        lambda t: softmax_cross_entropy(t, targets), logits, h=1e-5
-    )
+    err = finite_diff_check(lambda t: softmax_cross_entropy(t, targets), logits)
     assert err < 1e-4
 
 
@@ -228,7 +226,7 @@ def test_unary_op_gradients_100_cases(name, op, box):
     for _ in range(100):
         x = Tensor(rng.uniform(lo, hi, size=(3, 4)))
         probe = Tensor(rng.uniform(-1, 1, size=op(Tensor(x.data)).shape))
-        err = finite_diff_check(lambda t: tsum(mul(op(t), probe)), x, h=1e-5)
+        err = finite_diff_check(lambda t: tsum(mul(op(t), probe)), x)
         assert err < 1e-4, f"{name}: {err}"
 
 
@@ -245,7 +243,7 @@ def test_binary_op_gradients_100_cases(side):
             other = Tensor(rng.uniform(-2, 2, size=(3, 4)))
             f = lambda t: tsum(mul(matmul(other, t), probe))
             shape = (4, 3)
-        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=shape)), h=1e-5)
+        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=shape)))
         assert err < 1e-4
 
 
@@ -258,7 +256,7 @@ def test_add_mul_broadcast_gradients():
         def f(t):
             return tsum(mul(add(mul(t, small), small), probe))
 
-        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=(3, 4))), h=1e-5)
+        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=(3, 4))))
         assert err < 1e-4
 
 
@@ -271,7 +269,7 @@ def test_gather_rows_gradient():
         def f(t):
             return tsum(mul(gather_rows(t, ids), probe))
 
-        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=(4, 3))), h=1e-5)
+        err = finite_diff_check(f, Tensor(rng.uniform(-2, 2, size=(4, 3))))
         assert err < 1e-4
 
 
@@ -393,7 +391,7 @@ def test_causal_attention_gradients(case, wrt):
             args[index] = x
             return tsum(mul(causal_attention(*args, length), probe))
 
-        err = finite_diff_check(f, Tensor(inputs[index]), h=1e-5)
+        err = finite_diff_check(f, Tensor(inputs[index]))
         assert err < 1e-4, f"{case} d/d{wrt}: {err}"
 
 
@@ -474,6 +472,34 @@ def test_rope_bit_identical_to_composed_rotation(case):
     shape = ROPE_SHAPES[case]
     cos, sin = _rope_tables(rng, shape[2], shape[3] // 2)
     x = rng.uniform(-2, 2, size=shape)
+    _assert_bit_identical(lambda t: rope(t, cos, sin), lambda t: _rope_chain(t, cos, sin), [x])
+
+
+@pytest.mark.parametrize("kv_groups", [2, 4])
+def test_rope_bit_identical_under_grouped_kv_attention(kv_groups):
+    # keys feed causal_attention, whose dk fold hands rope a non-contiguous
+    # gradient (strides of a swapaxes view); check that layout is what arrives
+    rng = np.random.default_rng(34)
+    q, k, v = (rng.uniform(-2, 2, size=(2, h, 5, 6)) for h in (4, kv_groups, kv_groups))
+    cos, sin = _rope_tables(rng, 5, 3)
+    k_leaf = Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(causal_attention(Tensor(q), k_leaf, Tensor(v)))
+    assert not tape.gradients(loss)[k_leaf].flags["C_CONTIGUOUS"]
+    _assert_bit_identical(
+        lambda qt, kt: causal_attention(qt, rope(kt, cos, sin), Tensor(v)),
+        lambda qt, kt: causal_attention(qt, _rope_chain(kt, cos, sin), Tensor(v)),
+        [q, k],
+    )
+
+
+def test_rope_bit_identical_at_a_decode_step():
+    # one position, tables taken at a nonzero offset, as forward builds them
+    # for a token appended to a KV cache
+    from tinylm.arch import _rope_tables as model_tables
+
+    cos, sin = model_tables(1, 8, offset=37)
+    x = np.random.default_rng(35).uniform(-2, 2, size=(3, 2, 1, 8))
     _assert_bit_identical(lambda t: rope(t, cos, sin), lambda t: _rope_chain(t, cos, sin), [x])
 
 

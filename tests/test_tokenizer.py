@@ -186,6 +186,31 @@ def test_roundtrip_trained_and_compacted_property(corpus, blob, size):
             assert decode(encode(data, v), v) == data
 
 
+# repeated words: BPE merges them whole, so a kept word's parts are often
+# tokens that no longer occur in the encoded corpus
+WORD_CORPUS = st.lists(st.sampled_from([b"abc ", b"ab ", b"cab ", b"bcab ", b"c"]),
+                       min_size=1, max_size=80).map(b"".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=st.one_of(SMALL_ALPHABET.filter(len), WORD_CORPUS), blob=st.binary(max_size=80),
+       target=st.one_of(st.integers(256, 300).map(lambda n: {"size": n}),
+                        st.floats(0.05, 1.0).map(lambda c: {"coverage": c})))
+def test_compact_vocab_invariants_property(corpus, blob, target):
+    vocab = train_bpe(corpus, 320)
+    compacted = compact_vocab(vocab, count_frequencies(corpus, vocab), **target)
+    compacted.validate()
+    # every byte token survives
+    assert compacted.tokens[:BASE_SIZE] == vocab.tokens[:BASE_SIZE]
+    # each kept merged token keeps the two parts it was merged from
+    kept = set(compacted.tokens)
+    for left, right, merged in vocab.merges:
+        if vocab.tokens[merged] in kept:
+            assert {vocab.tokens[left], vocab.tokens[right]} <= kept
+    for data in (corpus, blob):
+        assert decode(encode(data, compacted), compacted) == data
+
+
 # ------------------------------------------------------- count_frequencies
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from tinylm.arch import ModelConfig
 from tinylm.initializers import InitScheme, initialize
-from tinylm.tensor import Tensor
+from tinylm.surgery import learn_masks
+from tinylm.tensor import HEAP_KEPT, Tensor
 from tinylm.trainer import (
     AdamW,
     BatchLossLedger,
@@ -199,6 +201,35 @@ def test_train_round_memory_is_one_step_without_cyclic_gc():
     # refcounting alone must free each step: 16 steps peak like 4 steps
     short, long = _train_round_peak_bytes(4), _train_round_peak_bytes(16)
     assert long <= 1.10 * short, (short, long)
+
+
+# minor page faults per step allowed once the heap has grown to a step's size;
+# where glibc trims the freed heap top after each step, a mask step at this
+# shape faults ~4k-6k pages back in and a train step ~1.3k
+STEADY_FAULTS_PER_STEP = 300
+
+
+@pytest.mark.skipif(not HEAP_KEPT, reason="no mallopt to keep freed heap memory mapped")
+def test_steps_reuse_the_previous_steps_memory():
+    # the inherit workload's parent shape: width 96, depth 4, 6 heads, ffn 192
+    cfg = ModelConfig(vocab_size=400, width=96, depth=4, n_heads=6, kv_groups=6,
+                      ffn_hidden=192)
+    params = initialize(cfg, InitScheme("constant", 0.02, 0))
+    rng = np.random.default_rng(0)
+    batches = [rng.integers(0, cfg.vocab_size, size=(8, 33)) for _ in range(2)]
+    plan = TrainPlan(lr=1e-3)
+    learn_masks(cfg, params, batches, 4, 128, steps=2)  # warm-up: grow the heap
+    train_round(cfg, params, batches, plan)
+
+    def faults_per_step(run, steps):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(steps)
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+
+    masks = faults_per_step(lambda n: learn_masks(cfg, params, batches, 4, 128, steps=n), 10)
+    train = faults_per_step(lambda n: train_round(cfg, params, batches * (n // 2), plan), 10)
+    assert masks < STEADY_FAULTS_PER_STEP, masks
+    assert train < STEADY_FAULTS_PER_STEP, train
 
 
 def test_train_round_part_sizes_near_equal():
