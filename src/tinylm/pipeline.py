@@ -8,10 +8,11 @@ so re-running a config reproduces identical hashes.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from .arch import (
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
 from .evaluator import cloze_accuracy, load_cloze_items, perplexity, save_cloze_items
 from .fileio import atomic_open
-from .initializers import InitScheme, initialize
-from .surgery import InheritancePlan, build_child, convert_to_gqa, layer_skip_eval, make_plan
+from .initializers import VARIANTS, InitScheme, initialize
+from .surgery import (CRITERIA, InheritancePlan, build_child, convert_to_gqa, layer_skip_eval,
+                      make_plan)
 from .tokenizer import (
     BASE_SIZE,
     Vocabulary,
@@ -54,7 +56,6 @@ from .trainer import (
 
 OUTPUT_ENV_VAR = "TINYLM_OUT"
 STAGES = ("corpus", "tokenizer", "arch", "params", "scan", "train", "eval")
-CLOZE_DEFAULTS = {"n_candidates": 4, "context_len": 16, "candidate_len": 4}
 
 
 class ConfigError(ValueError):
@@ -65,42 +66,186 @@ class PipelineError(RuntimeError):
     """A stage failed at run time."""
 
 
-# schema: section -> allowed keys (nested sections validated separately)
-_SCHEMA: dict[str, set[str]] = {
-    "": {"seed", "output_dir", "corpus", "tokenizer", "architecture", "init",
-         "inheritance", "training", "evaluation", "layer_scan"},
-    "corpus": {"path", "synthetic"},
-    "corpus.synthetic": {"n_bytes", "seed", "n_words", "alpha"},
-    "tokenizer": {"train", "load", "compact"},
-    "tokenizer.train": {"target_size"},
-    "tokenizer.compact": {"size", "coverage"},
-    "architecture": {"config", "search"},
-    "architecture.config": {"vocab_size", "width", "depth", "n_heads", "kv_groups",
-                            "ffn_hidden"},
-    "architecture.search": {"budget", "depths", "expansions", "tolerance", "head_dim",
-                            "pick"},
-    "init": {"scheme", "sigma", "seed"},
-    "inheritance": {"parent_checkpoint", "plan", "generate", "gqa_groups"},
-    "inheritance.generate": {"criterion", "keep_ends", "mask_steps", "batches", "seed"},
-    "training": {"seq_len", "batch_size", "max_batches", "rounds", "sampling_rate",
-                 "parts", "weight_decay", "lr", "scaling", "grad_clip", "seed"},
-    "training.scaling": {"base_batch", "base_lr", "increment_rate"},
-    "evaluation": {"holdout_batches", "cloze", "cloze_file"},
-    "evaluation.cloze": {"n_items", "n_candidates", "context_len", "candidate_len",
-                         "seed"},
-    "layer_scan": {"windows", "batches"},
-}
+# Every config field, one row each: dotted path, kind, bounds or choices,
+# default. A row applies only when its section is present. int and real take an
+# interval, and ints and reals are non-empty lists whose items take it. A file
+# path is resolved against the config's directory and must exist. An object
+# holds exactly one key of its pair, or at most one if "or neither" follows. A
+# missing key takes the default's value, the top-level seed for ROOT_SEED, is an
+# error for REQUIRED, and stays out for ABSENT.
+REQUIRED, ABSENT, ROOT_SEED = "<required>", "<absent>", "<root seed>"
+FIELDS = (
+    ("seed",                            "int",          "[0, inf)",                            REQUIRED),
+    ("output_dir",                      "str",          None,                                  REQUIRED),
+    ("corpus",                          "object",       ("path", "synthetic"),                 REQUIRED),
+    ("corpus.path",                     "file",         None,                                  ABSENT),
+    ("corpus.synthetic",                "object",       None,                                  ABSENT),
+    ("corpus.synthetic.n_bytes",        "int",          "[1, inf)",                            REQUIRED),
+    ("corpus.synthetic.seed",           "int",          "[0, inf)",                            ROOT_SEED),
+    ("corpus.synthetic.n_words",        "int",          "[1, inf)",                            200),
+    ("corpus.synthetic.alpha",          "real",         "(0, inf)",                            1.2),
+    ("tokenizer",                       "object",       ("train", "load"),                     REQUIRED),
+    ("tokenizer.train",                 "object",       None,                                  ABSENT),
+    ("tokenizer.train.target_size",     "int",          "[256, inf)",                          REQUIRED),
+    ("tokenizer.load",                  "file",         None,                                  ABSENT),
+    ("tokenizer.compact",               "object",       ("size", "coverage"),                  ABSENT),
+    ("tokenizer.compact.size",          "int",          "[256, inf)",                          ABSENT),
+    ("tokenizer.compact.coverage",      "real",         "(0, 1]",                              ABSENT),
+    ("architecture",                    "object",       ("config", "search"),                  REQUIRED),
+    ("architecture.config",             "object",       None,                                  ABSENT),
+    ("architecture.config.vocab_size",  "int",          "[256, inf)",                          ABSENT),
+    ("architecture.config.width",       "int",          "[1, inf)",                            REQUIRED),
+    ("architecture.config.depth",       "int",          "[1, inf)",                            REQUIRED),
+    ("architecture.config.n_heads",     "int",          "[1, inf)",                            REQUIRED),
+    ("architecture.config.kv_groups",   "int",          "[1, inf)",                            ABSENT),
+    ("architecture.config.ffn_hidden",  "int",          "[1, inf)",                            REQUIRED),
+    ("architecture.search",             "object",       None,                                  ABSENT),
+    ("architecture.search.budget",      "int",          "[1, inf)",                            REQUIRED),
+    ("architecture.search.depths",      "ints",         "[1, inf)",                            REQUIRED),
+    ("architecture.search.expansions",  "reals",        "(0, inf)",                            REQUIRED),
+    ("architecture.search.tolerance",   "real",         "[0, inf)",                            0.05),
+    ("architecture.search.head_dim",    "int",          "[1, inf)",                            64),
+    ("architecture.search.pick",        "choice|index", ("deepest", "widest"),                 "deepest"),
+    ("init",                            "object",       None,                                  ABSENT),
+    ("init.scheme",                     "choice",       VARIANTS,                              "constant"),
+    ("init.sigma",                      "real",         "(0, inf)",                            0.02),
+    ("init.seed",                       "int",          "[0, inf)",                            ROOT_SEED),
+    ("inheritance",                     "object",       ("plan", "generate"),                  ABSENT),
+    ("inheritance.parent_checkpoint",   "file",         None,                                  REQUIRED),
+    ("inheritance.plan",                "file",         None,                                  ABSENT),
+    ("inheritance.generate",            "object",       None,                                  ABSENT),
+    ("inheritance.generate.criterion",  "choice",       CRITERIA,                              "taylor"),
+    ("inheritance.generate.keep_ends",  "ints",         "[0, inf)",                            [2, 2]),
+    ("inheritance.generate.mask_steps", "int",          "[1, inf)",                            120),
+    ("inheritance.generate.batches",    "int",          "[1, inf)",                            4),
+    ("inheritance.generate.seed",       "int",          "[0, inf)",                            ROOT_SEED),
+    ("inheritance.gqa_groups",          "int",          "[1, inf)",                            ABSENT),
+    ("training",                        "object",       ("lr", "scaling"),                     REQUIRED),
+    ("training.seq_len",                "int",          "[1, inf)",                            32),
+    ("training.batch_size",             "int",          "[1, inf)",                            8),
+    ("training.max_batches",            "int",          "[1, inf)",                            ABSENT),
+    ("training.rounds",                 "int",          "[1, inf)",                            1),
+    ("training.sampling_rate",          "real",         "(0, 1]",                              0.5),
+    ("training.parts",                  "int",          "[1, inf)",                            8),
+    ("training.weight_decay",           "real",         "[0, inf)",                            0.1),
+    ("training.lr",                     "real",         "(0, inf)",                            ABSENT),
+    ("training.scaling",                "object",       None,                                  ABSENT),
+    ("training.scaling.base_batch",     "real",         "(0, inf)",                            REQUIRED),
+    ("training.scaling.base_lr",        "real",         "(0, inf)",                            REQUIRED),
+    ("training.scaling.increment_rate", "real",         "[0, 1]",                              0.5),
+    ("training.grad_clip",              "real",         "[0, inf)",                            1.0),
+    ("training.seed",                   "int",          "[0, inf)",                            ROOT_SEED),
+    ("evaluation",                      "object",       ("cloze", "cloze_file", "or neither"), REQUIRED),
+    ("evaluation.holdout_batches",      "int",          "[1, inf)",                            2),
+    ("evaluation.cloze",                "object",       None,                                  ABSENT),
+    ("evaluation.cloze.n_items",        "int",          "[1, inf)",                            REQUIRED),
+    ("evaluation.cloze.n_candidates",   "int",          "[2, inf)",                            4),
+    ("evaluation.cloze.context_len",    "int",          "[1, inf)",                            16),
+    ("evaluation.cloze.candidate_len",  "int",          "[1, inf)",                            4),
+    ("evaluation.cloze.seed",           "int",          "[0, inf)",                            ROOT_SEED),
+    ("evaluation.cloze_file",           "file",         None,                                  ABSENT),
+    ("layer_scan",                      "object",       None,                                  ABSENT),
+    ("layer_scan.windows",              "ints",         "[1, inf)",                            [1, 2, 3]),
+    ("layer_scan.batches",              "int",          "[1, inf)",                            2),
+)
+NULLABLE = {"training.max_batches", "inheritance.gqa_groups"}  # null means absent
+_TYPES = {"int": int, "real": (int, float), "str": str, "object": dict, "choice": str,
+          "choice|index": (str, int), "file": str}  # kind -> the JSON values it takes
 
 
-def _check_keys(section: dict, path: str) -> None:
-    allowed = _SCHEMA[path if path else ""]
+def _fits(kind: str, bounds, value, config_path: Path) -> bool:
+    """Whether ``value`` has the row's type and lies in its bounds or choices."""
+    if kind in ("ints", "reals"):
+        return isinstance(value, list) and value != [] and all(
+            _fits(kind[:-1], bounds, item, config_path) for item in value)
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        return False
+    if kind == "file":
+        return _resolve(config_path, value).is_file()
+    if isinstance(value, str):
+        return value in bounds if bounds else value != ""
+    if kind == "object":
+        return True
+    if kind == "choice|index":
+        return value >= 0
+    low, high = (float(x) for x in bounds[1:-1].split(","))
+    # nan fails the first test, and so does an int too big for a float
+    return (abs(value) <= sys.float_info.max
+            and (low < value if bounds[0] == "(" else low <= value)
+            and (value < high if bounds[-1] == ")" else value <= high))
+
+
+def _enter(section: dict, path: str, pair) -> None:
+    """Reject keys the table does not list, and a section that holds both
+    keys of its pair, or neither unless the pair allows that."""
+    allowed = {p.rpartition(".")[2] for p, *_ in FIELDS if p.rpartition(".")[0] == path}
     for key in section:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key {where!r}")
-        child_path = f"{path}.{key}" if path else key
-        if child_path in _SCHEMA and isinstance(section[key], dict):
-            _check_keys(section[key], child_path)
+            raise ConfigError(f"unknown key {f'{path}.{key}' if path else key!r}")
+    if pair:
+        held = (pair[0] in section) + (pair[1] in section)
+        if held > 1 or held == 0 and len(pair) == 2:
+            need = "exactly one" if len(pair) == 2 else "at most one"
+            raise ConfigError(f"{path or 'config'}: {need} of {pair[0]!r} or {pair[1]!r}")
+
+
+def _walk(raw: dict, config_path: Path) -> None:
+    """Apply FIELDS to ``raw`` in place, row by row: unknown keys, defaults,
+    types, ranges."""
+    _enter(raw, "", ("init", "inheritance"))
+    sections = {"": raw}  # the sections met so far, by path
+    for path, kind, bounds, default in FIELDS:
+        parent, _, key = path.rpartition(".")
+        section = sections.get(parent)
+        if section is None or (key not in section and default == ABSENT):
+            continue
+        if key not in section:
+            if default == REQUIRED:
+                raise ConfigError(f"{path} is required")
+            section[key] = raw["seed"] if default == ROOT_SEED else copy.deepcopy(default)
+        value = section[key]
+        if value is None and path in NULLABLE:
+            continue
+        if not _fits(kind, bounds, value, config_path):
+            what = f"{kind} in {bounds}" if bounds and kind != "object" else kind
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        if kind == "object":
+            _enter(value, path, bounds)
+            sections[path] = value
+
+
+def _model_config(spec: dict, vocab_size: int) -> ModelConfig:
+    """architecture.config as a checked ModelConfig; ``vocab_size`` and
+    n_heads stand in for the optional vocab_size and kv_groups."""
+    try:
+        return ModelConfig.from_dict({"vocab_size": vocab_size, "kv_groups": spec["n_heads"],
+                                      **spec})
+    except ValueError as err:
+        raise ConfigError(f"architecture.config: {err}") from err
+
+
+def _search(spec: dict, vocab_size: int) -> tuple[list[ModelConfig], ModelConfig]:
+    """architecture.search for one vocabulary size: every feasible config, and
+    the one ``pick`` names."""
+    try:
+        found = search_configs(spec["budget"], vocab_size, spec["depths"], spec["expansions"],
+                               tolerance=spec["tolerance"], head_dim=spec["head_dim"])
+    except (OverflowError, ValueError) as err:  # nan or overflow in the width solve
+        raise ConfigError(f"architecture.search: values too large to solve ({err})") from err
+    if not found:
+        raise ConfigError(
+            "architecture.search: no feasible config for this budget and "
+            f"vocabulary size {vocab_size} (search_configs returned an empty list)"
+        )
+    pick = spec["pick"]
+    if pick in ("deepest", "widest"):
+        return found, max(found, key=lambda c: c.depth if pick == "deepest" else c.width)
+    if pick >= len(found):
+        raise ConfigError(
+            f"architecture.search.pick {pick} is out of range: the search finds "
+            f"{len(found)} configs for vocabulary size {vocab_size}"
+        )
+    return found, found[pick]
 
 
 @dataclass
@@ -119,12 +264,13 @@ class PipelineConfig:
             return Path(env) / Path(self.raw["output_dir"]).name
         return Path(self.raw["output_dir"])
 
-    def section(self, name: str) -> dict:
-        return self.raw.get(name, {})
+    def section(self, name: str) -> dict | None:
+        return self.raw.get(name)
 
 
 def validate(config_file) -> PipelineConfig:
-    """Parse, default, and validate a config file; errors name the field."""
+    """Parse and check a config file, writing every default into it; errors
+    name the field."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -134,191 +280,27 @@ def validate(config_file) -> PipelineConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(raw, "")
+    _walk(raw, path)
 
-    for required in ("seed", "output_dir", "corpus", "tokenizer", "architecture",
-                     "training", "evaluation"):
-        if required not in raw:
-            raise ConfigError(f"missing required section {required!r}")
-
-    has_init = "init" in raw
-    has_inherit = "inheritance" in raw
-    if has_init == has_inherit:
-        raise ConfigError("exactly one of 'init' or 'inheritance' must be present")
-
-    corpus = raw["corpus"]
-    if ("path" in corpus) == ("synthetic" in corpus):
-        raise ConfigError("corpus: exactly one of 'path' or 'synthetic'")
-    if "path" in corpus:
-        cp = _resolve(path, corpus["path"])
-        if not cp.is_file():
-            raise ConfigError(f"corpus.path: file not found: {cp}")
-    elif not isinstance(corpus["synthetic"], dict):
-        raise ConfigError(f"corpus.synthetic must be an object, got {corpus['synthetic']!r}")
+    tok, arch, inh = raw["tokenizer"], raw["architecture"], raw.get("inheritance", {})
+    if "load" in tok:
+        try:
+            vocab_size = load_vocab(_resolve(path, tok["load"])).size
+        except ValueError as err:
+            raise ConfigError(f"tokenizer.load: {err}") from err
     else:
-        _check_int("corpus.synthetic.n_bytes", corpus["synthetic"].get("n_bytes"))
-
-    tok = raw["tokenizer"]
-    if ("train" in tok) == ("load" in tok):
-        raise ConfigError("tokenizer: exactly one of 'train' or 'load'")
-    if "load" in tok and not _resolve(path, tok["load"]).is_file():
-        raise ConfigError(f"tokenizer.load: file not found: {tok['load']}")
-    if "train" in tok:
-        _check_int("tokenizer.train.target_size", tok["train"].get("target_size"), BASE_SIZE)
-    if "compact" in tok:
-        compact = tok["compact"]
-        if ("size" in compact) == ("coverage" in compact):
-            raise ConfigError("tokenizer.compact: exactly one of 'size' or 'coverage'")
-        if "size" in compact:
-            _check_int("tokenizer.compact.size", compact["size"], BASE_SIZE)
-        else:
-            _check_real("tokenizer.compact.coverage", compact["coverage"], 0.0, 1.0,
-                        open_low=True)
-
-    arch = raw["architecture"]
-    if ("config" in arch) == ("search" in arch):
-        raise ConfigError("architecture: exactly one of 'config' or 'search'")
+        vocab_size = tok["train"]["target_size"]
+    if "size" in tok.get("compact", {}):
+        vocab_size = tok["compact"]["size"]
     if "search" in arch:
-        s = arch["search"]
-        for key in ("budget", "depths", "expansions"):
-            if key not in s:
-                raise ConfigError(f"architecture.search.{key} is required")
-        if not isinstance(s["depths"], list):
-            raise ConfigError(f"architecture.search.depths must be a list, got {s['depths']!r}")
-        for i, depth in enumerate(s["depths"]):
-            _check_int(f"architecture.search.depths[{i}]", depth)
-        _check_int("architecture.search.head_dim", s.get("head_dim", 64))
-        # feasibility pre-check against the best-known vocabulary size
-        if "compact" in tok and "size" in tok["compact"]:
-            vocab_size = tok["compact"]["size"]
-        elif "train" in tok:
-            vocab_size = tok["train"]["target_size"]
-        else:
-            vocab_size = len(
-                _resolve(path, tok["load"]).read_text().split("#MERGES")[0].split()
-            )
-        found = search_configs(
-            s["budget"], vocab_size, s["depths"], s["expansions"],
-            tolerance=s.get("tolerance", 0.05), head_dim=s.get("head_dim", 64),
-        )
-        if not found:
-            raise ConfigError(
-                "architecture.search: no feasible config for this budget and "
-                f"vocabulary size {vocab_size} (search_configs returned an empty list)"
-            )
-        pick = s.get("pick", "deepest")
-        if pick not in ("deepest", "widest"):
-            _check_int("architecture.search.pick", pick, 0)
-            if pick >= len(found):
-                raise ConfigError(
-                    f"architecture.search.pick {pick} is out of range: the search finds "
-                    f"{len(found)} configs for vocabulary size {vocab_size}"
-                )
-
-    if has_inherit:
-        inh = raw["inheritance"]
-        if "parent_checkpoint" not in inh:
-            raise ConfigError("inheritance.parent_checkpoint is required")
-        if not _resolve(path, inh["parent_checkpoint"]).is_file():
-            raise ConfigError(
-                f"inheritance.parent_checkpoint: file not found: {inh['parent_checkpoint']}"
-            )
-        if ("plan" in inh) == ("generate" in inh):
-            raise ConfigError("inheritance: exactly one of 'plan' or 'generate'")
-        if "plan" in inh and not _resolve(path, inh["plan"]).is_file():
-            raise ConfigError(f"inheritance.plan: file not found: {inh['plan']}")
+        # feasibility and pick, against the best-known vocabulary size
+        _search(arch["search"], vocab_size)
     else:
-        scheme = raw["init"].setdefault("scheme", "constant")
-        InitScheme(scheme, raw["init"].setdefault("sigma", 0.02),
-                   raw["init"].setdefault("seed", raw["seed"])).validate()
-
-    train = raw["training"]
-    train.setdefault("seq_len", 32)
-    train.setdefault("batch_size", 8)
-    train.setdefault("rounds", 1)
-    train.setdefault("sampling_rate", 0.5)
-    train.setdefault("parts", 8)
-    train.setdefault("weight_decay", 0.1)
-    train.setdefault("grad_clip", 1.0)
-    train.setdefault("seed", raw["seed"])
-    if ("lr" in train) == ("scaling" in train):
-        raise ConfigError("training: exactly one of 'lr' or 'scaling'")
-    for key in ("seq_len", "batch_size", "rounds", "parts"):
-        _check_int(f"training.{key}", train[key])
-    if train.get("max_batches") is not None:
-        _check_int("training.max_batches", train["max_batches"])
-    _check_real("training.sampling_rate", train["sampling_rate"], 0.0, 1.0, open_low=True)
-    if "lr" in train:
-        _check_real("training.lr", train["lr"], 0.0, open_low=True)
-    else:
-        scaling = train["scaling"]
-        if not isinstance(scaling, dict):
-            raise ConfigError(f"training.scaling must be an object, got {scaling!r}")
-        for key in ("base_batch", "base_lr"):
-            if key not in scaling:
-                raise ConfigError(f"training.scaling.{key} is required")
-            _check_real(f"training.scaling.{key}", scaling[key], 0.0, open_low=True)
-        _check_real("training.scaling.increment_rate", scaling.get("increment_rate", 0.5),
-                    0.0, 1.0)
-    _check_real("training.grad_clip", train["grad_clip"], 0.0)
-    _check_real("training.weight_decay", train["weight_decay"], 0.0)
-
-    ev = raw["evaluation"]
-    ev.setdefault("holdout_batches", 2)
-    _check_int("evaluation.holdout_batches", ev["holdout_batches"])
-    if "cloze" in ev and "cloze_file" in ev:
-        raise ConfigError("evaluation: give 'cloze' or 'cloze_file', not both")
-    if "cloze_file" in ev and not _resolve(path, ev["cloze_file"]).is_file():
-        raise ConfigError(f"evaluation.cloze_file: file not found: {ev['cloze_file']}")
-    if "cloze" in ev:
-        cloze = {**CLOZE_DEFAULTS, **ev["cloze"]}
-        _check_int("evaluation.cloze.n_items", cloze.get("n_items"))
-        _check_int("evaluation.cloze.n_candidates", cloze["n_candidates"], 2)
-        for key in ("context_len", "candidate_len"):
-            _check_int(f"evaluation.cloze.{key}", cloze[key])
-
-    if "layer_scan" in raw:
-        scan = raw["layer_scan"]
-        scan.setdefault("windows", [1, 2, 3])
-        scan.setdefault("batches", 2)
-        if not isinstance(scan["windows"], list) or not scan["windows"]:
-            raise ConfigError(
-                f"layer_scan.windows must be a non-empty list, got {scan['windows']!r}"
-            )
-        for i, window in enumerate(scan["windows"]):
-            _check_int(f"layer_scan.windows[{i}]", window)
-        _check_int("layer_scan.batches", scan["batches"])
-
-    if has_inherit:
-        gen = raw["inheritance"].get("generate")
-        if gen is not None:
-            gen.setdefault("criterion", "taylor")
-            gen.setdefault("keep_ends", [2, 2])
-            gen.setdefault("mask_steps", 120)
-            gen.setdefault("batches", 4)
-            gen.setdefault("seed", raw["seed"])
-
+        n_heads = _model_config(arch["config"], BASE_SIZE).n_heads
+        if inh.get("gqa_groups") is not None and n_heads % inh["gqa_groups"]:
+            raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
+                              f"architecture.config.n_heads {n_heads}")
     return PipelineConfig(raw=raw, path=path)
-
-
-def _check_int(name: str, value, low: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_real(name: str, value, low: float, high: float = math.inf,
-                open_low: bool = False) -> None:
-    """value must be a finite number in [low, high], or (low, high] if open_low."""
-    ok = (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and math.isfinite(value)
-        and (value > low if open_low else value >= low)
-        and value <= high
-    )
-    if not ok:
-        bounds = f"{'(' if open_low else '['}{low}, {high}]"
-        raise ConfigError(f"{name} must be a finite number in {bounds}, got {value!r}")
 
 
 def _resolve(config_path: Path, rel) -> Path:
@@ -419,9 +401,9 @@ class _Run:
             spec = section["synthetic"]
             self.corpus = zipf_corpus(
                 n_bytes=spec["n_bytes"],
-                seed=spec.get("seed", self.cfg.seed),
-                n_words=spec.get("n_words", 200),
-                alpha=spec.get("alpha", 1.2),
+                seed=spec["seed"],
+                n_words=spec["n_words"],
+                alpha=spec["alpha"],
             )
         self.emit_bytes("corpus.bin", self.corpus)
 
@@ -459,30 +441,14 @@ class _Run:
         section = self.cfg.section("architecture")
         vocab_size = self.vocab.size
         if "config" in section:
-            spec = dict(section["config"])
-            spec.setdefault("vocab_size", vocab_size)
-            if spec["vocab_size"] != vocab_size:
+            self.model_config = _model_config(section["config"], vocab_size)
+            if self.model_config.vocab_size != vocab_size:
                 raise PipelineError(
-                    f"architecture.config.vocab_size {spec['vocab_size']} != "
+                    f"architecture.config.vocab_size {self.model_config.vocab_size} != "
                     f"tokenizer vocabulary {vocab_size}"
                 )
-            spec.setdefault("kv_groups", spec["n_heads"])
-            self.model_config = ModelConfig.from_dict(spec)
         else:
-            s = section["search"]
-            found = search_configs(
-                budget=s["budget"],
-                vocab_size=vocab_size,
-                depths=s["depths"],
-                expansion_rates=s["expansions"],
-                tolerance=s.get("tolerance", 0.05),
-                head_dim=s.get("head_dim", 64),
-            )
-            if not found:
-                raise PipelineError(
-                    "architecture.search found no feasible config for this "
-                    "budget/vocabulary (search_configs returned an empty list)"
-                )
+            found, self.model_config = _search(section["search"], vocab_size)
             self.emit_text(
                 "search_results.json",
                 json.dumps(
@@ -493,18 +459,6 @@ class _Run:
                     indent=2,
                 ),
             )
-            pick = s.get("pick", "deepest")
-            if pick == "deepest":
-                self.model_config = max(found, key=lambda c: c.depth)
-            elif pick == "widest":
-                self.model_config = max(found, key=lambda c: c.width)
-            elif pick < len(found):
-                self.model_config = found[pick]
-            else:
-                raise PipelineError(
-                    f"architecture.search.pick {pick} is out of range: the search "
-                    f"found {len(found)} configs"
-                )
         # batches are needed by params (plan generation) and later stages
         train_cfg = self.cfg.section("training")
         windows = windows_from_ids(
@@ -590,7 +544,7 @@ class _Run:
             lr = section["lr"]
         else:
             s = section["scaling"]
-            rule = ScalingRule(s["base_batch"], s["base_lr"], s.get("increment_rate", 0.5))
+            rule = ScalingRule(s["base_batch"], s["base_lr"], s["increment_rate"])
             lr = scaled_lr(rule, section["batch_size"] * section["seq_len"])
         plan = TrainPlan(
             lr=lr,
@@ -626,7 +580,7 @@ class _Run:
             self.manifest.input_hashes["cloze_file"] = _sha256(path)
             items = load_cloze_items(path)
         elif "cloze" in section:
-            c = {**CLOZE_DEFAULTS, **section["cloze"]}
+            c = section["cloze"]
             holdout_stream = np.concatenate([b.reshape(-1) for b in self.holdout_batches])
             raw_items = make_cloze_items(
                 holdout_stream,
@@ -635,7 +589,7 @@ class _Run:
                 candidate_len=c["candidate_len"],
                 n_candidates=c["n_candidates"],
                 vocab_size=self.model_config.vocab_size,
-                seed=c.get("seed", self.cfg.seed),
+                seed=c["seed"],
             )
             save_cloze_items(raw_items, self.out / "cloze_items.jsonl")
             self.emit_file("cloze_items.jsonl")

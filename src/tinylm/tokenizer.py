@@ -56,6 +56,8 @@ class Vocabulary:
     def validate(self) -> None:
         if self.tokens[:BASE_SIZE] != [bytes([i]) for i in range(BASE_SIZE)]:
             raise ValueError("first 256 tokens must be the single bytes")
+        if len(self.tokens) != BASE_SIZE + len(self.merges):
+            raise ValueError("token count does not match base + merges")
         produced = set()
         for rank, (left, right, merged) in enumerate(self.merges):
             if merged != BASE_SIZE + rank:
@@ -67,8 +69,6 @@ class Vocabulary:
             produced.add(merged)
             if self.tokens[merged] != self.tokens[left] + self.tokens[right]:
                 raise ValueError(f"merge {merged} bytes do not match operands")
-        if len(self.tokens) != BASE_SIZE + len(self.merges):
-            raise ValueError("token count does not match base + merges")
 
 
 @dataclass

@@ -1,11 +1,16 @@
+import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinylm.cli import main
-from tinylm.pipeline import ConfigError, OUTPUT_ENV_VAR, report, run, validate
+from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
+from tinylm.tokenizer import BASE_SIZE, Vocabulary, save_vocab
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -23,7 +28,10 @@ def write_config(tmp_path, name="config.json", **overrides):
         "evaluation": {"holdout_batches": 2},
     }
     raw.update(overrides)
-    path = tmp_path / name
+    return _write(tmp_path / name, raw)
+
+
+def _write(path, raw):
     path.write_text(json.dumps(raw))
     return path
 
@@ -210,6 +218,18 @@ def test_validate_rejects_bad_pick_or_scaling_field(tmp_path, capsys, field, ove
     assert field in capsys.readouterr().err
 
 
+def test_run_time_pick_out_of_range_is_config_error(tmp_path, capsys):
+    # validate counts 3 configs for the 280-token target; compaction leaves
+    # 278 tokens, for which the search finds 2
+    search = {"budget": 30_000, "depths": [1, 2, 3], "expansions": [1.0, 2.0, 3.0, 4.0],
+              "tolerance": 0.05, "head_dim": 8, "pick": 2}
+    path = write_config(tmp_path, architecture={"search": search},
+                        tokenizer={"train": {"target_size": 280}, "compact": {"coverage": 0.9}})
+    assert main(["validate", str(path)]) == 0
+    assert main(["search-arch", str(path)]) == 1
+    assert "architecture.search.pick 2 is out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, overrides",
     [
@@ -244,6 +264,172 @@ def test_validate_accepts_range_edges(tmp_path):
                 "max_batches": None}
     cfg = validate(write_config(tmp_path, training=training))
     assert cfg.section("training")["grad_clip"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, config, gqa_groups",
+    [
+        ("architecture.config.n_heads", {"n_heads": 0}, None),
+        ("architecture.config: width 15", {"width": 15}, None),
+        ("architecture.config: n_heads 2 not divisible by kv_groups 3", {"kv_groups": 3}, None),
+        ("inheritance.gqa_groups", {}, 3),
+    ],
+    ids=["n_heads_zero", "width_15", "kv_groups_3", "gqa_groups_3"],
+)
+def test_validate_checks_architecture_config(tmp_path, capsys, field, config, gqa_groups):
+    # each of these used to pass validate and fail after the tokenizer stage
+    arch = {"config": {"width": 16, "depth": 2, "n_heads": 2, "ffn_hidden": 24, **config}}
+    path = write_config(tmp_path, architecture=arch)
+    if gqa_groups is not None:
+        (tmp_path / "parent.ckpt").write_bytes(b"")
+        raw = json.loads(path.read_text())
+        del raw["init"]
+        raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", "plan": "parent.ckpt",
+                              "gqa_groups": gqa_groups}
+        _write(path, raw)
+    with pytest.raises(ConfigError, match=field):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("architecture", [None, FEASIBLE_SEARCH], ids=["config", "search"])
+def test_validate_rejects_malformed_tokenizer_load(tmp_path, architecture):
+    # this used to pass validate, or read as an infeasible search over a
+    # 2-token vocabulary
+    (tmp_path / "vocab.txt").write_text("not a vocabulary\n#MERGES\n")
+    overrides = {"tokenizer": {"load": "vocab.txt"}}
+    if architecture:
+        overrides["architecture"] = architecture
+    with pytest.raises(ConfigError, match="tokenizer.load"):
+        validate(write_config(tmp_path, **overrides))
+
+
+# Two valid configs that between them use every section: the first searches,
+# initializes, scales the lr, makes cloze items and scans layers; the second
+# names an explicit config, inherits with a generated plan and converts to
+# grouped KV, reading every other input from files.
+SEARCH_BASE = {
+    "seed": 7,
+    "output_dir": "out",
+    "corpus": {"synthetic": {"n_bytes": 30_000, "seed": 1}},
+    "tokenizer": {"train": {"target_size": 300}, "compact": {"size": 280}},
+    "architecture": {"search": {**FEASIBLE_SEARCH["search"], "pick": 0}},
+    "init": {"scheme": "gpt2_scaled", "sigma": 0.02, "seed": 2},
+    "training": {**NO_LR, "scaling": SCALING},
+    "evaluation": {"holdout_batches": 2, "cloze": {"n_items": 4}},
+    "layer_scan": {"windows": [1, 2], "batches": 1},
+}
+CONFIG_BASE = {
+    "seed": 7,
+    "output_dir": "out",
+    "corpus": {"path": "corpus.bin"},
+    "tokenizer": {"load": "vocab.txt", "compact": {"coverage": 0.9}},
+    "architecture": {"config": {"width": 16, "depth": 2, "n_heads": 4, "ffn_hidden": 24}},
+    "inheritance": {
+        "parent_checkpoint": "parent.ckpt",
+        "generate": {"criterion": "learned", "keep_ends": [1, 1], "mask_steps": 5,
+                     "batches": 2, "seed": 3},
+        "gqa_groups": 2,
+    },
+    "training": BASE_TRAINING,
+    "evaluation": {"holdout_batches": 2, "cloze_file": "cloze.jsonl"},
+}
+PLAN_BASE = {**CONFIG_BASE, "inheritance": {"parent_checkpoint": "parent.ckpt",
+                                            "plan": "plan.json"}}
+
+
+@pytest.fixture(scope="module")
+def base_dir(tmp_path_factory):
+    """A directory holding the files the base configs name."""
+    root = tmp_path_factory.mktemp("bases")
+    for name in ("corpus.bin", "parent.ckpt", "cloze.jsonl", "plan.json"):
+        (root / name).write_bytes(b"x")
+    save_vocab(Vocabulary(tokens=[bytes([i]) for i in range(BASE_SIZE)], merges=[]),
+               root / "vocab.txt")
+    return root
+
+
+def _paths(section, prefix=""):
+    for key, value in section.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + key + ".")
+
+
+def _replaced(base, dotted, value):
+    raw = copy.deepcopy(base)
+    *parents, key = dotted.split(".")
+    section = raw
+    for part in parents:
+        section = section[part]
+    section[key] = value
+    return raw
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+FUZZ_BASES = {"search": SEARCH_BASE, "config": CONFIG_BASE}
+FUZZ_SITES = [(name, path) for name, base in FUZZ_BASES.items() for path in _paths(base)]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(site=st.sampled_from(FUZZ_SITES), value=JSON_VALUES)
+def test_validate_raises_only_config_errors(base_dir, site, value):
+    name, dotted = site
+    raw = _replaced(FUZZ_BASES[name], dotted, value)
+    try:
+        validate(_write(base_dir / "fuzz.json", raw))
+    except ConfigError:
+        pass
+
+
+def _bad_values(kind, bounds):
+    """A wrong-type value, and an out-of-range one where the kind has bounds,
+    choices, a pair of keys or a file to find."""
+    wrong = {"int": 1.5, "ints": "x", "choice|index": 1.5, "real": "x"}.get(kind, 5)
+    if kind == "object":
+        return [wrong, {bounds[0]: {}, bounds[1]: {}}] if bounds else [wrong]
+    if kind == "str":
+        return [wrong]
+    if kind in ("choice", "choice|index", "file"):
+        return [wrong, "missing.bin" if kind == "file" else "nope"]
+    low = float(bounds[1:].split(",")[0])
+    low = low if bounds[0] == "(" else low - 1
+    low = int(low) if kind in ("int", "ints") else low
+    return [wrong, [low] if kind in ("ints", "reals") else low]
+
+
+TABLE_CASES = [(path, bad) for path, kind, bounds, _ in FIELDS
+               for bad in _bad_values(kind, bounds)]
+
+
+@pytest.mark.parametrize("field, bad", TABLE_CASES,
+                         ids=[f"{path}={bad!r}" for path, bad in TABLE_CASES])
+def test_every_table_row_rejects_bad_values(base_dir, capsys, field, bad):
+    parent = field.rpartition(".")[0]
+    bases = (SEARCH_BASE, CONFIG_BASE, PLAN_BASE)
+    with_key = [b for b in bases if field in _paths(b)]
+    with_parent = [b for b in bases if not parent or parent in _paths(b)]
+    base = (with_key or with_parent)[0]
+    assert main(["validate", str(_write(base_dir / "base.json", base))]) == 0
+    path = _write(base_dir / "bad.json", _replaced(base, field, bad))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_validate_output_is_a_fixed_point(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    assert main(["validate", str(demo)]) == 0
+    first = capsys.readouterr().out
+    assert main(["validate", str(_write(tmp_path / "resolved.json", json.loads(first)))]) == 0
+    assert capsys.readouterr().out == first
 
 
 # ---------------------------------------------------------------------- run
@@ -401,6 +587,17 @@ def test_inheritance_run_from_parent_checkpoint(tmp_path):
     plan = json.loads((tmp_path / "child_out" / "plan.json").read_text())
     assert len(plan["kept_layers"]) == 1
     assert len(plan["ffn_indices"][0]) == 12
+
+
+def test_manifest_config_replays_every_artifact_hash(tmp_path, monkeypatch):
+    path = write_config(tmp_path, evaluation={"holdout_batches": 2, "cloze": {"n_items": 4}},
+                        layer_scan={})
+    manifest = run(validate(path))
+    replay = _write(tmp_path / "replay.json", manifest.config)
+    monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "replayed"))
+    replayed = run(validate(replay))
+    assert (tmp_path / "replayed" / "out" / "manifest.json").is_file()
+    assert replayed.artifacts == manifest.artifacts
 
 
 # ------------------------------------------------------------------- report
