@@ -23,6 +23,7 @@ reads the buffers in place. ``generate`` prefills the prompt in chunks of
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import struct
 import time
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import write_atomic
 from .tensor import (
     Tensor,
     _active_tape,
@@ -65,10 +66,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.width // self.n_heads
-
-    @property
-    def expansion_rate(self) -> float:
-        return self.ffn_hidden / self.width
 
     def validate(self) -> None:
         if self.vocab_size < 256:
@@ -130,9 +127,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def validate(self, config: ModelConfig) -> None:
         expected = param_shapes(config)
         for name, shape in expected.items():
@@ -166,15 +160,7 @@ class ArchReport:
     breakdown: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total_params": self.total_params,
-                "embedding_head_params": self.embedding_head_params,
-                "pehl": self.pehl,
-                "breakdown": self.breakdown,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def param_count(config: ModelConfig) -> ArchReport:
@@ -508,7 +494,9 @@ def speed_bench(
 _MAGIC = b"TLMCKPT1"
 
 
-def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> None:
+def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> tuple[str, int]:
+    """Write the checkpoint one tensor at a time; returns write_atomic's
+    (sha256, byte count)."""
     names = sorted(params.tensors)
     entries = []
     offset = 0
@@ -517,12 +505,9 @@ def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> None:
         entries.append({"name": name, "shape": list(t.shape), "offset": offset})
         offset += t.size * 8
     manifest = json.dumps({"config": config.to_dict(), "tensors": entries}).encode()
-    with atomic_open(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for name in names:
-            fh.write(params.tensors[name].data.astype("<f8").tobytes())
+    header = _MAGIC + struct.pack("<Q", len(manifest)) + manifest
+    tensors = (np.ascontiguousarray(params.tensors[name].data, dtype="<f8") for name in names)
+    return write_atomic(path, itertools.chain([header], tensors))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:

@@ -41,12 +41,7 @@ def zipf_corpus(
     return b"".join(chunks)[:n_bytes]
 
 
-def windows_from_ids(
-    ids: np.ndarray,
-    seq_len: int,
-    seed: int = 0,
-    limit: int | None = None,
-) -> np.ndarray:
+def windows_from_ids(ids: np.ndarray, seq_len: int, seed: int = 0) -> np.ndarray:
     """Chop a token stream into shuffled windows of seq_len + 1 ids
     (inputs and next-token targets share the window)."""
     ids = np.asarray(ids)
@@ -55,11 +50,7 @@ def windows_from_ids(
     if n == 0:
         raise ValueError(f"stream of {ids.size} ids too short for seq_len {seq_len}")
     win = ids[: n * step].reshape(n, step)
-    order = np.random.default_rng(seed).permutation(n)
-    win = win[order]
-    if limit is not None:
-        win = win[:limit]
-    return win
+    return win[np.random.default_rng(seed).permutation(n)]
 
 
 def batches_from_windows(windows: np.ndarray, batch_size: int) -> list[np.ndarray]:

@@ -11,12 +11,12 @@ then run in one cached forward (see ``score_items``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward, lm_loss
-from .fileio import atomic_open
+from .fileio import csv_text, write_atomic
 
 # cloze items per prefix-shared scoring chunk; bounds the chunk's KV cache
 # rows and [rows, T, V] logits, which dominate scoring memory
@@ -55,23 +55,13 @@ class EvalReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric": self.metric,
-                "value": self.value,
-                "item_count": self.item_count,
-            },
-            indent=2,
-        )
+        summary = asdict(self)
+        del summary["rows"]
+        return json.dumps(summary, indent=2)
 
     def to_csv(self) -> str:
-        if not self.rows:
-            return "index\n"
-        keys = list(self.rows[0])
-        lines = [",".join(keys)]
-        for row in self.rows:
-            lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys))
-        return "\n".join(lines) + "\n"
+        keys = list(self.rows[0]) if self.rows else ["index"]
+        return csv_text(keys, ([row[k] for k in keys] for row in self.rows))
 
 
 def perplexity(
@@ -198,11 +188,8 @@ def load_cloze_items(path) -> list[ClozeItem]:
     return items
 
 
-def save_cloze_items(items: list[dict] | list[ClozeItem], path) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            if isinstance(item, ClozeItem):
-                d = {"context": item.context, "candidates": item.candidates, "gold": item.gold}
-            else:
-                d = item
-            fh.write(json.dumps(d) + "\n")
+def save_cloze_items(items: list[dict] | list[ClozeItem], path) -> tuple[str, int]:
+    """One JSON object per line; returns write_atomic's (sha256, byte count)."""
+    return write_atomic(path, (
+        (json.dumps(asdict(item) if isinstance(item, ClozeItem) else item) + "\n").encode()
+        for item in items))

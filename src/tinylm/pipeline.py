@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ from .arch import (
     search_configs,
 )
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
-from .evaluator import cloze_accuracy, load_cloze_items, perplexity, save_cloze_items
-from .fileio import atomic_open
+from .evaluator import ClozeItem, cloze_accuracy, load_cloze_items, perplexity, save_cloze_items
+from .fileio import csv_text, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
 from .surgery import (CRITERIA, InheritancePlan, build_child, convert_to_gqa, layer_skip_eval,
                       make_plan)
@@ -284,10 +284,7 @@ def validate(config_file) -> PipelineConfig:
 
     tok, arch, inh = raw["tokenizer"], raw["architecture"], raw.get("inheritance", {})
     if "load" in tok:
-        try:
-            vocab_size = load_vocab(_resolve(path, tok["load"])).size
-        except ValueError as err:
-            raise ConfigError(f"tokenizer.load: {err}") from err
+        vocab_size = _parse(path, "tokenizer.load", tok["load"], load_vocab).size
     else:
         vocab_size = tok["train"]["target_size"]
     if "size" in tok.get("compact", {}):
@@ -300,7 +297,29 @@ def validate(config_file) -> PipelineConfig:
         if inh.get("gqa_groups") is not None and n_heads % inh["gqa_groups"]:
             raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
                               f"architecture.config.n_heads {n_heads}")
+    if "plan" in inh:
+        _parse(path, "inheritance.plan", inh["plan"],
+               lambda p: InheritancePlan.from_json(p.read_text()))
+    if "generate" in inh:
+        keep = inh["generate"]["keep_ends"]
+        if len(keep) != 2:
+            raise ConfigError(f"inheritance.generate.keep_ends must be two integers "
+                              f"[front, back], got {keep!r}")
+        if "config" in arch and sum(keep) > arch["config"]["depth"]:
+            raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
+                              f"architecture.config.depth {arch['config']['depth']}")
+    if "cloze_file" in raw["evaluation"]:
+        _parse(path, "evaluation.cloze_file", raw["evaluation"]["cloze_file"], load_cloze_items)
     return PipelineConfig(raw=raw, path=path)
+
+
+def _parse(config_path: Path, field_path: str, rel: str, parse):
+    """``parse`` applied to the input file a field names; its ValueError
+    becomes a ConfigError that names the field."""
+    try:
+        return parse(_resolve(config_path, rel))
+    except ValueError as err:
+        raise ConfigError(f"{field_path}: {err}") from err
 
 
 def _resolve(config_path: Path, rel) -> Path:
@@ -324,20 +343,7 @@ class RunManifest:
     failure: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "version": self.version,
-                "seed": self.seed,
-                "input_hashes": self.input_hashes,
-                "artifacts": self.artifacts,
-                "stages_completed": self.stages_completed,
-                "stages_planned": self.stages_planned,
-                "failure": self.failure,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 class _Run:
@@ -362,32 +368,21 @@ class _Run:
         self.holdout_batches: list[np.ndarray] = []
         self.stream: np.ndarray | None = None
 
-    def emit_bytes(self, name: str, payload: bytes) -> Path:
+    def emit(self, name: str, payload) -> None:
+        """Write the artifact ``name`` and record the hash of the bytes
+        written. ``payload`` is its text or bytes, or a saver that takes the
+        path and returns write_atomic's (sha256, byte count)."""
         path = self.out / name
-        with atomic_open(path) as fh:
-            fh.write(payload)
-        self.manifest.artifacts.append(
-            {"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
-             "bytes": len(payload)}
-        )
-        return path
-
-    def emit_text(self, name: str, text: str) -> Path:
-        return self.emit_bytes(name, text.encode())
+        if callable(payload):
+            digest, nbytes = payload(path)
+        else:
+            data = payload.encode() if isinstance(payload, str) else payload
+            digest, nbytes = write_atomic(path, [data])
+        self.manifest.artifacts.append({"name": name, "sha256": digest, "bytes": nbytes})
 
     def write_manifest(self) -> None:
         """(Re)write manifest.json; it is not an artifact of itself."""
-        with atomic_open(self.out / "manifest.json") as fh:
-            fh.write(self.manifest.to_json().encode())
-
-    def emit_file(self, name: str) -> None:
-        """Register a file already written under the output dir."""
-        path = self.out / name
-        payload = path.read_bytes()
-        self.manifest.artifacts.append(
-            {"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
-             "bytes": len(payload)}
-        )
+        write_atomic(self.out / "manifest.json", [self.manifest.to_json().encode()])
 
     # ------------------------------------------------------------- stages
 
@@ -405,7 +400,7 @@ class _Run:
                 n_words=spec["n_words"],
                 alpha=spec["alpha"],
             )
-        self.emit_bytes("corpus.bin", self.corpus)
+        self.emit("corpus.bin", self.corpus)
 
     def stage_tokenizer(self) -> None:
         section = self.cfg.section("tokenizer")
@@ -417,23 +412,21 @@ class _Run:
                 _resolve(self.cfg.path, section["load"])
             )
         self.pre_compact_vocab = vocab
-        save_vocab(vocab, self.out / "vocab.txt")
-        self.emit_file("vocab.txt")
+        self.emit("vocab.txt", lambda path: save_vocab(vocab, path))
         ids = encode(self.corpus, vocab)
         freq = frequencies(ids, vocab.size)
-        self.emit_text("frequencies.csv", freq.to_csv())
-        self.emit_text("coverage.csv", coverage_curve(freq).to_csv())
+        self.emit("frequencies.csv", freq.to_csv())
+        self.emit("coverage.csv", coverage_curve(freq).to_csv())
         if "compact" in section:
             target = section["compact"]
             vocab = compact_vocab(
                 vocab, freq, size=target.get("size"), coverage=target.get("coverage")
             )
-            save_vocab(vocab, self.out / "vocab_compact.txt")
-            self.emit_file("vocab_compact.txt")
+            self.emit("vocab_compact.txt", lambda path: save_vocab(vocab, path))
             ids = encode(self.corpus, vocab)
             freq = frequencies(ids, vocab.size)
-            self.emit_text("frequencies_compact.csv", freq.to_csv())
-            self.emit_text("coverage_compact.csv", coverage_curve(freq).to_csv())
+            self.emit("frequencies_compact.csv", freq.to_csv())
+            self.emit("coverage_compact.csv", coverage_curve(freq).to_csv())
         self.vocab = vocab
         self.stream = ids
 
@@ -449,7 +442,7 @@ class _Run:
                 )
         else:
             found, self.model_config = _search(section["search"], vocab_size)
-            self.emit_text(
+            self.emit(
                 "search_results.json",
                 json.dumps(
                     [
@@ -515,16 +508,16 @@ class _Run:
                     mask_steps=gen["mask_steps"],
                     seed=gen["seed"],
                 )
-            self.emit_text("plan.json", plan.to_json())
+            self.emit("plan.json", plan.to_json())
             self.params = build_child(parent_config, parent_params, plan, self.model_config)
             groups = inh.get("gqa_groups")
             if groups is not None:
                 self.model_config, self.params = convert_to_gqa(
                     self.model_config, self.params, groups
                 )
-        self.emit_text("arch_report.json", param_count(self.model_config).to_json())
-        save_checkpoint(self.out / "model_init.ckpt", self.model_config, self.params)
-        self.emit_file("model_init.ckpt")
+        self.emit("arch_report.json", param_count(self.model_config).to_json())
+        self.emit("model_init.ckpt",
+                  lambda path: save_checkpoint(path, self.model_config, self.params))
 
     def stage_scan(self) -> None:
         section = self.cfg.section("layer_scan")
@@ -536,7 +529,7 @@ class _Run:
             self.holdout_batches[: section["batches"]],
             windows=tuple(section["windows"]),
         )
-        self.emit_text("importance.csv", importance.to_csv())
+        self.emit("importance.csv", importance.to_csv())
 
     def stage_train(self) -> None:
         section = self.cfg.section("training")
@@ -559,21 +552,17 @@ class _Run:
         self.params, ledgers = multi_round_train(
             self.model_config, self.params, self.train_batches, plan, curve=curve
         )
-        self.emit_text("ledger.csv", ledgers_to_csv(ledgers))
-        self.emit_text("curves.csv", curve_to_csv(curve))
+        self.emit("ledger.csv", ledgers_to_csv(ledgers))
+        self.emit("curves.csv", curve_to_csv(curve))
         scan = forgetting_scan(self.model_config, self.params, self.train_batches, ledgers[0])
-        self.emit_text(
-            "forgetting.csv",
-            "part,mean_loss\n" + "\n".join(f"{p},{v!r}" for p, v in enumerate(scan)) + "\n",
-        )
-        save_checkpoint(self.out / "model.ckpt", self.model_config, self.params)
-        self.emit_file("model.ckpt")
+        self.emit("forgetting.csv", csv_text(("part", "mean_loss"), enumerate(scan)))
+        self.emit("model.ckpt", lambda path: save_checkpoint(path, self.model_config, self.params))
 
     def stage_eval(self) -> None:
         section = self.cfg.section("evaluation")
         report = perplexity(self.model_config, self.params, self.holdout_batches)
-        self.emit_text("eval_perplexity.json", report.to_json())
-        self.emit_text("eval_perplexity.csv", report.to_csv())
+        self.emit("eval_perplexity.json", report.to_json())
+        self.emit("eval_perplexity.csv", report.to_csv())
         items = None
         if "cloze_file" in section:
             path = _resolve(self.cfg.path, section["cloze_file"])
@@ -591,13 +580,12 @@ class _Run:
                 vocab_size=self.model_config.vocab_size,
                 seed=c["seed"],
             )
-            save_cloze_items(raw_items, self.out / "cloze_items.jsonl")
-            self.emit_file("cloze_items.jsonl")
-            items = load_cloze_items(self.out / "cloze_items.jsonl")
+            self.emit("cloze_items.jsonl", lambda path: save_cloze_items(raw_items, path))
+            items = [ClozeItem(**d) for d in raw_items]
         if items:
             report = cloze_accuracy(self.model_config, self.params, items)
-            self.emit_text("eval_cloze.json", report.to_json())
-            self.emit_text("eval_cloze.csv", report.to_csv())
+            self.emit("eval_cloze.json", report.to_json())
+            self.emit("eval_cloze.csv", report.to_csv())
 
 
 def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> RunManifest:

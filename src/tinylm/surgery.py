@@ -12,11 +12,12 @@ afterwards if wanted. All tie-breaks prefer the lower index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .arch import ModelConfig, ParamStore, lm_loss
+from .fileio import csv_text
 from .tensor import Tape, Tensor, sigmoid
 from .trainer import AdamW, TrainPlan
 
@@ -41,15 +42,9 @@ class LayerImportance:
     def importance(self, window: int, start: int) -> float:
         return self.baseline - self.scores[(window, start)]
 
-    def window_importances(self, window: int) -> list[float]:
-        starts = sorted(s for (w, s) in self.scores if w == window)
-        return [self.importance(window, s) for s in starts]
-
     def to_csv(self) -> str:
-        lines = ["window,start,score,importance"]
-        for (w, s), v in sorted(self.scores.items()):
-            lines.append(f"{w},{s},{v!r},{self.baseline - v!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("window", "start", "score", "importance"),
+                        ((w, s, v, self.baseline - v) for (w, s), v in sorted(self.scores.items())))
 
 
 def layer_skip_eval(
@@ -117,12 +112,10 @@ class NeuronScores:
         return sorted(int(i) for i in heads), sorted(int(i) for i in chans)
 
     def to_csv(self) -> str:
-        lines = ["layer,unit_kind,unit,score"]
-        for layer, scores in enumerate(self.head_scores):
-            lines += [f"{layer},head,{u},{s!r}" for u, s in enumerate(scores)]
-        for layer, scores in enumerate(self.ffn_scores):
-            lines += [f"{layer},ffn,{u},{s!r}" for u, s in enumerate(scores)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("layer", "unit_kind", "unit", "score"), (
+            (layer, kind, u, s)
+            for kind, per_layer in (("head", self.head_scores), ("ffn", self.ffn_scores))
+            for layer, scores in enumerate(per_layer) for u, s in enumerate(scores)))
 
 
 def _require_mha(config: ModelConfig) -> None:
@@ -347,24 +340,15 @@ class InheritancePlan:
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kept_layers": self.kept_layers,
-                "head_indices": self.head_indices,
-                "ffn_indices": self.ffn_indices,
-                "channel_plan": self.channel_plan,
-                "vocab_map": self.vocab_map,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "InheritancePlan":
         """The plan as written; ``validate`` checks its entries."""
         d = json.loads(text)
-        fields = ("kept_layers", "head_indices", "ffn_indices", "channel_plan", "vocab_map")
-        if not isinstance(d, dict) or sorted(d) != sorted(fields):
-            raise PlanError(f"a plan is a JSON object with exactly the keys {fields}")
+        keys = tuple(f.name for f in fields(cls))
+        if not isinstance(d, dict) or sorted(d) != sorted(keys):
+            raise PlanError(f"a plan is a JSON object with exactly the keys {keys}")
         return cls(**d)
 
 

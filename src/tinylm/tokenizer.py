@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import csv_text, write_atomic
 
 BASE_SIZE = 256
 
@@ -47,12 +47,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def token_id(self, token: bytes) -> int | None:
-        try:
-            return self.tokens.index(token)
-        except ValueError:
-            return None
-
     def validate(self) -> None:
         if self.tokens[:BASE_SIZE] != [bytes([i]) for i in range(BASE_SIZE)]:
             raise ValueError("first 256 tokens must be the single bytes")
@@ -79,9 +73,7 @@ class FrequencyTable:
     total_tokens: int
 
     def to_csv(self) -> str:
-        lines = ["token_id,count"]
-        lines += [f"{i},{int(c)}" for i, c in enumerate(self.counts)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("token_id", "count"), enumerate(self.counts.tolist()))
 
 
 @dataclass
@@ -93,9 +85,7 @@ class CoverageCurve:
     order: list[int] = field(default_factory=list)  # token ids, most frequent first
 
     def to_csv(self) -> str:
-        lines = ["k,cumulative_fraction"]
-        lines += [f"{k},{f!r}" for k, f in zip(self.ks, self.fractions)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("k", "cumulative_fraction"), zip(self.ks, self.fractions))
 
 
 def _merge_sites(ids: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -339,12 +329,12 @@ def compression_rate(corpus: bytes, vocab: Vocabulary) -> float:
 # ---------------------------------------------------------------------------
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
+def save_vocab(vocab: Vocabulary, path) -> tuple[str, int]:
+    """Returns write_atomic's (sha256, byte count)."""
     lines = [t.hex() for t in vocab.tokens]
     lines.append("#MERGES")
     lines += [f"{l} {r} {m}" for (l, r, m) in vocab.merges]
-    with atomic_open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return write_atomic(path, ["\n".join(lines).encode("ascii") + b"\n"])
 
 
 def load_vocab(path) -> Vocabulary:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ModelConfig, ParamStore, lm_loss
+from .fileio import csv_text
 from .tensor import Tape
 
 
@@ -91,10 +92,9 @@ class BatchLossLedger:
 
 def ledgers_to_csv(ledgers: list[BatchLossLedger]) -> str:
     """One row per trained batch of every round, rounds numbered from 0."""
-    lines = ["round,batch_index,part,loss"]
-    for r, ledger in enumerate(ledgers):
-        lines += [f"{r},{e.batch_index},{e.part},{e.loss!r}" for e in ledger.entries]
-    return "\n".join(lines) + "\n"
+    return csv_text(("round", "batch_index", "part", "loss"),
+                    ((r, e.batch_index, e.part, e.loss)
+                     for r, ledger in enumerate(ledgers) for e in ledger.entries))
 
 
 def cosine_schedule(peak: float, steps: int, floor_fraction: float) -> np.ndarray:
@@ -221,17 +221,12 @@ def resample(ledger: BatchLossLedger, sampling_rate: float, seed: int = 0) -> li
     rng = np.random.default_rng(seed)
     selected: list[int] = []
     for part in range(ledger.parts):
-        part_entries = [e for e in ledger.entries if e.part == part]
-        if not part_entries:
+        indices = ledger.part_indices(part)
+        if not indices:
             continue
-        losses = np.array([e.loss for e in part_entries])
-        indices = [e.batch_index for e in part_entries]
-        z = losses - losses.max()
-        probs = np.exp(z)
-        probs /= probs.sum()
-        n_draw = math.ceil(sampling_rate * len(part_entries))
-        remaining = list(range(len(part_entries)))
-        p = probs.copy()
+        p = part_probabilities(ledger, part)
+        n_draw = math.ceil(sampling_rate * len(indices))
+        remaining = list(range(len(indices)))
         for _ in range(n_draw):
             p_norm = p[remaining] / p[remaining].sum()
             pick = rng.choice(len(remaining), p=p_norm)
@@ -293,6 +288,4 @@ def forgetting_scan(
 
 
 def curve_to_csv(curve: list[tuple[int, float, float]]) -> str:
-    lines = ["step,lr,loss"]
-    lines += [f"{s},{lr!r},{loss!r}" for s, lr, loss in curve]
-    return "\n".join(lines) + "\n"
+    return csv_text(("step", "lr", "loss"), curve)

@@ -305,6 +305,55 @@ def test_validate_rejects_malformed_tokenizer_load(tmp_path, architecture):
         validate(write_config(tmp_path, **overrides))
 
 
+def _inheriting(tmp_path, **inheritance):
+    """The write_config config with an inheritance section in place of init."""
+    (tmp_path / "parent.ckpt").write_bytes(b"")
+    raw = json.loads(write_config(tmp_path).read_text())
+    del raw["init"]
+    raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", **inheritance}
+    return _write(tmp_path / "config.json", raw)
+
+
+@pytest.mark.parametrize("keep_ends", [[1], [1, 1, 0], [3, 3], [2, 1]],
+                         ids=["one_item", "three_items", "sum_6_over_depth_2",
+                              "sum_3_over_depth_2"])
+def test_validate_checks_keep_ends(tmp_path, capsys, keep_ends):
+    # each of these used to pass validate and fail in surgery with exit 2
+    path = _inheriting(tmp_path, generate={"keep_ends": keep_ends})
+    with pytest.raises(ConfigError, match="inheritance.generate.keep_ends"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.generate.keep_ends" in capsys.readouterr().err
+
+
+def test_validate_accepts_keep_ends_filling_the_depth(tmp_path):
+    validate(_inheriting(tmp_path, generate={"keep_ends": [2, 0]}))
+    validate(_inheriting(tmp_path, generate={"keep_ends": [1, 1]}))
+
+
+def test_validate_parses_inheritance_plan(tmp_path, capsys):
+    (tmp_path / "plan.json").write_text("not json")
+    path = _inheriting(tmp_path, plan="plan.json")
+    with pytest.raises(ConfigError, match="inheritance.plan"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.plan" in capsys.readouterr().err
+    (tmp_path / "plan.json").write_text('{"kept_layers": []}')
+    with pytest.raises(ConfigError, match="inheritance.plan"):
+        validate(path)
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"context": [], "candidates": [], "gold": 0}\n'],
+                         ids=["not_json", "empty_item"])
+def test_validate_parses_cloze_file(tmp_path, capsys, text):
+    (tmp_path / "cloze.jsonl").write_text(text)
+    path = write_config(tmp_path, evaluation={"holdout_batches": 2, "cloze_file": "cloze.jsonl"})
+    with pytest.raises(ConfigError, match="evaluation.cloze_file"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "evaluation.cloze_file" in capsys.readouterr().err
+
+
 # Two valid configs that between them use every section: the first searches,
 # initializes, scales the lr, makes cloze items and scans layers; the second
 # names an explicit config, inherits with a generated plan and converts to
@@ -343,8 +392,13 @@ PLAN_BASE = {**CONFIG_BASE, "inheritance": {"parent_checkpoint": "parent.ckpt",
 def base_dir(tmp_path_factory):
     """A directory holding the files the base configs name."""
     root = tmp_path_factory.mktemp("bases")
-    for name in ("corpus.bin", "parent.ckpt", "cloze.jsonl", "plan.json"):
+    for name in ("corpus.bin", "parent.ckpt"):
         (root / name).write_bytes(b"x")
+    # validate parses the plan and the cloze file
+    (root / "plan.json").write_text(json.dumps({"kept_layers": [0], "head_indices": [[0]],
+                                                "ffn_indices": [[0]], "channel_plan": [0],
+                                                "vocab_map": [0]}))
+    (root / "cloze.jsonl").write_text('{"context": [1], "candidates": [[2], [3]], "gold": 0}\n')
     save_vocab(Vocabulary(tokens=[bytes([i]) for i in range(BASE_SIZE)], merges=[]),
                root / "vocab.txt")
     return root
