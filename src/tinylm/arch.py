@@ -25,6 +25,8 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field, asdict
@@ -510,27 +512,69 @@ def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> tuple[str,
     return write_atomic(path, itertools.chain([header], tensors))
 
 
+def _natural(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _read_header(fh) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
+    """Check an open checkpoint's magic and manifest and leave ``fh`` at the
+    payload. Returns the config and each tensor's (name, shape, offset).
+    Every defect raises a ValueError that names it."""
+    magic = fh.read(8)
+    if magic != _MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+    header = fh.read(8)
+    if len(header) != 8:
+        raise ValueError("checkpoint truncated in its manifest length")
+    (mlen,) = struct.unpack("<Q", header)
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if mlen > remaining:
+        raise ValueError(
+            f"checkpoint manifest length {mlen} exceeds the {remaining} bytes after it"
+        )
+    try:
+        manifest = json.loads(fh.read(mlen))
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"checkpoint manifest is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValueError("checkpoint manifest must be an object with a 'config' object")
+    if not isinstance(manifest.get("tensors"), list):
+        raise ValueError("checkpoint manifest must have a 'tensors' list")
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as err:  # unknown keys or ill-typed values
+        raise ValueError(f"checkpoint 'config' is invalid: {err}") from err
+    entries = []
+    for i, entry in enumerate(manifest["tensors"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValueError(f"checkpoint tensor entry {i} must be an object with a 'name' string")
+        name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(_natural(d) for d in shape):
+            raise ValueError(f"checkpoint tensor {name!r}: 'shape' must be a list of "
+                             f"non-negative integers, got {shape!r}")
+        if not _natural(offset):
+            raise ValueError(f"checkpoint tensor {name!r}: 'offset' must be a non-negative "
+                             f"integer, got {offset!r}")
+        entries.append((name, tuple(shape), offset))
+    return config, entries
+
+
+def read_checkpoint_header(path) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
+    """A checkpoint's config and tensor entries, without reading its payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("checkpoint truncated in its manifest length")
-        (mlen,) = struct.unpack("<Q", header)
-        manifest = json.loads(fh.read(mlen))
+        config, entries = _read_header(fh)
         payload = fh.read()
-    config = ModelConfig.from_dict(manifest["config"])
     tensors: dict[str, Tensor] = {}
     expected, name = 0, None  # tensors are stored back to back from offset 0
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        nbytes = (int(np.prod(shape)) if shape else 1) * 8
-        if entry["offset"] != expected:
-            raise ValueError(
-                f"checkpoint tensor {name!r}: offset {entry['offset']} != {expected}"
-            )
+    for name, shape, offset in entries:
+        nbytes = math.prod(shape) * 8
+        if offset != expected:
+            raise ValueError(f"checkpoint tensor {name!r}: offset {offset} != {expected}")
         if expected + nbytes > len(payload):
             raise ValueError(
                 f"checkpoint truncated in tensor {name!r}: needs bytes "

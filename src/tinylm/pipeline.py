@@ -23,6 +23,7 @@ from .arch import (
     ModelConfig,
     load_checkpoint,
     param_count,
+    read_checkpoint_header,
     save_checkpoint,
     search_configs,
 )
@@ -300,6 +301,8 @@ def validate(config_file) -> PipelineConfig:
     if "plan" in inh:
         _parse(path, "inheritance.plan", inh["plan"],
                lambda p: InheritancePlan.from_json(p.read_text()))
+    if inh:
+        _check_parent(path, arch, inh)
     if "generate" in inh:
         keep = inh["generate"]["keep_ends"]
         if len(keep) != 2:
@@ -311,6 +314,26 @@ def validate(config_file) -> PipelineConfig:
     if "cloze_file" in raw["evaluation"]:
         _parse(path, "evaluation.cloze_file", raw["evaluation"]["cloze_file"], load_cloze_items)
     return PipelineConfig(raw=raw, path=path)
+
+
+def _check_parent(config_path: Path, arch: dict, inh: dict) -> None:
+    """The child and the generated plan's kept ends against the parent
+    checkpoint's header; the payload is read only by the params stage."""
+    field = "inheritance.parent_checkpoint"
+    parent = _parse(config_path, field, inh["parent_checkpoint"],
+                    lambda p: read_checkpoint_header(p)[0])
+    keep = inh.get("generate", {}).get("keep_ends", [])
+    if sum(keep) > parent.depth:
+        raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
+                          f"{field} has ({parent.depth})")
+    if "config" in arch:
+        child = _model_config(arch["config"], BASE_SIZE)
+        if child.depth > parent.depth:
+            raise ConfigError(f"architecture.config.depth {child.depth} exceeds the depth "
+                              f"{parent.depth} of {field}")
+        if child.head_dim != parent.head_dim:
+            raise ConfigError(f"architecture.config head_dim {child.head_dim} (width / "
+                              f"n_heads) differs from the head_dim {parent.head_dim} of {field}")
 
 
 def _parse(config_path: Path, field_path: str, rel: str, parse):

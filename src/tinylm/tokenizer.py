@@ -6,15 +6,19 @@ string stays encodable before and after compaction. Merges are applied in
 rank order, which (because a merge's operands always have smaller rank than
 its product) is equivalent to repeatedly applying the lowest-rank pair.
 
-Training counts adjacent pairs once and keeps the counts across merges: each
-merge costs one scan of the corpus to find its sites plus work proportional
-to the number of sites. The most frequent pair wins, ties breaking toward the
-smaller (left, right) id pair.
+Training and encoding share one position index: token ids laid out by
+position, linked to their live neighbours, with one position list per token.
+A merge finds its sites in its left operand's list, writes the product in
+place and unlinks the right operand, so it costs work proportional to that
+operand's occurrences, not a scan of the text. Training counts adjacent pairs
+once and keeps the counts across merges. The most frequent pair wins, ties
+breaking toward the smaller (left, right) id pair.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,49 +92,131 @@ class CoverageCurve:
         return csv_text(("k", "cumulative_fraction"), zip(self.ks, self.fractions))
 
 
-def _merge_sites(ids: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Start positions of the non-overlapping, leftmost-first occurrences of
-    (left, right). Occurrences overlap only when left == right; within a run
-    of consecutive candidates the greedy scan keeps every other one."""
-    sites = np.flatnonzero((ids[:-1] == left) & (ids[1:] == right))
-    if left == right and sites.size > 1:
-        run_start = np.ones(sites.size, dtype=bool)
-        run_start[1:] = sites[1:] != sites[:-1] + 1
-        first = sites[run_start][np.cumsum(run_start) - 1]
-        sites = sites[(sites - first) % 2 == 0]
-    return sites
+class _PositionIndex:
+    """Token ids laid out by position, merged in place.
+
+    ``ids[p]`` is the token that starts at position p, or -1 once p has been
+    absorbed into the token on its left; ``ids[-1]`` is a -1 sentinel.
+    ``nxt`` links each live position to the next one (the last to the
+    sentinel). ``prv`` links back (the first to -1, which indexes the
+    sentinel) and is kept only with ``back_links``. ``pos[t]`` lists t's
+    positions in ascending order; entries that have merged away are dropped
+    when t is next looked up, which is exact because a position's token only
+    ever grows or dies, so it never returns to t.
+
+    Positions start as byte offsets. Once half of them are dead, ``sites``
+    renumbers the live ones densely, so the arrays shrink with the text;
+    positions returned earlier are then void.
+    """
+
+    def __init__(self, data: bytes, back_links: bool):
+        raw = np.frombuffer(data, dtype=np.uint8)
+        if raw.size >= np.iinfo(np.int32).max:
+            raise ValueError(f"{raw.size} bytes is too long for int32 positions")
+        order = np.argsort(raw, kind="stable").astype(np.int32)
+        ends = np.cumsum(np.bincount(raw, minlength=BASE_SIZE))[:-1]
+        # one array per token, so a list that shrinks frees its memory
+        self.pos = {t: p.copy() for t, p in enumerate(np.split(order, ends))}
+        del order
+        self.back_links = back_links
+        self._lay_out(raw)
+
+    def _lay_out(self, tokens: np.ndarray) -> None:
+        n = self.live = tokens.size
+        self.ids = np.full(n + 1, -1, dtype=np.int32)
+        self.ids[:n] = tokens
+        self.nxt = np.arange(1, n + 2, dtype=np.int32)
+        self.nxt[n] = n
+        self.prv = np.arange(-1, n, dtype=np.int32) if self.back_links else None
+
+    def _compact(self) -> None:
+        """Renumber the live positions densely, dropping stale list entries."""
+        alive = self.ids[:-1] >= 0
+        renumber = self.nxt[:-1]  # nxt is rebuilt in order below
+        renumber[:] = alive  # cumsum of bool into int32 would copy first
+        np.cumsum(renumber, out=renumber)
+        renumber -= 1
+        for t, p in self.pos.items():
+            self.pos[t] = renumber[p[self.ids[p] == t]]
+        self.nxt = self.prv = renumber = None
+        self._lay_out(self.ids[:-1][alive])
+
+    def sites(self, left: int, right: int) -> np.ndarray:
+        """Positions of the non-overlapping, leftmost-first (left, right)
+        pairs. Pairs overlap only when left == right; within a run of
+        linked-adjacent candidates the greedy scan keeps every other one."""
+        if 2 * self.live < self.ids.size:
+            self._compact()
+        p = self.pos.get(left, _NO_SITES)
+        if p.size == 0:
+            return p
+        ids, nxt = self.ids, self.nxt
+        p = self.pos[left] = p[ids[p] == left]
+        s = p[ids[nxt[p]] == right]
+        if left == right and s.size > 1:
+            run_start = np.ones(s.size, dtype=bool)
+            run_start[1:] = nxt[s[:-1]] != s[1:]
+            rank = np.arange(s.size)
+            s = s[(rank - rank[run_start][np.cumsum(run_start) - 1]) % 2 == 0]
+        return s
+
+    def merge(self, sites: np.ndarray, merged: int) -> None:
+        """Write ``merged`` at each site and unlink its right operand."""
+        right = self.nxt[sites]
+        after = self.nxt[right]
+        self.ids[sites] = merged
+        self.ids[right] = -1
+        self.nxt[sites] = after
+        if self.prv is not None:
+            self.prv[after] = sites
+        self.pos[merged] = sites
+        self.live -= sites.size
+
+    def tokens(self) -> np.ndarray:
+        ids = self.ids[:-1]
+        return ids[ids >= 0]
 
 
-def _merge_at(ids: np.ndarray, sites: np.ndarray, merged: int) -> np.ndarray:
-    """Write ``merged`` at each site in place and drop the right operands."""
-    ids[sites] = merged
-    keep = np.ones(ids.size, dtype=bool)
-    keep[sites + 1] = False
-    return ids[keep]
+_NO_SITES = np.empty(0, dtype=np.int32)
 
 
-def _apply_merge(ids: np.ndarray, left: int, right: int, merged: int) -> np.ndarray:
-    """Replace non-overlapping, leftmost-first occurrences of (left, right)."""
-    sites = _merge_sites(ids, left, right)
-    if sites.size == 0:
-        return ids
-    return _merge_at(ids.copy(), sites, merged)
+def _tally(tokens: np.ndarray):
+    """(token, count) for each distinct non-negative entry, in token order."""
+    counts = np.bincount(tokens[tokens >= 0])
+    present = np.flatnonzero(counts)
+    return zip(present.tolist(), counts[present].tolist())
 
 
-def _pair_keys(ids: np.ndarray, positions: np.ndarray, span: int) -> np.ndarray:
-    """Keys ``left * span + right`` of the pairs starting at ``positions``;
-    integer order is (left, right) order."""
-    return ids[positions].astype(np.int64) * span + ids[positions + 1]
+def _merge_counted(index: _PositionIndex, left: int, right: int, merged: int,
+                   span: int) -> tuple[Counter, dict[int, int]]:
+    """Apply one merge. Returns how far each existing pair's count falls and
+    the counts of the pairs it creates, keyed ``left * span + right``.
 
+    (prev, left), (left, right), (right, next) go; (prev, merged) and
+    (merged, next) come; every other pair is unchanged. A pair between two
+    sites is (right, left) before and (merged, merged) after; it is counted
+    once, as the first site's (right, next) and (merged, next).
+    """
+    sites = index.sites(left, right)
+    ids, nxt, prv = index.ids, index.nxt, index.prv
+    right_ops = nxt[sites]
+    apart = np.ones(sites.size, dtype=bool)
+    apart[1:] = prv[sites[1:]] != right_ops[:-1]
+    prev = ids[prv[sites[apart]]]
+    old_next = ids[nxt[right_ops]]
+    index.merge(sites, merged)
+    new_next = ids[nxt[sites]]
 
-def _touched(positions: np.ndarray, offsets: tuple[int, ...], n_pairs: int) -> np.ndarray:
-    """Distinct pair positions ``p + o`` within [0, n_pairs). ``positions``
-    ascend with gaps of at least ``len(offsets) - 1``, so the row-major sums
-    never descend and duplicates are adjacent."""
-    near = (positions[:, None] + np.asarray(offsets)).ravel()
-    keep = (near >= 0) & (near < n_pairs)
-    keep[1:] &= near[1:] != near[:-1]
-    return near[keep]
+    gone = Counter({left * span + right: sites.size})
+    came = {}
+    for t, c in _tally(prev):
+        gone[t * span + left] += c
+        came[t * span + merged] = c
+    for t, c in _tally(old_next):
+        gone[right * span + t] += c
+    for t, c in _tally(new_next):
+        came[merged * span + t] = c
+    return gone, came
 
 
 def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
@@ -138,73 +224,69 @@ def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
     exist or no pair repeats. Ties break toward the lexicographically
     smaller (left, right) id pair.
 
-    Pair counts (overlapping occurrences counted) are taken once; each merge
-    then subtracts the pairs that touched its sites and adds the pairs around
-    the merged tokens. The best pair comes from a max-heap of
-    (-count, key) whose entries are dropped lazily once their count is stale.
+    Pair counts (overlapping occurrences counted) are taken once. A merge's
+    sites come from its left operand's position list; it then lowers the
+    counts of the pairs that touched its sites and counts the pairs around
+    the merged tokens, so it costs work proportional to its operands'
+    occurrences, not a scan of the corpus. Every pair a merge creates holds
+    the merged token, so a pair's count never rises once set, and only pairs
+    that repeat are counted at all. The best pair comes from a min-heap of
+    ``key - count * span²`` (highest count first, then smallest key), one
+    entry per counted pair; an entry whose count has fallen is lowered when
+    it reaches the top.
     """
     if target_size < BASE_SIZE:
         raise ValueError(f"target_size must be >= {BASE_SIZE}, got {target_size}")
     vocab = Vocabulary.base()
-    ids = np.frombuffer(corpus, dtype=np.uint8).astype(np.int32)
     span = target_size  # every id stays below target_size
-    keys, freq = np.unique(ids[:-1].astype(np.int64) * span + ids[1:], return_counts=True)
-    counts = dict(zip(keys.tolist(), freq.tolist()))
+    span2 = span * span  # every pair key stays below span2
+    raw = np.frombuffer(corpus, dtype=np.uint8)
+    # before any merge every pair is a byte pair, so 2**16 bins count them all
+    byte_pairs = np.bincount(raw[:-1].astype(np.int32) * BASE_SIZE + raw[1:],
+                             minlength=BASE_SIZE * BASE_SIZE)
+    repeats = np.flatnonzero(byte_pairs >= 2)
+    first, second = np.divmod(repeats, BASE_SIZE)
+    # counts never rise, so a pair that does not repeat now never will
+    counts = dict(zip((first * span + second).tolist(), byte_pairs[repeats].tolist()))
+    del byte_pairs, repeats, first, second
+    index = _PositionIndex(corpus, back_links=True)
 
-    def live_heap() -> list[tuple[int, int]]:
-        # only pairs that repeat can win, so only they enter the heap
-        heap = [(-c, k) for k, c in counts.items() if c >= 2]
-        heapq.heapify(heap)
-        return heap
-
-    heap = live_heap()
-    n_live = len(heap)  # keys with count >= 2, i.e. the heap's live entries
-    while vocab.size < target_size:
-        while heap and counts.get(heap[0][1], 0) != -heap[0][0]:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        left, right = divmod(heap[0][1], span)
+    heap = [k - c * span2 for k, c in counts.items()]
+    heapq.heapify(heap)
+    while heap and vocab.size < target_size:
+        neg_count, key = divmod(heap[0], span2)
+        count = counts.get(key, 0)
+        if count != -neg_count:
+            if count >= 2:
+                heapq.heapreplace(heap, key - count * span2)
+            else:
+                heapq.heappop(heap)
+            continue
+        left, right = divmod(key, span)
         merged = vocab.size
         vocab.tokens.append(vocab.tokens[left] + vocab.tokens[right])
         vocab.merges.append((left, right, merged))
 
-        sites = _merge_sites(ids, left, right)
-        # (prev, left), (left, right), (right, next) go; (prev, merged) and
-        # (merged, next) come; every other pair is unchanged
-        old = _pair_keys(ids, _touched(sites, (-1, 0, 1), ids.size - 1), span)
-        ids = _merge_at(ids, sites, merged)
-        placed = sites - np.arange(sites.size)  # merged tokens' new positions
-        new = _pair_keys(ids, _touched(placed, (-1, 0), ids.size - 1), span)
-
-        keys, inverse = np.unique(np.concatenate([old, new]), return_inverse=True)
-        delta = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(delta, inverse, np.repeat([-1, 1], [old.size, new.size]))
-        for key, d in zip(keys.tolist(), delta.tolist()):
-            if d == 0:
-                continue
-            before = counts.get(key, 0)
-            after = before + d
-            if after:
-                counts[key] = after
-            else:
-                del counts[key]
-            n_live += (after >= 2) - (before >= 2)
-            if after >= 2:
-                heapq.heappush(heap, (-after, key))
-        if len(heap) > 2 * n_live:  # stale entries outnumber live ones
-            heap = live_heap()
+        gone, came = _merge_counted(index, left, right, merged, span)
+        for key, fall in gone.items():
+            count = counts.pop(key, 0) - fall
+            if count >= 2:
+                counts[key] = count
+        for key, count in came.items():
+            if count >= 2:
+                counts[key] = count
+                heapq.heappush(heap, key - count * span2)
     return vocab
 
 
 def encode(data: bytes, vocab: Vocabulary) -> np.ndarray:
     """Byte string -> token ids, applying merges in rank order."""
-    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
+    index = _PositionIndex(data, back_links=False)
     for left, right, merged in vocab.merges:
-        if ids.size < 2:
-            break
-        ids = _apply_merge(ids, left, right, merged)
-    return ids
+        sites = index.sites(left, right)
+        if sites.size:
+            index.merge(sites, merged)
+    return index.tokens()
 
 
 def decode(ids, vocab: Vocabulary) -> bytes:

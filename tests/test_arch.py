@@ -18,6 +18,7 @@ from tinylm.arch import (
     load_checkpoint,
     param_count,
     param_shapes,
+    read_checkpoint_header,
     save_checkpoint,
     search_configs,
     speed_bench,
@@ -545,3 +546,55 @@ def test_checkpoint_rejects_gap_between_tensors(tmp_path):
     name = manifest["tensors"][1]["name"]
     with pytest.raises(ValueError, match=f"tensor '{name}': offset"):
         load_checkpoint(path)
+
+
+def _with_manifest(path, edit):
+    """Rewrite a saved checkpoint's manifest through ``edit``, keeping its payload."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    new = json.dumps(edit(json.loads(raw[16 : 16 + mlen]))).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + mlen :])
+
+
+def test_checkpoint_manifest_length_past_the_file_raises_value_error(tmp_path):
+    # used to try to read all 10**12 bytes and die with MemoryError
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + struct.pack("<Q", 10**12) + raw[16:])
+    with pytest.raises(ValueError, match="manifest length 1000000000000 exceeds"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_without_config_raises_value_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _with_manifest(path, lambda m: {})
+    with pytest.raises(ValueError, match="'config' object"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensors_not_a_list_raises_value_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _with_manifest(path, lambda m: {**m, "tensors": 5})
+    with pytest.raises(ValueError, match="'tensors' list"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_entry_without_shape_raises_value_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def drop_shape(m):
+        del m["tensors"][1]["shape"]
+        return m
+
+    _with_manifest(path, drop_shape)
+    with pytest.raises(ValueError, match="'shape' must be a list"):
+        load_checkpoint(path)
+
+
+def test_read_checkpoint_header_matches_load(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    config, entries = read_checkpoint_header(path)
+    loaded_cfg, loaded = load_checkpoint(path)
+    assert config == loaded_cfg
+    assert {name: shape for name, shape, _ in entries} == {
+        name: t.shape for name, t in loaded.tensors.items()}

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinylm.arch import ModelConfig, save_checkpoint
 from tinylm.cli import main
+from tinylm.initializers import InitScheme, initialize
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import BASE_SIZE, Vocabulary, save_vocab
 
@@ -305,9 +307,17 @@ def test_validate_rejects_malformed_tokenizer_load(tmp_path, architecture):
         validate(write_config(tmp_path, **overrides))
 
 
-def _inheriting(tmp_path, **inheritance):
-    """The write_config config with an inheritance section in place of init."""
-    (tmp_path / "parent.ckpt").write_bytes(b"")
+def _save_parent(path, **config):
+    """A small checkpoint for configs to inherit from; validate reads its header."""
+    cfg = ModelConfig(**{"vocab_size": BASE_SIZE, "width": 16, "depth": 2, "n_heads": 2,
+                         "kv_groups": 2, "ffn_hidden": 24, **config})
+    save_checkpoint(path, cfg, initialize(cfg, InitScheme("constant", 0.02, seed=0)))
+
+
+def _inheriting(tmp_path, parent=None, **inheritance):
+    """The write_config config with an inheritance section in place of init,
+    from a parent shaped like its child unless ``parent`` overrides that."""
+    _save_parent(tmp_path / "parent.ckpt", **(parent or {}))
     raw = json.loads(write_config(tmp_path).read_text())
     del raw["init"]
     raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", **inheritance}
@@ -329,6 +339,26 @@ def test_validate_checks_keep_ends(tmp_path, capsys, keep_ends):
 def test_validate_accepts_keep_ends_filling_the_depth(tmp_path):
     validate(_inheriting(tmp_path, generate={"keep_ends": [2, 0]}))
     validate(_inheriting(tmp_path, generate={"keep_ends": [1, 1]}))
+
+
+@pytest.mark.parametrize("parent, keep_ends", [({"depth": 1}, [1, 0]),
+                                               ({"width": 32}, [1, 1]),
+                                               ({"depth": 3}, [2, 2])],
+                         ids=["child_deeper", "head_dim_16_vs_8", "keep_ends_sum_4_over_3"])
+def test_validate_checks_the_parent_checkpoint(tmp_path, capsys, parent, keep_ends):
+    # the first two used to pass validate and fail in surgery with exit 2
+    path = _inheriting(tmp_path, parent, generate={"keep_ends": keep_ends})
+    with pytest.raises(ConfigError, match="inheritance.parent_checkpoint"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.parent_checkpoint" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_corrupt_parent_checkpoint(tmp_path):
+    path = _inheriting(tmp_path, generate={})
+    (tmp_path / "parent.ckpt").write_bytes(b"TLMCKPT1" + b"\xff" * 8)
+    with pytest.raises(ConfigError, match="inheritance.parent_checkpoint: checkpoint manifest"):
+        validate(path)
 
 
 def test_validate_parses_inheritance_plan(tmp_path, capsys):
@@ -392,8 +422,8 @@ PLAN_BASE = {**CONFIG_BASE, "inheritance": {"parent_checkpoint": "parent.ckpt",
 def base_dir(tmp_path_factory):
     """A directory holding the files the base configs name."""
     root = tmp_path_factory.mktemp("bases")
-    for name in ("corpus.bin", "parent.ckpt"):
-        (root / name).write_bytes(b"x")
+    (root / "corpus.bin").write_bytes(b"x")
+    _save_parent(root / "parent.ckpt", n_heads=4, kv_groups=4)  # the child's head_dim 4
     # validate parses the plan and the cloze file
     (root / "plan.json").write_text(json.dumps({"kept_layers": [0], "head_indices": [[0]],
                                                 "ffn_indices": [[0]], "channel_plan": [0],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,46 @@ def test_roundtrip_trained_and_compacted_property(corpus, blob, size):
             assert decode(encode(data, v), v) == data
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=SMALL_ALPHABET.filter(len), blob=st.lists(st.sampled_from(b"ab c\x00"),
+                                                        max_size=120).map(bytes),
+       size=st.integers(256, 300))
+def test_encode_matches_reference_property(corpus, blob, size):
+    # the blob is not the training text, and compaction leaves merges with no site
+    vocab = train_bpe(corpus, 320)
+    compacted = compact_vocab(vocab, count_frequencies(corpus, vocab), size=size)
+    for v in (vocab, compacted):
+        for data in (blob, corpus + blob, blob + corpus):
+            got, want = encode(data, v), _reference_encode(data, v)
+            assert got.dtype == want.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+
+
+# Equal tokens that become adjacent only once an earlier merge has deleted
+# the bytes between them: a run of them must be merged in linked order, every
+# other pair. The unmerged tail keeps most positions alive, so they stay apart
+# in the index as well.
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("tail", [b"", b"-" * 16], ids=["bare", "tail"])
+def test_encode_merges_tokens_made_adjacent_by_an_earlier_merge(k, tail):
+    vocab = _vocab_with_merges([(b"a", b"b"), (b"ab", b"ab"), (b"abab", b"abab")])
+    data = b"ab" * k + tail
+    got = encode(data, vocab)
+    np.testing.assert_array_equal(got, _reference_encode(data, vocab))
+    fours, rest = divmod(k, 4)
+    expected = [258] * fours + [257] * (rest // 2) + [256] * (rest % 2)
+    assert got.tolist()[:len(expected)] == expected
+    assert decode(got, vocab) == data
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_train_bpe_merges_tokens_made_adjacent_by_an_earlier_merge(k):
+    # distinct filler bytes never repeat a pair, so only "ab" runs merge
+    vocab = _assert_matches_reference(b"ab" * k + bytes(range(128, 128 + 4 * k)), 300)
+    if k >= 3:
+        assert vocab.merges[:2] == [(97, 98, 256), (256, 256, 257)]
+
+
 # repeated words: BPE merges them whole, so a kept word's parts are often
 # tokens that no longer occur in the encoded corpus
 WORD_CORPUS = st.lists(st.sampled_from([b"abc ", b"ab ", b"cab ", b"bcab ", b"c"]),
@@ -209,6 +251,25 @@ def test_compact_vocab_invariants_property(corpus, blob, target):
             assert {vocab.tokens[left], vocab.tokens[right]} <= kept
     for data in (corpus, blob):
         assert decode(encode(data, compacted), compacted) == data
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_bpe_and_encode_stay_within_memory_budgets():
+    # measured on seeds 1, 2, 3, 7, 31 and 901: train_bpe peaks at 7.43-7.80 MB,
+    # encode at 5.53-5.87 MB; the scan these replaced peaked at 8.80 and 5.27 MB
+    corpus = zipf_corpus(400_000, seed=2, n_words=2000)
+    vocab, train_peak = _traced_peak(train_bpe, corpus, 768)
+    _, encode_peak = _traced_peak(encode, corpus, vocab)
+    assert train_peak < 8_300_000
+    assert encode_peak < 6_300_000
 
 
 # ------------------------------------------------------- count_frequencies
