@@ -30,11 +30,15 @@ def zipf_corpus(
             lexicon.append(word)
     weights = 1.0 / np.arange(1, n_words + 1) ** alpha
     weights /= weights.sum()
+    # the draw Generator.choice(n_words, size=n, p=weights) makes, with the
+    # CDF built once rather than on every call
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     chunks: list[bytes] = []
     total = 0
     while total < n_bytes:
         n = int(rng.integers(4, 10))
-        words = [lexicon[i] for i in rng.choice(n_words, size=n, p=weights)]
+        words = [lexicon[i] for i in cdf.searchsorted(rng.random(n), side="right")]
         line = b" ".join(words) + b". "
         chunks.append(line)
         total += len(line)

@@ -94,13 +94,6 @@ def candidate_logliks(
     return score_items(config, params, [(context, candidates)])[0]
 
 
-def candidate_loglik(
-    config: ModelConfig, params: ParamStore, context: list[int], candidate: list[int]
-) -> float:
-    """Mean per-token log-likelihood of ``candidate`` after ``context``."""
-    return candidate_logliks(config, params, context, [candidate])[0]
-
-
 def score_items(
     config: ModelConfig,
     params: ParamStore,

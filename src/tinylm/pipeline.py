@@ -41,6 +41,7 @@ from .tokenizer import (
     encode,
     frequencies,
     load_vocab,
+    recode,
     save_vocab,
     train_bpe,
     vocab_id_map,
@@ -446,7 +447,7 @@ class _Run:
                 vocab, freq, size=target.get("size"), coverage=target.get("coverage")
             )
             self.emit("vocab_compact.txt", lambda path: save_vocab(vocab, path))
-            ids = encode(self.corpus, vocab)
+            ids = recode(ids, self.pre_compact_vocab, vocab)
             freq = frequencies(ids, vocab.size)
             self.emit("frequencies_compact.csv", freq.to_csv())
             self.emit("coverage_compact.csv", coverage_curve(freq).to_csv())

@@ -12,12 +12,14 @@ A merge finds its sites in its left operand's list, writes the product in
 place and unlinks the right operand, so it costs work proportional to that
 operand's occurrences, not a scan of the text. Training counts adjacent pairs
 once and keeps the counts across merges. The most frequent pair wins, ties
-breaking toward the smaller (left, right) id pair.
+breaking toward the smaller (left, right) id pair. A compacted vocabulary's
+stream is derived from the full one (``recode``), not encoded from the text.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -104,22 +106,33 @@ class _PositionIndex:
     when t is next looked up, which is exact because a position's token only
     ever grows or dies, so it never returns to t.
 
-    Positions start as byte offsets. Once half of them are dead, ``sites``
-    renumbers the live ones densely, so the arrays shrink with the text;
-    positions returned earlier are then void.
+    Positions start as offsets into the stream laid out (the bytes, for
+    ``encode``). Once half of them are dead, ``sites`` renumbers the live ones
+    densely, so the arrays shrink with the text; positions returned earlier
+    are then void.
     """
 
-    def __init__(self, data: bytes, back_links: bool):
-        raw = np.frombuffer(data, dtype=np.uint8)
-        if raw.size >= np.iinfo(np.int32).max:
-            raise ValueError(f"{raw.size} bytes is too long for int32 positions")
-        order = np.argsort(raw, kind="stable").astype(np.int32)
-        ends = np.cumsum(np.bincount(raw, minlength=BASE_SIZE))[:-1]
+    def __init__(self, tokens: np.ndarray, back_links: bool,
+                 listed: np.ndarray | None = None):
+        """Lay out ``tokens`` and list the positions of each token in
+        ``listed``, or of every token when it is None."""
+        if tokens.size >= np.iinfo(np.int32).max:
+            raise ValueError(f"{tokens.size} tokens is too long for int32 positions")
+        keyed = tokens
+        if listed is not None:
+            at = np.flatnonzero(np.isin(tokens, listed)).astype(np.int32)
+            keyed = tokens[at]
+        order = np.argsort(keyed, kind="stable").astype(np.int32)
+        if listed is not None:
+            order = at[order]
+        counts = np.bincount(keyed)
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts[present])[:-1]
         # one array per token, so a list that shrinks frees its memory
-        self.pos = {t: p.copy() for t, p in enumerate(np.split(order, ends))}
+        self.pos = {t: p.copy() for t, p in zip(present.tolist(), np.split(order, ends))}
         del order
         self.back_links = back_links
-        self._lay_out(raw)
+        self._lay_out(tokens)
 
     def _lay_out(self, tokens: np.ndarray) -> None:
         n = self.live = tokens.size
@@ -249,7 +262,7 @@ def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
     # counts never rise, so a pair that does not repeat now never will
     counts = dict(zip((first * span + second).tolist(), byte_pairs[repeats].tolist()))
     del byte_pairs, repeats, first, second
-    index = _PositionIndex(corpus, back_links=True)
+    index = _PositionIndex(raw, back_links=True)
 
     heap = [k - c * span2 for k, c in counts.items()]
     heapq.heapify(heap)
@@ -279,14 +292,76 @@ def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
     return vocab
 
 
-def encode(data: bytes, vocab: Vocabulary) -> np.ndarray:
-    """Byte string -> token ids, applying merges in rank order."""
-    index = _PositionIndex(data, back_links=False)
-    for left, right, merged in vocab.merges:
+def _replay(index: _PositionIndex, merges) -> np.ndarray:
+    """Apply ``merges`` in order and return the merged stream."""
+    for left, right, merged in merges:
         sites = index.sites(left, right)
         if sites.size:
             index.merge(sites, merged)
     return index.tokens()
+
+
+def encode(data: bytes, vocab: Vocabulary) -> np.ndarray:
+    """Byte string -> token ids, applying merges in rank order."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return _replay(_PositionIndex(raw, back_links=False), vocab.merges)
+
+
+def _compaction_ids(vocab: Vocabulary, compact: Vocabulary) -> list[int]:
+    """compact id -> vocab id. Raises ValueError unless compact's merges are
+    vocab's merges of the same tokens, kept in vocab's order."""
+    compact.validate()
+    vocab_ids = list(range(BASE_SIZE))
+    remaining = iter(vocab.merges)
+    for left, right, merged in compact.merges:
+        pair = (vocab_ids[left], vocab_ids[right])
+        vocab_ids.append(next((m for l, r, m in remaining if (l, r) == pair), -1))
+        if vocab_ids[-1] < 0:
+            raise ValueError(
+                f"compact token {merged} ({compact.tokens[merged]!r}) is not a merge "
+                "of the full vocabulary in its order"
+            )
+    return vocab_ids
+
+
+def recode(ids: np.ndarray, vocab: Vocabulary, compact: Vocabulary) -> np.ndarray:
+    """``encode(corpus, compact)`` from ``ids = encode(corpus, vocab)``, for a
+    ``compact`` made from ``vocab`` by ``compact_vocab``, without the corpus.
+
+    Let ``below`` be the first id that compaction dropped. Every id under it
+    means the same in both vocabularies and was made by the same merges, so
+    the stream as it stood before vocab's merge ``below`` is ``ids`` with
+    each token from ``below`` up split back into its operands, repeatedly,
+    until none is left. Replaying compact's merges from ``below`` on finishes
+    the encode; the index lists positions only for those merges' left
+    operands. If nothing was dropped, ``ids`` is returned as it is.
+    """
+    kept = _compaction_ids(vocab, compact)
+    below = next((new for new, old in enumerate(kept) if new != old), len(kept))
+    if below == vocab.size:
+        return ids
+    if ids.size and not 0 <= ids.min() <= ids.max() < vocab.size:
+        raise ValueError(f"token ids outside [0, {vocab.size})")
+    # parts[t]: the tokens under ``below`` that t splits into
+    parts = [[t] for t in range(below)]
+    for left, right, _ in vocab.merges[below - BASE_SIZE:]:
+        parts.append(parts[left] + parts[right])
+    lengths = np.array([len(p) for p in parts], dtype=np.int32)
+    # a 16-bit stream lets the index sort its positions by radix
+    dtype = np.uint16 if below <= 1 << 16 else np.int32
+    flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=dtype)
+    # ids[i]'s n[i] parts end at flat_ends[ids[i]] in flat and at ends[i] in
+    # the stream, so each of its stream slots reads flat one fixed shift away
+    flat_ends = np.cumsum(lengths, dtype=np.int32)
+    n = lengths[ids]
+    ends = np.cumsum(n, dtype=np.int32)
+    at = np.repeat(flat_ends[ids] - ends, n)
+    at += np.arange(at.size, dtype=np.int32)
+    stream = flat[at]
+    del at
+    merges = compact.merges[below - BASE_SIZE:]
+    listed = np.array([left for left, _, _ in merges if left < below], dtype=np.int32)
+    return _replay(_PositionIndex(stream, back_links=False, listed=listed), merges)
 
 
 def decode(ids, vocab: Vocabulary) -> bytes:

@@ -7,7 +7,6 @@ from tinylm.data import make_cloze_items
 from tinylm.evaluator import (
     CLOZE_CHUNK,
     ClozeItem,
-    candidate_loglik,
     candidate_logliks,
     cloze_accuracy,
     load_cloze_items,
@@ -122,7 +121,7 @@ def test_cloze_single_item_hand_scores():
         z = logits - logits.max(axis=-1, keepdims=True)
         lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         hand.append(np.mean([lp[1, cand[0]], lp[2, cand[1]]]))
-    lib = [candidate_loglik(cfg, params, item.context, c) for c in item.candidates]
+    lib = candidate_logliks(cfg, params, item.context, item.candidates)
     assert np.allclose(lib, hand, rtol=1e-12)
     report = cloze_accuracy(cfg, params, [item])
     assert report.rows[0]["choice"] == int(np.argmax(hand))
@@ -250,8 +249,7 @@ def test_cloze_choice_affine_invariant():
                       ffn_hidden=12)
     params = initialize(cfg, InitScheme("constant", 0.3, seed=9))
     item = ClozeItem(context=[4, 1], candidates=[[9, 2], [0, 5], [7, 7]], gold=0)
-    scores = np.array([candidate_loglik(cfg, params, item.context, c)
-                       for c in item.candidates])
+    scores = np.array(candidate_logliks(cfg, params, item.context, item.candidates))
     for a, b in ((1.0, 0.0), (3.5, 2.0), (0.25, -7.0)):
         assert np.argmax(a * scores + b) == np.argmax(scores)
 

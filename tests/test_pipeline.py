@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinylm.arch import ModelConfig, save_checkpoint
+from tinylm import pipeline
 from tinylm.cli import main
 from tinylm.initializers import InitScheme, initialize
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
-from tinylm.tokenizer import BASE_SIZE, Vocabulary, save_vocab
+from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
+                             load_vocab, recode, save_vocab)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -573,6 +575,33 @@ def test_run_with_compaction_and_coverage_artifacts(tmp_path):
     assert cov[0] == "k,cumulative_fraction"
     assert float(cov[-1].split(",")[1]) == 1.0
     assert (tmp_path / "out" / "vocab_compact.txt").is_file()
+
+
+@pytest.mark.parametrize("compact", [{"size": 290}, {"coverage": 0.9}])
+def test_compacting_run_encodes_once_and_matches_a_re_encode(tmp_path, monkeypatch, compact):
+    encoded, streams = [], []
+
+    def counted_encode(data, vocab):
+        encoded.append(len(data))
+        return encode(data, vocab)
+
+    def kept_recode(ids, vocab, compacted):
+        streams.append(recode(ids, vocab, compacted))
+        return streams[-1]
+
+    monkeypatch.setattr(pipeline, "encode", counted_encode)
+    monkeypatch.setattr(pipeline, "recode", kept_recode)
+    path = write_config(tmp_path, tokenizer={"train": {"target_size": 320}, "compact": compact})
+    run(validate(path), until="tokenizer")
+    out = tmp_path / "out"
+    assert len(encoded) == 1
+    vocab, compacted = load_vocab(out / "vocab.txt"), load_vocab(out / "vocab_compact.txt")
+    assert compacted.size < vocab.size
+    ids = encode((out / "corpus.bin").read_bytes(), compacted)
+    np.testing.assert_array_equal(streams, [ids])
+    freq = frequencies(ids, compacted.size)
+    assert (out / "frequencies_compact.csv").read_text() == freq.to_csv()
+    assert (out / "coverage_compact.csv").read_text() == coverage_curve(freq).to_csv()
 
 
 def test_run_records_failure_in_manifest(tmp_path):

@@ -1,8 +1,9 @@
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinylm.data import zipf_corpus
@@ -17,7 +18,9 @@ from tinylm.tokenizer import (
     coverage_curve,
     decode,
     encode,
+    frequencies,
     load_vocab,
+    recode,
     save_vocab,
     train_bpe,
     vocab_id_map,
@@ -34,6 +37,21 @@ def _vocab_with_merges(pairs):
         vocab.tokens.append(left + right)
     vocab.validate()
     return vocab
+
+
+# The benchmark's tracer (perfbench/tracer.py) times train_bpe and encode in
+# every run, traced or not, binds their arguments by name and reads
+# len(result.merges); a change to either signature fails every tokenize job.
+def test_train_bpe_and_encode_keep_the_benchmark_probe_contract():
+    train = inspect.signature(train_bpe, eval_str=True)
+    assert list(train.parameters) == ["corpus", "target_size"]
+    assert train.return_annotation is Vocabulary
+    enc = inspect.signature(encode, eval_str=True)
+    assert list(enc.parameters) == ["data", "vocab"]
+    assert enc.return_annotation is np.ndarray
+    vocab = train_bpe(corpus=b"abab", target_size=257)
+    assert isinstance(vocab, Vocabulary) and len(vocab.merges) == 1
+    assert isinstance(encode(data=b"abab", vocab=vocab), np.ndarray)
 
 
 # ---------------------------------------------------------------- train_bpe
@@ -253,6 +271,83 @@ def test_compact_vocab_invariants_property(corpus, blob, target):
         assert decode(encode(data, compacted), compacted) == data
 
 
+# ------------------------------------------------------------------ recode
+
+
+def _assert_recode_matches_encode(corpus, vocab, compact):
+    ids = encode(corpus, vocab)
+    got, want = recode(ids, vocab, compact), encode(corpus, compact)
+    assert got.dtype == want.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(corpus=st.one_of(SMALL_ALPHABET.filter(len), WORD_CORPUS),
+       target=st.one_of(st.integers(256, 330).map(lambda n: {"size": n}),
+                        st.floats(0.05, 1.0).map(lambda c: {"coverage": c})))
+@example(corpus=b"abc ab cab bcab " * 4, target={"size": 256})  # everything dropped
+@example(corpus=b"abc ab cab bcab " * 4, target={"size": 330})  # nothing dropped
+def test_recode_matches_encode_property(corpus, target):
+    vocab = train_bpe(corpus, 320)
+    compact = compact_vocab(vocab, count_frequencies(corpus, vocab), **target)
+    _assert_recode_matches_encode(corpus, vocab, compact)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=st.one_of(SMALL_ALPHABET.filter(len), WORD_CORPUS), data=st.data())
+def test_recode_matches_encode_when_any_token_is_dropped_property(corpus, data):
+    # made-up counts rank tokens in any order, so the first dropped id can sit
+    # anywhere in the merge order, the first merge included
+    vocab = train_bpe(corpus, 320)
+    counts = data.draw(st.lists(st.integers(0, 9), min_size=vocab.size,
+                                max_size=vocab.size))
+    size = data.draw(st.integers(BASE_SIZE, vocab.size))
+    freq = FrequencyTable(counts=np.array(counts, dtype=np.int64), total_tokens=sum(counts))
+    _assert_recode_matches_encode(corpus, vocab, compact_vocab(vocab, freq, size=size))
+
+
+def test_recode_when_the_first_merge_is_dropped():
+    vocab = _vocab_with_merges([(b"a", b"b"), (b"c", b"d"), (b"ab", b"cd")])
+    compact = _vocab_with_merges([(b"c", b"d")])
+    for corpus in (b"abcd ab cd abcdabcd", b"cdab", b"", b"xyz"):
+        _assert_recode_matches_encode(corpus, vocab, compact)
+    assert recode(encode(b"abcd", vocab), vocab, compact).tolist() == [97, 98, 256]
+
+
+def test_recode_returns_the_stream_when_nothing_is_dropped():
+    corpus = zipf_corpus(3_000, seed=4)
+    vocab = train_bpe(corpus, 300)
+    ids = encode(corpus, vocab)
+    assert recode(ids, vocab, vocab) is ids
+    kept = compact_vocab(vocab, frequencies(ids, vocab.size), size=vocab.size)
+    assert recode(ids, vocab, kept) is ids
+
+
+def test_recode_rejects_a_vocabulary_that_is_not_a_compaction():
+    corpus = zipf_corpus(6_000, seed=5)
+    vocab = train_bpe(corpus, 320)
+    ids = encode(corpus, vocab)
+    compact = compact_vocab(vocab, frequencies(ids, vocab.size), size=280)
+    assert compact.size < vocab.size
+    unrelated = _vocab_with_merges([(b"q", b"q"), (b"qq", b"z")])
+    with pytest.raises(ValueError, match="not a merge"):
+        recode(ids, vocab, unrelated)
+    with pytest.raises(ValueError, match="not a merge"):
+        recode(encode(corpus, compact), compact, vocab)  # arguments swapped
+    # vocab's merges, out of vocab's order
+    full = _vocab_with_merges([(b"a", b"b"), (b"c", b"d"), (b"ab", b"cd")])
+    reordered = _vocab_with_merges([(b"c", b"d"), (b"a", b"b")])
+    with pytest.raises(ValueError, match="not a merge"):
+        recode(encode(b"abcd", full), full, reordered)
+
+
+def test_recode_rejects_ids_outside_the_vocabulary():
+    vocab = _vocab_with_merges([(b"a", b"b"), (b"c", b"d")])
+    compact = _vocab_with_merges([(b"c", b"d")])
+    with pytest.raises(ValueError, match="outside"):
+        recode(np.array([97, 258], dtype=np.int32), vocab, compact)
+
+
 def _traced_peak(fn, *args):
     """``fn(*args)`` and the peak bytes traced while it ran."""
     tracemalloc.start()
@@ -264,12 +359,17 @@ def _traced_peak(fn, *args):
 
 def test_train_bpe_and_encode_stay_within_memory_budgets():
     # measured on seeds 1, 2, 3, 7, 31 and 901: train_bpe peaks at 7.43-7.80 MB,
-    # encode at 5.53-5.87 MB; the scan these replaced peaked at 8.80 and 5.27 MB
+    # encode at 5.53-5.87 MB; the scan these replaced peaked at 8.80 and 5.27 MB.
+    # recode to a 0.5-coverage compaction peaks at 3.42-4.27 MB on those seeds
+    # (6.44-6.48 MB when everything is dropped and it splits the stream to bytes)
     corpus = zipf_corpus(400_000, seed=2, n_words=2000)
     vocab, train_peak = _traced_peak(train_bpe, corpus, 768)
-    _, encode_peak = _traced_peak(encode, corpus, vocab)
+    ids, encode_peak = _traced_peak(encode, corpus, vocab)
+    compact = compact_vocab(vocab, frequencies(ids, vocab.size), coverage=0.5)
+    _, recode_peak = _traced_peak(recode, ids, vocab, compact)
     assert train_peak < 8_300_000
     assert encode_peak < 6_300_000
+    assert recode_peak < 4_700_000
 
 
 # ------------------------------------------------------- count_frequencies
