@@ -26,7 +26,6 @@ import copy
 import itertools
 import json
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass, field, asdict
@@ -516,24 +515,22 @@ def _natural(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _read_header(fh) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
-    """Check an open checkpoint's magic and manifest and leave ``fh`` at the
-    payload. Returns the config and each tensor's (name, shape, offset).
-    Every defect raises a ValueError that names it."""
-    magic = fh.read(8)
+def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
+    """A checkpoint file's bytes as its config and parameters. Every defect
+    raises a ValueError that names it."""
+    magic = data[:8]
     if magic != _MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    header = fh.read(8)
-    if len(header) != 8:
+    if len(data) < 16:
         raise ValueError("checkpoint truncated in its manifest length")
-    (mlen,) = struct.unpack("<Q", header)
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if mlen > remaining:
+    (mlen,) = struct.unpack_from("<Q", data, 8)
+    start = 16 + mlen  # the payload's first byte
+    if start > len(data):
         raise ValueError(
-            f"checkpoint manifest length {mlen} exceeds the {remaining} bytes after it"
+            f"checkpoint manifest length {mlen} exceeds the {len(data) - 16} bytes after it"
         )
     try:
-        manifest = json.loads(fh.read(mlen))
+        manifest = json.loads(data[16:start])
     except ValueError as err:  # not JSON, or not UTF-8
         raise ValueError(f"checkpoint manifest is not valid JSON: {err}") from err
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
@@ -544,7 +541,9 @@ def _read_header(fh) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]
         config = ModelConfig.from_dict(manifest["config"])
     except (TypeError, ValueError) as err:  # unknown keys or ill-typed values
         raise ValueError(f"checkpoint 'config' is invalid: {err}") from err
-    entries = []
+    tensors: dict[str, Tensor] = {}
+    size = len(data) - start
+    expected, name = 0, None  # tensors are stored back to back from offset 0
     for i, entry in enumerate(manifest["tensors"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValueError(f"checkpoint tensor entry {i} must be an object with a 'name' string")
@@ -555,39 +554,26 @@ def _read_header(fh) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]
         if not _natural(offset):
             raise ValueError(f"checkpoint tensor {name!r}: 'offset' must be a non-negative "
                              f"integer, got {offset!r}")
-        entries.append((name, tuple(shape), offset))
-    return config, entries
-
-
-def read_checkpoint_header(path) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
-    """A checkpoint's config and tensor entries, without reading its payload."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)
-
-
-def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:
-    with open(path, "rb") as fh:
-        config, entries = _read_header(fh)
-        payload = fh.read()
-    tensors: dict[str, Tensor] = {}
-    expected, name = 0, None  # tensors are stored back to back from offset 0
-    for name, shape, offset in entries:
         nbytes = math.prod(shape) * 8
         if offset != expected:
             raise ValueError(f"checkpoint tensor {name!r}: offset {offset} != {expected}")
-        if expected + nbytes > len(payload):
+        if expected + nbytes > size:
             raise ValueError(
                 f"checkpoint truncated in tensor {name!r}: needs bytes "
-                f"[{expected}, {expected + nbytes}) of a {len(payload)}-byte payload"
+                f"[{expected}, {expected + nbytes}) of a {size}-byte payload"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=expected)
+        arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=start + expected)
         tensors[name] = Tensor(arr.reshape(shape).copy())
         expected += nbytes
-    if len(payload) != expected:
+    if size != expected:
         raise ValueError(
-            f"checkpoint has {len(payload) - expected} trailing bytes after its "
-            f"last tensor {name!r}"
+            f"checkpoint has {size - expected} trailing bytes after its last tensor {name!r}"
         )
     store = ParamStore(tensors)
     store.validate(config)
     return config, store
+
+
+def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:
+    with open(path, "rb") as fh:
+        return parse_checkpoint(fh.read())

@@ -10,6 +10,7 @@ then run in one cached forward (see ``score_items``).
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -165,20 +166,25 @@ def cloze_accuracy(
     return EvalReport("cloze_accuracy", correct / len(items), len(items), rows)
 
 
-def load_cloze_items(path) -> list[ClozeItem]:
+def parse_cloze_items(data: bytes) -> list[ClozeItem]:
+    """A cloze file's bytes, split into lines as a text-mode file is."""
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if not isinstance(d, dict) or sorted(d) != ["candidates", "context", "gold"]:
-                raise ValueError(f"cloze item {len(items)}: need exactly context, candidates, gold")
-            item = ClozeItem(**d)
-            item.validate()
-            items.append(item)
+    for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
+        line = line.strip()
+        if not line:
+            continue
+        d = json.loads(line)
+        if not isinstance(d, dict) or sorted(d) != ["candidates", "context", "gold"]:
+            raise ValueError(f"cloze item {len(items)}: need exactly context, candidates, gold")
+        item = ClozeItem(**d)
+        item.validate()
+        items.append(item)
     return items
+
+
+def load_cloze_items(path) -> list[ClozeItem]:
+    with open(path, "rb") as fh:
+        return parse_cloze_items(fh.read())
 
 
 def save_cloze_items(items: list[dict] | list[ClozeItem], path) -> tuple[str, int]:

@@ -19,20 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch import (
-    ModelConfig,
-    load_checkpoint,
-    param_count,
-    read_checkpoint_header,
-    save_checkpoint,
-    search_configs,
-)
+from .arch import ModelConfig, param_count, parse_checkpoint, save_checkpoint, search_configs
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
-from .evaluator import ClozeItem, cloze_accuracy, load_cloze_items, perplexity, save_cloze_items
+from .evaluator import ClozeItem, cloze_accuracy, parse_cloze_items, perplexity, save_cloze_items
 from .fileio import csv_text, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
-from .surgery import (CRITERIA, InheritancePlan, build_child, convert_to_gqa, layer_skip_eval,
-                      make_plan)
+from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, convert_to_gqa,
+                      layer_skip_eval, make_plan)
 from .tokenizer import (
     BASE_SIZE,
     Vocabulary,
@@ -40,7 +33,7 @@ from .tokenizer import (
     coverage_curve,
     encode,
     frequencies,
-    load_vocab,
+    parse_vocab,
     recode,
     save_vocab,
     train_bpe,
@@ -151,6 +144,15 @@ FIELDS = (
     ("layer_scan.batches",              "int",          "[1, inf)",                            2),
 )
 NULLABLE = {"training.max_batches", "inheritance.gqa_groups"}  # null means absent
+# The input-file fields: the parser of each one's bytes, and the key its
+# sha256 takes in the manifest's input_hashes.
+INPUTS = {
+    "corpus.path": (lambda data: data, "corpus"),
+    "tokenizer.load": (parse_vocab, "vocab"),
+    "inheritance.parent_checkpoint": (parse_checkpoint, "parent_checkpoint"),
+    "inheritance.plan": (lambda data: InheritancePlan.from_json(data.decode()), "plan"),
+    "evaluation.cloze_file": (parse_cloze_items, "cloze_file"),
+}
 _TYPES = {"int": int, "real": (int, float), "str": str, "object": dict, "choice": str,
           "choice|index": (str, int), "file": str}  # kind -> the JSON values it takes
 
@@ -254,6 +256,8 @@ def _search(spec: dict, vocab_size: int) -> tuple[list[ModelConfig], ModelConfig
 class PipelineConfig:
     raw: dict
     path: Path
+    inputs: dict = field(default_factory=dict)  # INPUTS field -> its parsed value
+    input_hashes: dict = field(default_factory=dict)  # INPUTS field -> sha256 of its bytes
 
     @property
     def seed(self) -> int:
@@ -266,13 +270,11 @@ class PipelineConfig:
             return Path(env) / Path(self.raw["output_dir"]).name
         return Path(self.raw["output_dir"])
 
-    def section(self, name: str) -> dict | None:
-        return self.raw.get(name)
-
 
 def validate(config_file) -> PipelineConfig:
     """Parse and check a config file, writing every default into it; errors
-    name the field."""
+    name the field. Each input file is read here and only here, and parsed
+    and hashed from the same bytes."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -285,8 +287,18 @@ def validate(config_file) -> PipelineConfig:
     _walk(raw, path)
 
     tok, arch, inh = raw["tokenizer"], raw["architecture"], raw.get("inheritance", {})
+    # the checks that need no input file come first
+    child = _model_config(arch["config"], BASE_SIZE) if "config" in arch else None
+    if child and inh.get("gqa_groups") is not None and child.n_heads % inh["gqa_groups"]:
+        raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
+                          f"architecture.config.n_heads {child.n_heads}")
+    inputs, hashes = {}, {}
+    for name, (parse, _) in INPUTS.items():
+        section, _, key = name.partition(".")
+        if key in raw.get(section, {}):
+            inputs[name], hashes[name] = _parse(path, name, raw[section][key], parse)
     if "load" in tok:
-        vocab_size = _parse(path, "tokenizer.load", tok["load"], load_vocab).size
+        vocab_size = inputs["tokenizer.load"].size
     else:
         vocab_size = tok["train"]["target_size"]
     if "size" in tok.get("compact", {}):
@@ -294,54 +306,50 @@ def validate(config_file) -> PipelineConfig:
     if "search" in arch:
         # feasibility and pick, against the best-known vocabulary size
         _search(arch["search"], vocab_size)
-    else:
-        n_heads = _model_config(arch["config"], BASE_SIZE).n_heads
-        if inh.get("gqa_groups") is not None and n_heads % inh["gqa_groups"]:
-            raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
-                              f"architecture.config.n_heads {n_heads}")
-    if "plan" in inh:
-        _parse(path, "inheritance.plan", inh["plan"],
-               lambda p: InheritancePlan.from_json(p.read_text()))
     if inh:
-        _check_parent(path, arch, inh)
+        parent = inputs["inheritance.parent_checkpoint"][0]
+        _check_parent(parent, child, inputs.get("inheritance.plan"), inh)
     if "generate" in inh:
         keep = inh["generate"]["keep_ends"]
         if len(keep) != 2:
             raise ConfigError(f"inheritance.generate.keep_ends must be two integers "
                               f"[front, back], got {keep!r}")
-        if "config" in arch and sum(keep) > arch["config"]["depth"]:
+        if child and sum(keep) > child.depth:
             raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
-                              f"architecture.config.depth {arch['config']['depth']}")
-    if "cloze_file" in raw["evaluation"]:
-        _parse(path, "evaluation.cloze_file", raw["evaluation"]["cloze_file"], load_cloze_items)
-    return PipelineConfig(raw=raw, path=path)
+                              f"architecture.config.depth {child.depth}")
+    return PipelineConfig(raw=raw, path=path, inputs=inputs, input_hashes=hashes)
 
 
-def _check_parent(config_path: Path, arch: dict, inh: dict) -> None:
-    """The child and the generated plan's kept ends against the parent
-    checkpoint's header; the payload is read only by the params stage."""
+def _check_parent(parent: ModelConfig, child: ModelConfig | None,
+                  plan: InheritancePlan | None, inh: dict) -> None:
+    """The child, the plan file and the generated plan's kept ends against
+    the parent checkpoint's config."""
     field = "inheritance.parent_checkpoint"
-    parent = _parse(config_path, field, inh["parent_checkpoint"],
-                    lambda p: read_checkpoint_header(p)[0])
     keep = inh.get("generate", {}).get("keep_ends", [])
     if sum(keep) > parent.depth:
         raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
                           f"{field} has ({parent.depth})")
-    if "config" in arch:
-        child = _model_config(arch["config"], BASE_SIZE)
+    if child:
         if child.depth > parent.depth:
             raise ConfigError(f"architecture.config.depth {child.depth} exceeds the depth "
                               f"{parent.depth} of {field}")
         if child.head_dim != parent.head_dim:
             raise ConfigError(f"architecture.config head_dim {child.head_dim} (width / "
                               f"n_heads) differs from the head_dim {parent.head_dim} of {field}")
+        if plan:
+            try:
+                plan.validate_structure(parent, child)
+            except PlanError as err:
+                raise ConfigError(f"inheritance.plan: {err}") from err
 
 
-def _parse(config_path: Path, field_path: str, rel: str, parse):
-    """``parse`` applied to the input file a field names; its ValueError
-    becomes a ConfigError that names the field."""
+def _parse(config_path: Path, field_path: str, rel: str, parse) -> tuple:
+    """``parse`` applied to the bytes of the input file a field names, and
+    the sha256 of those bytes; a ValueError becomes a ConfigError that names
+    the field."""
+    data = _resolve(config_path, rel).read_bytes()
     try:
-        return parse(_resolve(config_path, rel))
+        return parse(data), hashlib.sha256(data).hexdigest()
     except ValueError as err:
         raise ConfigError(f"{field_path}: {err}") from err
 
@@ -404,6 +412,11 @@ class _Run:
             digest, nbytes = write_atomic(path, [data])
         self.manifest.artifacts.append({"name": name, "sha256": digest, "bytes": nbytes})
 
+    def input(self, field_path: str):
+        """The parsed input file ``field_path`` names; records its sha256."""
+        self.manifest.input_hashes[INPUTS[field_path][1]] = self.cfg.input_hashes[field_path]
+        return self.cfg.inputs[field_path]
+
     def write_manifest(self) -> None:
         """(Re)write manifest.json; it is not an artifact of itself."""
         write_atomic(self.out / "manifest.json", [self.manifest.to_json().encode()])
@@ -411,11 +424,9 @@ class _Run:
     # ------------------------------------------------------------- stages
 
     def stage_corpus(self) -> None:
-        section = self.cfg.section("corpus")
+        section = self.cfg.raw["corpus"]
         if "path" in section:
-            src = _resolve(self.cfg.path, section["path"])
-            self.corpus = src.read_bytes()
-            self.manifest.input_hashes["corpus"] = hashlib.sha256(self.corpus).hexdigest()
+            self.corpus = self.input("corpus.path")
         else:
             spec = section["synthetic"]
             self.corpus = zipf_corpus(
@@ -427,14 +438,11 @@ class _Run:
         self.emit("corpus.bin", self.corpus)
 
     def stage_tokenizer(self) -> None:
-        section = self.cfg.section("tokenizer")
+        section = self.cfg.raw["tokenizer"]
         if "train" in section:
             vocab = train_bpe(self.corpus, section["train"]["target_size"])
         else:
-            vocab = load_vocab(_resolve(self.cfg.path, section["load"]))
-            self.manifest.input_hashes["vocab"] = _sha256(
-                _resolve(self.cfg.path, section["load"])
-            )
+            vocab = self.input("tokenizer.load")
         self.pre_compact_vocab = vocab
         self.emit("vocab.txt", lambda path: save_vocab(vocab, path))
         ids = encode(self.corpus, vocab)
@@ -455,7 +463,7 @@ class _Run:
         self.stream = ids
 
     def stage_arch(self) -> None:
-        section = self.cfg.section("architecture")
+        section = self.cfg.raw["architecture"]
         vocab_size = self.vocab.size
         if "config" in section:
             self.model_config = _model_config(section["config"], vocab_size)
@@ -477,12 +485,12 @@ class _Run:
                 ),
             )
         # batches are needed by params (plan generation) and later stages
-        train_cfg = self.cfg.section("training")
+        train_cfg = self.cfg.raw["training"]
         windows = windows_from_ids(
             self.stream, train_cfg["seq_len"], seed=self.cfg.seed,
         )
         batches = batches_from_windows(windows, train_cfg["batch_size"])
-        holdout = self.cfg.section("evaluation")["holdout_batches"]
+        holdout = self.cfg.raw["evaluation"]["holdout_batches"]
         if len(batches) <= holdout:
             raise PipelineError(
                 f"corpus yields only {len(batches)} batches; cannot hold out {holdout}"
@@ -494,19 +502,15 @@ class _Run:
             self.train_batches = self.train_batches[:limit]
 
     def stage_params(self) -> None:
-        section = self.cfg.section("init")
+        section = self.cfg.raw.get("init")
         if section:
             scheme = InitScheme(section["scheme"], section["sigma"], section["seed"])
             self.params = initialize(self.model_config, scheme)
         else:
-            inh = self.cfg.section("inheritance")
-            ckpt = _resolve(self.cfg.path, inh["parent_checkpoint"])
-            self.manifest.input_hashes["parent_checkpoint"] = _sha256(ckpt)
-            parent_config, parent_params = load_checkpoint(ckpt)
+            inh = self.cfg.raw["inheritance"]
+            parent_config, parent_params = self.input("inheritance.parent_checkpoint")
             if "plan" in inh:
-                plan_path = _resolve(self.cfg.path, inh["plan"])
-                self.manifest.input_hashes["plan"] = _sha256(plan_path)
-                plan = InheritancePlan.from_json(plan_path.read_text())
+                plan = self.input("inheritance.plan")
             else:
                 gen = inh["generate"]
                 if self.pre_compact_vocab is not None and (
@@ -544,7 +548,7 @@ class _Run:
                   lambda path: save_checkpoint(path, self.model_config, self.params))
 
     def stage_scan(self) -> None:
-        section = self.cfg.section("layer_scan")
+        section = self.cfg.raw.get("layer_scan")
         if not section:
             return
         importance = layer_skip_eval(
@@ -556,7 +560,7 @@ class _Run:
         self.emit("importance.csv", importance.to_csv())
 
     def stage_train(self) -> None:
-        section = self.cfg.section("training")
+        section = self.cfg.raw["training"]
         if "lr" in section:
             lr = section["lr"]
         else:
@@ -583,15 +587,13 @@ class _Run:
         self.emit("model.ckpt", lambda path: save_checkpoint(path, self.model_config, self.params))
 
     def stage_eval(self) -> None:
-        section = self.cfg.section("evaluation")
+        section = self.cfg.raw["evaluation"]
         report = perplexity(self.model_config, self.params, self.holdout_batches)
         self.emit("eval_perplexity.json", report.to_json())
         self.emit("eval_perplexity.csv", report.to_csv())
         items = None
         if "cloze_file" in section:
-            path = _resolve(self.cfg.path, section["cloze_file"])
-            self.manifest.input_hashes["cloze_file"] = _sha256(path)
-            items = load_cloze_items(path)
+            items = self.input("evaluation.cloze_file")
         elif "cloze" in section:
             c = section["cloze"]
             holdout_stream = np.concatenate([b.reshape(-1) for b in self.holdout_batches])

@@ -306,6 +306,15 @@ class InheritancePlan:
     vocab_map: list[int]  # child row -> parent row for embedding/head
 
     def validate(self, parent: ModelConfig, child: ModelConfig) -> None:
+        self.validate_structure(parent, child)
+        if len(self.vocab_map) != child.vocab_size:
+            raise PlanError(
+                f"vocab map length {len(self.vocab_map)} != child vocab {child.vocab_size}"
+            )
+
+    def validate_structure(self, parent: ModelConfig, child: ModelConfig) -> None:
+        """Every check but the vocab_map length, which needs the child's final
+        vocabulary size."""
         _check_ids("kept_layers", self.kept_layers, parent.depth, increasing=True)
         if len(self.kept_layers) != child.depth:
             raise PlanError(
@@ -334,10 +343,6 @@ class InheritancePlan:
                 f"channel plan length {len(self.channel_plan)} != child width {child.width}"
             )
         _check_ids("vocab_map", self.vocab_map, parent.vocab_size, increasing=False)
-        if len(self.vocab_map) != child.vocab_size:
-            raise PlanError(
-                f"vocab map length {len(self.vocab_map)} != child vocab {child.vocab_size}"
-            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

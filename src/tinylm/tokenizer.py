@@ -19,6 +19,7 @@ stream is derived from the full one (``recode``), not encoded from the text.
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -494,26 +495,31 @@ def save_vocab(vocab: Vocabulary, path) -> tuple[str, int]:
     return write_atomic(path, ["\n".join(lines).encode("ascii") + b"\n"])
 
 
-def load_vocab(path) -> Vocabulary:
+def parse_vocab(data: bytes) -> Vocabulary:
+    """A vocabulary file's bytes, split into lines as a text-mode file is."""
     tokens: list[bytes] = []
     merges: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        section = "tokens"
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line == "#MERGES":
-                section = "merges"
-                continue
-            if section == "tokens":
-                tokens.append(bytes.fromhex(line))
-            else:
-                l, r, m = (int(x) for x in line.split())
-                merges.append((l, r, m))
+    section = "tokens"
+    for line in io.TextIOWrapper(io.BytesIO(data), encoding="ascii"):
+        line = line.strip()
+        if not line:
+            continue
+        if line == "#MERGES":
+            section = "merges"
+            continue
+        if section == "tokens":
+            tokens.append(bytes.fromhex(line))
+        else:
+            l, r, m = (int(x) for x in line.split())
+            merges.append((l, r, m))
     vocab = Vocabulary(tokens=tokens, merges=merges)
     vocab.validate()
     return vocab
+
+
+def load_vocab(path) -> Vocabulary:
+    with open(path, "rb") as fh:
+        return parse_vocab(fh.read())
 
 
 def vocab_id_map(child: Vocabulary, parent: Vocabulary) -> list[int]:

@@ -18,7 +18,6 @@ from tinylm.arch import (
     load_checkpoint,
     param_count,
     param_shapes,
-    read_checkpoint_header,
     save_checkpoint,
     search_configs,
     speed_bench,
@@ -589,12 +588,3 @@ def test_checkpoint_tensor_entry_without_shape_raises_value_error(tmp_path):
     _with_manifest(path, drop_shape)
     with pytest.raises(ValueError, match="'shape' must be a list"):
         load_checkpoint(path)
-
-
-def test_read_checkpoint_header_matches_load(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-    config, entries = read_checkpoint_header(path)
-    loaded_cfg, loaded = load_checkpoint(path)
-    assert config == loaded_cfg
-    assert {name: shape for name, shape, _ in entries} == {
-        name: t.shape for name, t in loaded.tensors.items()}

@@ -10,6 +10,7 @@ from tinylm.evaluator import (
     candidate_logliks,
     cloze_accuracy,
     load_cloze_items,
+    parse_cloze_items,
     perplexity,
     save_cloze_items,
     score_items,
@@ -287,6 +288,20 @@ def test_load_cloze_items_rejects_non_integer_ids(tmp_path, line):
     path = tmp_path / "items.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(ValueError):
+        load_cloze_items(path)
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\u2028"], ids=["fs", "line_separator"])
+def test_cloze_parser_rejects_two_items_on_one_line(tmp_path, separator):
+    # str.splitlines splits at these, and would read two items
+    item = '{"context": [1], "candidates": [[2], [3]], "gold": 0}'
+    data = (item + separator + item + "\n").encode()
+    assert len(data.decode().splitlines()) == 2
+    path = tmp_path / "items.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="Extra data"):
+        parse_cloze_items(data)
+    with pytest.raises(ValueError, match="Extra data"):
         load_cloze_items(path)
 
 

@@ -1,4 +1,7 @@
+import builtins
 import copy
+import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -12,6 +15,8 @@ from tinylm.arch import ModelConfig, save_checkpoint
 from tinylm import pipeline
 from tinylm.cli import main
 from tinylm.initializers import InitScheme, initialize
+from tinylm.data import zipf_corpus
+from tinylm.surgery import PlanError, identity_plan
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
                              load_vocab, recode, save_vocab)
@@ -260,14 +265,14 @@ def test_validate_accepts_search_pick_index_and_scaling(tmp_path):
     search = {**FEASIBLE_SEARCH["search"], "pick": 0}
     cfg = validate(write_config(tmp_path, architecture={"search": search},
                                 training={**NO_LR, "scaling": SCALING}))
-    assert cfg.section("architecture")["search"]["pick"] == 0
+    assert cfg.raw["architecture"]["search"]["pick"] == 0
 
 
 def test_validate_accepts_range_edges(tmp_path):
     training = {**BASE_TRAINING, "seq_len": 1, "sampling_rate": 1.0, "grad_clip": 0.0,
                 "max_batches": None}
     cfg = validate(write_config(tmp_path, training=training))
-    assert cfg.section("training")["grad_clip"] == 0.0
+    assert cfg.raw["training"]["grad_clip"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -310,10 +315,11 @@ def test_validate_rejects_malformed_tokenizer_load(tmp_path, architecture):
 
 
 def _save_parent(path, **config):
-    """A small checkpoint for configs to inherit from; validate reads its header."""
+    """A small checkpoint for configs to inherit from; returns its config."""
     cfg = ModelConfig(**{"vocab_size": BASE_SIZE, "width": 16, "depth": 2, "n_heads": 2,
                          "kv_groups": 2, "ffn_hidden": 24, **config})
     save_checkpoint(path, cfg, initialize(cfg, InitScheme("constant", 0.02, seed=0)))
+    return cfg
 
 
 def _inheriting(tmp_path, parent=None, **inheritance):
@@ -386,6 +392,60 @@ def test_validate_parses_cloze_file(tmp_path, capsys, text):
     assert "evaluation.cloze_file" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_truncated_parent_checkpoint(tmp_path, capsys):
+    # used to pass validate, which read only the header, and fail at params with exit 2
+    path = _inheriting(tmp_path, generate={})
+    ckpt = tmp_path / "parent.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "inheritance.parent_checkpoint: checkpoint truncated in tensor" in err
+
+
+def _with_plan(tmp_path, **fields):
+    """The write_config config inheriting through a plan file: the identity
+    plan of a parent shaped like the child, with ``fields`` replaced."""
+    parent = _save_parent(tmp_path / "parent.ckpt")
+    plan = {**json.loads(identity_plan(parent).to_json()), **fields}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    return _inheriting(tmp_path, plan="plan.json")
+
+
+# one case per check of InheritancePlan.validate_structure; a parent whose
+# head_dim differs from the child's is named as inheritance.parent_checkpoint
+PLAN_DEFECTS = {
+    "kept_layer_id": ({"kept_layers": [0, 2]}, "kept_layers entry 2 outside"),
+    "kept_layer_count": ({"kept_layers": [0]}, "plan keeps 1 layers, child depth is 2"),
+    "units_per_layer": ({"head_indices": [[0, 1]]}, "head_indices must hold one list"),
+    "head_id": ({"head_indices": [[1, 0], [0, 1]]}, "head_indices must be strictly increasing"),
+    "ffn_id": ({"ffn_indices": [list(range(24)), list(range(1, 25))]}, "ffn_indices entry 24"),
+    "head_count": ({"head_indices": [[0], [0, 1]]}, "plan retains 1 heads, child has 2"),
+    "ffn_count": ({"ffn_indices": [list(range(23)), list(range(24))]},
+                  "plan retains 23 FFN channels"),
+    "channel_id": ({"channel_plan": [0] * 16}, "channel_plan must be strictly increasing"),
+    "channel_count": ({"channel_plan": list(range(15))}, "channel plan length 15 != child"),
+    "vocab_id": ({"vocab_map": [256]}, "vocab_map entry 256 outside"),
+}
+
+
+@pytest.mark.parametrize("fields, message", PLAN_DEFECTS.values(), ids=PLAN_DEFECTS)
+def test_validate_checks_the_plan_against_parent_and_child(tmp_path, capsys, fields, message):
+    # each of these used to pass validate and fail in surgery with exit 2
+    path = _with_plan(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=f"inheritance.plan: {message}"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.plan" in capsys.readouterr().err
+
+
+def test_plan_vocab_map_length_is_checked_at_params(tmp_path):
+    # the child's vocabulary size is known only after the tokenizer stage:
+    # the parent's 256 rows against the trained tokenizer's 300
+    cfg = validate(_with_plan(tmp_path))
+    with pytest.raises(PlanError, match="vocab map length 256 != child vocab 300"):
+        run(cfg, until="params")
+
+
 # Two valid configs that between them use every section: the first searches,
 # initializes, scales the lr, makes cloze items and scans layers; the second
 # names an explicit config, inherits with a generated plan and converts to
@@ -425,11 +485,9 @@ def base_dir(tmp_path_factory):
     """A directory holding the files the base configs name."""
     root = tmp_path_factory.mktemp("bases")
     (root / "corpus.bin").write_bytes(b"x")
-    _save_parent(root / "parent.ckpt", n_heads=4, kv_groups=4)  # the child's head_dim 4
-    # validate parses the plan and the cloze file
-    (root / "plan.json").write_text(json.dumps({"kept_layers": [0], "head_indices": [[0]],
-                                                "ffn_indices": [[0]], "channel_plan": [0],
-                                                "vocab_map": [0]}))
+    parent = _save_parent(root / "parent.ckpt", n_heads=4, kv_groups=4)  # the child's head_dim 4
+    # validate parses the cloze file, and checks the plan against the parent and the child
+    (root / "plan.json").write_text(identity_plan(parent).to_json())
     (root / "cloze.jsonl").write_text('{"context": [1], "candidates": [[2], [3]], "gold": 0}\n')
     save_vocab(Vocabulary(tokens=[bytes([i]) for i in range(BASE_SIZE)], merges=[]),
                root / "vocab.txt")
@@ -700,6 +758,59 @@ def test_inheritance_run_from_parent_checkpoint(tmp_path):
     plan = json.loads((tmp_path / "child_out" / "plan.json").read_text())
     assert len(plan["kept_layers"]) == 1
     assert len(plan["ffn_indices"][0]) == 12
+
+
+def test_every_file_field_has_a_parser():
+    assert {path for path, kind, *_ in FIELDS if kind == "file"} == set(pipeline.INPUTS)
+
+
+CLOZE_LINE = '{"context": [1, 2], "candidates": [[3], [4]], "gold": 0}\n'
+
+
+def _from_input_files(tmp_path):
+    """A config that names all five input files: corpus, vocabulary, parent
+    checkpoint, plan and cloze items."""
+    (tmp_path / "corpus.bin").write_bytes(zipf_corpus(3_000, seed=1))
+    save_vocab(Vocabulary.base(), tmp_path / "vocab.txt")
+    (tmp_path / "cloze.jsonl").write_text(CLOZE_LINE * 3)
+    raw = json.loads(_with_plan(tmp_path).read_text())
+    raw.update(corpus={"path": "corpus.bin"}, tokenizer={"load": "vocab.txt"},
+               evaluation={"holdout_batches": 2, "cloze_file": "cloze.jsonl"})
+    return _write(tmp_path / "config.json", raw)
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    path = _from_input_files(tmp_path)
+    names = ("corpus.bin", "vocab.txt", "parent.ckpt", "plan.json", "cloze.jsonl")
+    reads = dict.fromkeys(names, 0)
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        name = Path(os.fsdecode(file)).name if isinstance(file, (str, os.PathLike)) else None
+        if name in reads and not set(mode) & set("wax+"):
+            reads[name] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # what pathlib calls
+    manifest = run(validate(path))
+    assert reads == dict.fromkeys(names, 1)
+    assert sorted(manifest.input_hashes) == ["cloze_file", "corpus", "parent_checkpoint",
+                                             "plan", "vocab"]
+
+
+def test_a_run_uses_and_hashes_the_bytes_validate_parsed(tmp_path):
+    path = _from_input_files(tmp_path)
+    plan_bytes = (tmp_path / "plan.json").read_bytes()
+    cloze_bytes = (tmp_path / "cloze.jsonl").read_bytes()
+    cfg = validate(path)
+    (tmp_path / "plan.json").write_text("not a plan")
+    (tmp_path / "cloze.jsonl").write_text(CLOZE_LINE)
+    manifest = run(cfg)
+    assert manifest.input_hashes["plan"] == hashlib.sha256(plan_bytes).hexdigest()
+    assert manifest.input_hashes["cloze_file"] == hashlib.sha256(cloze_bytes).hexdigest()
+    assert json.loads((tmp_path / "out" / "plan.json").read_text()) == json.loads(plan_bytes)
+    assert json.loads((tmp_path / "out" / "eval_cloze.json").read_text())["item_count"] == 3
 
 
 def test_manifest_config_replays_every_artifact_hash(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tinylm import arch, evaluator
 from tinylm.data import zipf_corpus
 from tinylm.tokenizer import (
     BASE_SIZE,
@@ -20,6 +21,7 @@ from tinylm.tokenizer import (
     encode,
     frequencies,
     load_vocab,
+    parse_vocab,
     recode,
     save_vocab,
     train_bpe,
@@ -52,6 +54,19 @@ def test_train_bpe_and_encode_keep_the_benchmark_probe_contract():
     vocab = train_bpe(corpus=b"abab", target_size=257)
     assert isinstance(vocab, Vocabulary) and len(vocab.merges) == 1
     assert isinstance(encode(data=b"abab", vocab=vocab), np.ndarray)
+
+
+# The benchmark's workloads call these loaders with one path; a change to any
+# signature fails every decode_score and pipeline job.
+@pytest.mark.parametrize("loader, returns", [
+    (load_vocab, Vocabulary),
+    (arch.load_checkpoint, tuple[arch.ModelConfig, arch.ParamStore]),
+    (evaluator.load_cloze_items, list[evaluator.ClozeItem]),
+], ids=["load_vocab", "load_checkpoint", "load_cloze_items"])
+def test_path_loaders_keep_the_benchmark_contract(loader, returns):
+    sig = inspect.signature(loader, eval_str=True)
+    assert list(sig.parameters) == ["path"]
+    assert sig.return_annotation == returns
 
 
 # ---------------------------------------------------------------- train_bpe
@@ -591,6 +606,34 @@ def test_vocab_file_roundtrip(tmp_path):
     assert loaded.merges == vocab.merges
     text = path.read_text()
     assert "#MERGES" in text
+
+
+def _vocab_bytes(path):
+    vocab = _vocab_with_merges([(b"a", b"b"), (b"ab", b"c")])
+    save_vocab(vocab, path)
+    return vocab, path.read_bytes()
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_vocab_parser_accepts_text_mode_newlines(tmp_path, newline):
+    vocab, data = _vocab_bytes(tmp_path / "vocab.txt")
+    data = data.replace(b"\n", newline)
+    (tmp_path / "vocab.txt").write_bytes(data)
+    for loaded in (parse_vocab(data), load_vocab(tmp_path / "vocab.txt")):
+        assert (loaded.tokens, loaded.merges) == (vocab.tokens, vocab.merges)
+
+
+@pytest.mark.parametrize("separator", [b"\x0b", b"\x1c"], ids=["vt", "fs"])
+def test_vocab_parser_rejects_a_line_holding_a_splitlines_separator(tmp_path, separator):
+    # str.splitlines splits at these, and would read the file's own lines
+    _, good = _vocab_bytes(tmp_path / "vocab.txt")
+    data = good.replace(b"\n#MERGES", separator + b"#MERGES")
+    assert data.decode().splitlines() == good.decode().splitlines()
+    (tmp_path / "vocab.txt").write_bytes(data)
+    with pytest.raises(ValueError, match="fromhex"):
+        parse_vocab(data)
+    with pytest.raises(ValueError, match="fromhex"):
+        load_vocab(tmp_path / "vocab.txt")
 
 
 def test_vocab_id_map_matches_bytes():
