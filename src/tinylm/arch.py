@@ -196,22 +196,17 @@ def search_configs(
     expansion_rates: list[float],
     tolerance: float,
     head_dim: int = 64,
-    kv_groups: int | None = None,
 ) -> list[ModelConfig]:
     """For each (depth, expansion) pair, solve the width that lands the total
     parameter count on ``budget``, round it to a multiple of head_dim (ties
-    toward the smaller width), and keep configs within relative tolerance."""
+    toward the smaller width), and keep configs within relative tolerance.
+    Every config is MHA (kv_groups == n_heads)."""
     out: list[ModelConfig] = []
     for L in depths:
         for rho in expansion_rates:
-            # total(d) ~= a d^2 + b d with ffn = rho * d; the k/v projections
-            # are quadratic in d for MHA but linear once kv_groups is fixed
-            if kv_groups is None:
-                a = L * (4.0 + 3.0 * rho)
-                b = 2.0 * vocab_size + 2.0 * L + 1.0
-            else:
-                a = L * (2.0 + 3.0 * rho)
-                b = 2.0 * vocab_size + 2.0 * L + 1.0 + 2.0 * L * kv_groups * head_dim
+            # total(d) ~= a d^2 + b d with ffn = rho * d (MHA)
+            a = L * (4.0 + 3.0 * rho)
+            b = 2.0 * vocab_size + 2.0 * L + 1.0
             disc = b * b + 4.0 * a * budget
             d_real = (-b + disc**0.5) / (2.0 * a)
             candidates = []
@@ -219,11 +214,8 @@ def search_configs(
                 if d < head_dim:
                     continue
                 h = d // head_dim
-                g = kv_groups if kv_groups is not None else h
-                if h % g != 0:
-                    continue
                 ffn = max(1, round(rho * d))
-                cfg = ModelConfig(vocab_size, d, L, h, g, ffn)
+                cfg = ModelConfig(vocab_size, d, L, h, h, ffn)
                 try:
                     cfg.validate()
                 except ValueError:

@@ -414,6 +414,9 @@ class _Run:
 
     def input(self, field_path: str):
         """The parsed input file ``field_path`` names; records its sha256."""
+        if field_path not in self.cfg.inputs:
+            raise PipelineError(f"{field_path} was released by an earlier run of this "
+                                "config; validate the config again")
         self.manifest.input_hashes[INPUTS[field_path][1]] = self.cfg.input_hashes[field_path]
         return self.cfg.inputs[field_path]
 
@@ -509,6 +512,8 @@ class _Run:
         else:
             inh = self.cfg.raw["inheritance"]
             parent_config, parent_params = self.input("inheritance.parent_checkpoint")
+            # no later stage reads the parent: free it before training
+            del self.cfg.inputs["inheritance.parent_checkpoint"]
             if "plan" in inh:
                 plan = self.input("inheritance.plan")
             else:
@@ -616,7 +621,8 @@ class _Run:
 
 def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> RunManifest:
     """Execute the pipeline stages in order, writing artifacts and the
-    manifest under the config's output directory."""
+    manifest under the config's output directory. A config serves one run:
+    the params stage releases the parsed parent checkpoint it holds."""
     runner = _Run(config, until)
     runner.out.mkdir(parents=True, exist_ok=True)
     if dry_run:

@@ -6,12 +6,17 @@ execution order; Tape.gradients walks the record once, in reverse, and
 returns the gradients of the leaf tensors. A tape is consumed by its
 backward pass.
 
-Memory is freed by reference counting alone. Recorded outputs point back at
-their tape, so the record forms a Tape <-> Tensor cycle; the sweep breaks it
-by popping each node once its backward has run and dropping each
-intermediate gradient once it is consumed. When the caller lets go of the
-loss, nothing of the step is left for the cyclic collector. A forward that
-raises inside ``with Tape()`` drops its record the same way.
+Memory is freed by reference counting alone, and the record holds no
+cycle. A recorded output points at its tape and at its producer node; a node
+points at the producer nodes of its inputs (or at the inputs themselves when
+they are leaves), never at an output. Each node keeps only what its backward
+reads: a shape where that is all it reads, and an operand of a product only
+when the other operand's gradient is needed (so a pass through frozen
+weights keeps no projection input). The sweep pops each node, drops its
+inputs and closure once its backward has run, and drops each intermediate
+gradient once it is consumed, so a caller that still holds the loss holds
+nothing of the swept graph. A forward that raises inside ``with Tape()``
+drops its record the same way.
 
 So at the end of a step every activation is freed, and glibc's malloc would
 give the freed top of the heap back to the kernel and fault it in again on
@@ -81,7 +86,7 @@ class Tensor:
     optimizer updating ``.data`` in place between forward passes.
     """
 
-    __slots__ = ("data", "requires_grad", "_tape")
+    __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -89,7 +94,8 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
-        self._tape: Tape | None = None
+        self._tape: Tape | None = None  # the tape that recorded it, if any
+        self._node: _Node | None = None  # its producer on that tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,12 +163,19 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "backward_fn")
+    """One recorded op. ``inputs`` holds a key per input: its producer node
+    when that is on the same tape, the input itself when it is a leaf, and
+    None when it needs no gradient. ``backward_fn`` maps the output's
+    gradient to the inputs'. Both are dropped once the node is swept."""
 
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn):
-        self.out = out
+    __slots__ = ("inputs", "backward_fn")
+
+    def __init__(self, inputs: tuple, backward_fn):
         self.inputs = inputs
         self.backward_fn = backward_fn
+
+    def drop(self) -> None:
+        self.inputs = self.backward_fn = None
 
 
 _STATE = threading.local()
@@ -190,7 +203,8 @@ class Tape:
         _STATE.tape = None
         if exc_type is not None:
             # a failed forward has nothing to differentiate: free it now
-            self._release()
+            for node in self._release():
+                node.drop()
             self._consumed = True
         return False
 
@@ -214,21 +228,25 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         nodes = self._release()
-        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+        # gradients are keyed by producer node, and by tensor for leaves
+        root = loss._node if loss._tape is self else loss
+        grads: dict = {root: np.ones_like(loss.data)}
         while nodes:
             node = nodes.pop()
-            # every consumer of node.out was recorded later, so was swept already
-            g_out = grads.pop(node.out, None)
+            # every consumer of the node's output was recorded later, so was swept already
+            g_out = grads.pop(node, None)
+            inputs, backward_fn = node.inputs, node.backward_fn
+            node.drop()  # a caller holding the output must not hold the graph
             if g_out is None:
                 continue
-            for inp, g_in in zip(node.inputs, node.backward_fn(g_out)):
-                if g_in is None or not inp.requires_grad:
+            for key, g_in in zip(inputs, backward_fn(g_out)):
+                if key is None or g_in is None:
                     continue
-                existing = grads.get(inp)
+                existing = grads.get(key)
                 if existing is None:
-                    grads[inp] = g_in
+                    grads[key] = g_in
                 else:
-                    grads[inp] = existing + g_in
+                    grads[key] = existing + g_in
         return grads
 
 
@@ -245,13 +263,20 @@ def _as_tensor(x) -> Tensor:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap a forward result, recording it when a tape is live and needed."""
+    """Wrap a forward result, recording it when a tape is live and needed.
+    ``backward_fn`` holds only what it reads: a shape rather than the tensor
+    it came from, and no operand that no requested gradient reads."""
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
+        keys = tuple(
+            None if not t.requires_grad else t._node if t._tape is tape else t
+            for t in inputs
+        )
         out._tape = tape
-        tape._nodes.append(_Node(out, inputs, backward_fn))
+        out._node = _Node(keys, backward_fn)
+        tape._nodes.append(out._node)
     return out
 
 
@@ -277,11 +302,12 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.shape, b.shape
 
     def bw(g):
         return (
-            _unbroadcast(g, a.shape) if need_a else None,
-            _unbroadcast(g, b.shape) if need_b else None,
+            _unbroadcast(g, shape_a) if need_a else None,
+            _unbroadcast(g, shape_b) if need_b else None,
         )
 
     return _emit(out, (a, b), bw)
@@ -291,11 +317,15 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.shape, b.shape
+    # each operand is kept only for the other one's gradient
+    data_a = a.data if need_b else None
+    data_b = b.data if need_a else None
 
     def bw(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if need_a else None,
-            _unbroadcast(g * a.data, b.shape) if need_b else None,
+            _unbroadcast(g * data_b, shape_a) if need_a else None,
+            _unbroadcast(g * data_a, shape_b) if need_b else None,
         )
 
     return _emit(out, (a, b), bw)
@@ -349,11 +379,12 @@ def silu(a) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(out, (a,), bw)
 
@@ -361,14 +392,15 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
+    shape = a.shape
     n = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
+        return (np.broadcast_to(g, shape) / n,)
 
     return _emit(out, (a,), bw)
 
@@ -376,7 +408,8 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
-    return _emit(out, (a,), lambda g: (g.reshape(a.shape),))
+    shape_a = a.shape
+    return _emit(out, (a,), lambda g: (g.reshape(shape_a),))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -393,9 +426,10 @@ def getitem(a, key) -> Tensor:
     """Basic (slice/int) indexing with scatter-style backward."""
     a = _as_tensor(a)
     out = a.data[key]
+    shape = a.shape
 
     def bw(g):
-        gx = np.zeros(a.shape)
+        gx = np.zeros(shape)
         gx[key] += g
         return (gx,)
 
@@ -410,7 +444,7 @@ def concat(tensors: Sequence["Tensor"], axis: int = 0) -> Tensor:
 
     def bw(g):
         pieces = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(g[tuple(sl)])
@@ -424,9 +458,10 @@ def take(a, indices, axis: int) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     out = np.take(a.data, idx, axis=axis)
+    shape = a.shape
 
     def bw(g):
-        gx = np.zeros(a.shape)
+        gx = np.zeros(shape)
         np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
         return (gx,)
 
@@ -442,9 +477,10 @@ def gather_rows(table, ids) -> Tensor:
             f"id out of range: [{ids.min()}, {ids.max()}] vs table rows {table.shape[0]}"
         )
     out = table.data[ids]
+    shape = table.shape
 
     def bw(g):
-        gt = np.zeros(table.shape)
+        gt = np.zeros(shape)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -468,6 +504,11 @@ def matmul(a, b) -> Tensor:
     else:
         out = a.data @ b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.shape, b.shape
+    # each operand is kept only for the other one's gradient: a pass through
+    # frozen weights keeps no projection input
+    data_a = a.data if need_b else None
+    data_b = b.data if need_a else None
 
     if a.data.ndim > 2 and b.data.ndim == 2:
         # projection case: collapse the batch dims into plain GEMMs
@@ -475,20 +516,20 @@ def matmul(a, b) -> Tensor:
 
         def bw(g):
             g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape) if need_a else None
-            gb = a.data.reshape(-1, k).T @ g2 if need_b else None
+            ga = (g2 @ data_b.T).reshape(shape_a) if need_a else None
+            gb = data_a.reshape(-1, k).T @ g2 if need_b else None
             return ga, gb
 
     else:
 
         def bw(g):
             ga = (
-                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                _unbroadcast(g @ np.swapaxes(data_b, -1, -2), shape_a)
                 if need_a
                 else None
             )
             gb = (
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+                _unbroadcast(np.swapaxes(data_a, -1, -2) @ g, shape_b)
                 if need_b
                 else None
             )
@@ -557,23 +598,34 @@ def causal_attention(q, k, v, length: int | None = None) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
     out = (p @ v5).reshape(b, h, t, hd)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    q_shape, k_shape = q.shape, k.shape
+    # keep only what the requested gradients read: dq reads kᵀ, dk reads q,
+    # and both read v
+    if not need_q:
+        kt = None
+    if not need_k:
+        q5 = None
+    if not (need_q or need_k):
+        v5 = None
 
     def fold(x):
         """[B,G,r,L,hd] -> [B,G,S,hd]: sum over each group's query heads."""
         x = x[:, :, 0] if r == 1 else x.sum(axis=2)
         if length == s:
             return x
-        full = np.zeros(k.shape)
+        full = np.zeros(k_shape)
         full[:, :, :length] = x
         return full
 
     def bw(g_out):
         g5 = g_out.reshape(b, g, r, t, hd)
         dv = fold(np.swapaxes(p, -1, -2) @ g5) if need_v else None
+        if v5 is None:
+            return None, None, dv
         dp = g5 @ np.swapaxes(v5, -1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= scale
-        dq = (ds @ np.swapaxes(kt, -1, -2)).reshape(q.shape) if need_q else None
+        dq = (ds @ np.swapaxes(kt, -1, -2)).reshape(q_shape) if need_q else None
         dk = fold(np.swapaxes(np.swapaxes(q5, -1, -2) @ ds, -1, -2)) if need_k else None
         return dq, dk, dv
 
@@ -665,22 +717,24 @@ def swiglu(gate, up) -> Tensor:
     if gate.shape != up.shape:
         raise ShapeError(f"swiglu: gate {gate.shape} and up {up.shape} differ")
     need_gate, need_up = gate.requires_grad, up.requires_grad
+    gate_data = gate.data
+    up_data = up.data if need_gate else None  # only the gate's gradient reads it
 
     def sigmoid():
         """1 / (1 + exp(-gate)), computed in one new array."""
-        sig = np.negative(gate.data)
+        sig = np.negative(gate_data)
         np.exp(sig, out=sig)
         sig += 1.0
         return np.divide(1.0, sig, out=sig)
 
     out = sigmoid()
-    out *= gate.data
+    out *= gate_data
     out *= up.data
 
     def bw(g):
         sig = sigmoid()
-        g_gate = g * up.data * sig * (1.0 + gate.data * (1.0 - sig)) if need_gate else None
-        return g_gate, g * (gate.data * sig) if need_up else None
+        g_gate = g * up_data * sig * (1.0 + gate_data * (1.0 - sig)) if need_gate else None
+        return g_gate, g * (gate_data * sig) if need_up else None
 
     return _emit(out, (gate, up), bw)
 

@@ -123,42 +123,61 @@ def batch_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray) -> fl
 
 class AdamW:
     """Decoupled-weight-decay Adam over a ParamStore. With a zero gradient a
-    parameter shrinks by exactly (1 - lr * wd) per step."""
+    parameter shrinks by exactly (1 - lr * wd) per step.
+
+    A step allocates nothing: the moments update in place, and every
+    temporary lands in two scratch buffers sized for the largest parameter
+    and shared by all of them. Each expression keeps the operands of the
+    plain numpy form, so results are bit-identical to it."""
 
     def __init__(self, params: ParamStore, plan: TrainPlan):
         self.params = params
         self.plan = plan
         self.m = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
         self.v = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
+        size = max((t.size for t in params.tensors.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
         self.step_count = 0
+
+    def _buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The two scratch buffers, viewed in ``shape``."""
+        n = math.prod(shape)
+        return tuple(buf[:n].reshape(shape) for buf in self._scratch)
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         plan = self.plan
+        scale = None
         if plan.grad_clip > 0:
             sq = 0.0
             for g in grads.values():
-                sq += float((g * g).sum())
+                sq += float(np.multiply(g, g, out=self._buffers(g.shape)[0]).sum())
             norm = math.sqrt(sq)
             if norm > plan.grad_clip:
                 scale = plan.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
         self.step_count += 1
         t = self.step_count
         for name, tensor in self.params.tensors.items():
+            a, b = self._buffers(tensor.shape)
             g = grads.get(name)
+            # b holds the (scaled or zero) gradient until v_hat needs it
             if g is None:
-                g = np.zeros(tensor.shape)
+                b.fill(0.0)
+                g = b
+            elif scale is not None:
+                g = np.multiply(g, scale, out=b)
             m = self.m[name]
             v = self.v[name]
             m *= plan.beta1
-            m += (1.0 - plan.beta1) * g
+            m += np.multiply(1.0 - plan.beta1, g, out=a)
             v *= plan.beta2
-            v += (1.0 - plan.beta2) * (g * g)
-            m_hat = m / (1.0 - plan.beta1**t)
-            v_hat = v / (1.0 - plan.beta2**t)
+            v += np.multiply(1.0 - plan.beta2, np.multiply(g, g, out=a), out=a)
+            m_hat = np.divide(m, 1.0 - plan.beta1**t, out=a)
+            v_hat = np.divide(v, 1.0 - plan.beta2**t, out=b)
             if plan.weight_decay:
                 tensor.data *= 1.0 - lr * plan.weight_decay
-            tensor.data -= lr * (m_hat / (np.sqrt(v_hat) + plan.adam_eps))
+            denom = np.sqrt(v_hat, out=b)
+            denom += plan.adam_eps
+            tensor.data -= np.multiply(lr, np.divide(m_hat, denom, out=a), out=a)
 
 
 def train_round(

@@ -3,6 +3,8 @@ oracle, and small trained parent models reused across trend tests. Also
 prints the acceptance suite's per-criterion verdict lines in the terminal
 summary, where pytest's capture cannot hide them."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ from tinylm.initializers import InitScheme, initialize
 from tinylm.tensor import Tensor, softmax_cross_entropy
 from tinylm.tokenizer import encode, train_bpe
 from tinylm.trainer import TrainPlan, batch_loss, train_round
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run with the cyclic collector off, so only refcounting frees memory."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def make_planted_problem(seed, n_channels=5, n_heads=2, head_dim=4, n_batches=2,

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -797,6 +798,23 @@ def test_each_input_file_is_read_once(tmp_path, monkeypatch):
     assert reads == dict.fromkeys(names, 1)
     assert sorted(manifest.input_hashes) == ["cloze_file", "corpus", "parent_checkpoint",
                                              "plan", "vocab"]
+
+
+def test_a_run_frees_the_parent_before_training(tmp_path, monkeypatch):
+    cfg = validate(_from_input_files(tmp_path))
+    parent = weakref.ref(cfg.inputs["inheritance.parent_checkpoint"][1])
+    alive_in_training = []
+    real_train = pipeline.multi_round_train
+
+    def spy(*args, **kwargs):
+        alive_in_training.append(parent() is not None)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "multi_round_train", spy)
+    run(cfg, until="train")
+    assert alive_in_training == [False]
+    with pytest.raises(pipeline.PipelineError, match="validate the config again"):
+        run(cfg, until="params")
 
 
 def test_a_run_uses_and_hashes_the_bytes_validate_parsed(tmp_path):

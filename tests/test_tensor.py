@@ -1,4 +1,3 @@
-import gc
 import math
 import weakref
 import zlib
@@ -317,21 +316,6 @@ def test_tapes_are_thread_local():
         assert np.array_equal(grad, 2.0 * scale * w.data)
 
 
-# ------------------------------------------------------ release by refcount
-
-
-@pytest.fixture
-def no_cyclic_gc():
-    """Run with the cyclic collector off, so only refcounting frees memory."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 # ------------------------------------------------------------ causal_attention
 
 
@@ -589,6 +573,20 @@ def test_backward_frees_activations_without_cyclic_gc(no_cyclic_gc):
     del loss
     assert activation() is None
     assert set(grads) == {w1, w2}
+
+
+def test_swept_graph_is_freed_while_the_loss_is_held(no_cyclic_gc):
+    # the loss points at its producer node, so a swept node must let go of
+    # its inputs and closure, or the caller's loss keeps every activation
+    x, w1, w2 = _leaf_params()
+    with Tape() as tape:
+        loss, hidden = _two_layer_loss(x, w1, w2)
+    activation = weakref.ref(hidden.data)
+    del hidden
+    grads = tape.gradients(loss)
+    assert activation() is None
+    assert set(grads) == {w1, w2}
+    assert np.isfinite(loss.data)
 
 
 def test_len_counts_recorded_ops_after_backward():

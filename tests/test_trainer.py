@@ -150,6 +150,50 @@ def test_gradient_clipping_rescales_to_unit_norm():
     assert np.allclose(np.abs(store["p"].data), 1.0, atol=1e-9)
 
 
+def _plain_adamw_step(plan, params, m, v, t, grads, lr):
+    """Reference: the optimizer step with a fresh array for every
+    temporary, the clipped gradients and each missing gradient."""
+    if plan.grad_clip > 0:
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > plan.grad_clip:
+            grads = {k: g * (plan.grad_clip / norm) for k, g in grads.items()}
+    for name, tensor in params.tensors.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros(tensor.shape)
+        m[name] *= plan.beta1
+        m[name] += (1.0 - plan.beta1) * g
+        v[name] *= plan.beta2
+        v[name] += (1.0 - plan.beta2) * (g * g)
+        m_hat = m[name] / (1.0 - plan.beta1**t)
+        v_hat = v[name] / (1.0 - plan.beta2**t)
+        if plan.weight_decay:
+            tensor.data *= 1.0 - lr * plan.weight_decay
+        tensor.data -= lr * (m_hat / (np.sqrt(v_hat) + plan.adam_eps))
+
+
+@pytest.mark.parametrize("grad_clip", [1.0, 0.0], ids=["clipping", "no_clip"])
+def test_adamw_in_place_step_is_bit_identical_to_plain_numpy(grad_clip):
+    # the demo shape's parameters; "final_norm" gets no gradient
+    cfg = ModelConfig(vocab_size=400, width=112, depth=2, n_heads=7, kv_groups=7,
+                      ffn_hidden=310)
+    params = initialize(cfg, InitScheme("constant", 0.02, 0))
+    ref = ParamStore({k: t.copy() for k, t in params.tensors.items()})
+    plan = TrainPlan(grad_clip=grad_clip)
+    opt = AdamW(params, plan)
+    m = {k: np.zeros(t.shape) for k, t in ref.tensors.items()}
+    v = {k: np.zeros(t.shape) for k, t in ref.tensors.items()}
+    rng = np.random.default_rng(5)
+    for t in range(1, 11):
+        grads = {k: rng.normal(0.0, 0.05, size=p.shape)
+                 for k, p in params.tensors.items() if k != "final_norm"}
+        opt.step(grads, 1e-3)
+        _plain_adamw_step(plan, ref, m, v, t, grads, 1e-3)
+    for k, tensor in params.tensors.items():
+        assert np.array_equal(tensor.data, ref[k].data), k
+        assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
+
+
 # ------------------------------------------------------------------ cosine
 
 
