@@ -274,7 +274,13 @@ class PipelineConfig:
 def validate(config_file) -> PipelineConfig:
     """Parse and check a config file, writing every default into it; errors
     name the field. Each input file is read here and only here, and parsed
-    and hashed from the same bytes."""
+    and hashed from the same bytes.
+
+    Token ids in a cloze file are checked against the best-known vocabulary
+    size: tokenizer.compact.size, else tokenizer.load's size, else
+    tokenizer.train.target_size. An id under that bound but past the final
+    vocabulary (BPE stopped early, or coverage compaction shrank it) is found
+    only at the eval stage."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -292,6 +298,16 @@ def validate(config_file) -> PipelineConfig:
     if child and inh.get("gqa_groups") is not None and child.n_heads % inh["gqa_groups"]:
         raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
                           f"architecture.config.n_heads {child.n_heads}")
+    ev = raw["evaluation"]
+    if "cloze" in ev:
+        # the eval stage draws items from the hold-out batches laid end to end
+        c, train = ev["cloze"], raw["training"]
+        stream = ev["holdout_batches"] * train["batch_size"] * (train["seq_len"] + 1)
+        if stream < c["context_len"] + c["candidate_len"] + 1:
+            raise ConfigError(
+                f"evaluation.cloze.context_len {c['context_len']} + candidate_len "
+                f"{c['candidate_len']} + 1 exceeds the {stream}-token hold-out stream "
+                "(evaluation.holdout_batches x training.batch_size x (training.seq_len + 1))")
     inputs, hashes = {}, {}
     for name, (parse, _) in INPUTS.items():
         section, _, key = name.partition(".")
@@ -306,6 +322,11 @@ def validate(config_file) -> PipelineConfig:
     if "search" in arch:
         # feasibility and pick, against the best-known vocabulary size
         _search(arch["search"], vocab_size)
+    for i, item in enumerate(inputs.get("evaluation.cloze_file", ())):
+        top = max(max(ids) for ids in (item.context, *item.candidates))
+        if top >= vocab_size:
+            raise ConfigError(f"evaluation.cloze_file: item {i} holds token id {top}, "
+                              f"outside the vocabulary of at most {vocab_size}")
     if inh:
         parent = inputs["inheritance.parent_checkpoint"][0]
         _check_parent(parent, child, inputs.get("inheritance.plan"), inh)

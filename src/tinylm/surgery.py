@@ -190,6 +190,7 @@ def score_neurons(
                 grad_map = tape.gradients(loss)
                 for name, tensor in params.tensors.items():
                     per_param[name] = per_param[name] + np.abs(tensor.data * grad_map[tensor])
+                del grad_map  # free this batch's gradients before the next forward
         finally:
             params.set_requires_grad(False)
     elif criterion == "l1":
@@ -283,6 +284,7 @@ def learn_masks(
             raise RuntimeError(f"mask optimization diverged at step {step}")
         grad_map = tape.gradients(loss)
         opt.step({name: grad_map[lg] for name, lg in gates.tensors.items()}, lr)
+        del grad_map  # free this step's gradients before the next forward
     return MaskParams(
         head_logits=[lg.data.copy() for lg in head_logits],
         ffn_logits=[lg.data.copy() for lg in ffn_logits],

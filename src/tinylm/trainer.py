@@ -6,6 +6,10 @@ One "batch" is an int array [B, T+1]: positions [:, :-1] are inputs and
 training order, into ``parts`` near-equal parts; the ledger keeps each
 batch's loss at the moment it was trained, which later drives resampling
 and the forgetting scan.
+
+A step's gradients are freed before the next forward: no tape loop here or
+in ``surgery`` keeps a gradient map past the step that uses it, so training
+holds at most one step's gradients at a time.
 """
 
 from __future__ import annotations
@@ -213,16 +217,13 @@ def train_round(
             if not math.isfinite(loss_val):
                 raise NonFiniteLossError(f"non-finite loss at batch {i}")
             grad_map = tape.gradients(loss)
-            grads = {
-                name: grad_map[tensor]
-                for name, tensor in params.tensors.items()
-                if tensor in grad_map
-            }
             lr = float(lr_schedule[i])
             ledger.entries.append(LedgerEntry(batch_indices[i], int(parts[i]), loss_val))
             if curve is not None:
                 curve.append((len(curve), lr, loss_val))
-            opt.step(grads, lr)
+            opt.step({name: grad_map[tensor] for name, tensor in params.tensors.items()
+                      if tensor in grad_map}, lr)
+            del grad_map  # free this step's gradients before the next forward
     finally:
         params.set_requires_grad(False)
     return params, ledger

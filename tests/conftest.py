@@ -4,6 +4,8 @@ prints the acceptance suite's per-criterion verdict lines in the terminal
 summary, where pytest's capture cannot hide them."""
 
 import gc
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ def no_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextmanager
+def traced_memory():
+    """Trace Python allocations inside the block. Yields a reader of the
+    (current, peak) bytes traced so far; tracing stops when the block ends."""
+    tracemalloc.start()
+    try:
+        yield tracemalloc.get_traced_memory
+    finally:
+        tracemalloc.stop()
 
 
 def make_planted_problem(seed, n_channels=5, n_heads=2, head_dim=4, n_batches=2,

@@ -393,6 +393,45 @@ def test_validate_parses_cloze_file(tmp_path, capsys, text):
     assert "evaluation.cloze_file" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_cloze_shape_the_holdout_stream_cannot_fit(tmp_path, capsys):
+    # used to pass validate and fail after training (exit 2). The hold-out
+    # stream is 2 batches x 4 x (16 + 1) = 136 ids; an item needs
+    # context_len + candidate_len + 1 of them
+    cloze = {"n_items": 2, "context_len": 132, "candidate_len": 3}
+    fits = write_config(tmp_path, "fits.json",
+                        evaluation={"holdout_batches": 2, "cloze": cloze})
+    assert main(["run", str(fits)]) == 0
+    path = write_config(tmp_path, evaluation={"holdout_batches": 2,
+                                              "cloze": {**cloze, "context_len": 133}})
+    with pytest.raises(ConfigError, match="evaluation.cloze.context_len"):
+        validate(path)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert "evaluation.cloze.context_len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokenizer, bound", [
+    ({"train": {"target_size": 300}}, 300),
+    ({"train": {"target_size": 300}, "compact": {"size": 280}}, 280),
+], ids=["target_size", "compact_size"])
+def test_validate_rejects_cloze_file_ids_past_the_vocabulary(tmp_path, capsys, tokenizer,
+                                                             bound):
+    # used to pass validate and fail after training (exit 2)
+    def config_with_id(token):
+        item = {"context": [1, 2], "candidates": [[3], [token]], "gold": 0}
+        (tmp_path / f"cloze{token}.jsonl").write_text(json.dumps(item) + "\n")
+        return write_config(tmp_path, f"config{token}.json", tokenizer=tokenizer,
+                            evaluation={"holdout_batches": 2,
+                                        "cloze_file": f"cloze{token}.jsonl"})
+
+    validate(config_with_id(bound - 1))
+    path = config_with_id(bound)
+    with pytest.raises(ConfigError, match="evaluation.cloze_file"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "evaluation.cloze_file" in capsys.readouterr().err
+
+
 def test_validate_rejects_a_truncated_parent_checkpoint(tmp_path, capsys):
     # used to pass validate, which read only the header, and fail at params with exit 2
     path = _inheriting(tmp_path, generate={})

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinylm import arch
+from tinylm import arch, surgery
 from tinylm.arch import (
     ModelConfig,
     ParamStore,
@@ -36,7 +35,7 @@ from tinylm.surgery import (
 )
 from tinylm.tensor import (Tape, Tensor, matmul, mul, rms_normalize, sigmoid,
                            softmax_cross_entropy)
-from conftest import deletion_oracle, make_planted_problem
+from conftest import deletion_oracle, make_planted_problem, traced_memory
 
 
 def mha_config(**overrides):
@@ -158,6 +157,30 @@ def test_hand_norms_l1_l2():
     l2 = score_neurons(cfg, params, [], "l2")
     assert l1.ffn_scores[0][2] == pytest.approx(7.0)
     assert l2.ffn_scores[0][2] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("criterion", ["taylor", "learned"])
+def test_each_batch_gradients_are_freed_before_the_next_forward(monkeypatch, no_cyclic_gc,
+                                                               criterion):
+    cfg = mha_config(depth=2)
+    params = initialize(cfg, InitScheme("constant", 0.1, seed=5))
+    returned = []  # per backward sweep, weakrefs to the gradients it returned
+    gradients = Tape.gradients
+
+    def spy_gradients(self, loss):
+        grads = gradients(self, loss)
+        returned.append([weakref.ref(g) for g in grads.values()])
+        return grads
+
+    def spy_loss(*args, **kwargs):
+        for i, refs in enumerate(returned):
+            assert all(r() is None for r in refs), f"batch {i}'s gradients outlive it"
+        return lm_loss(*args, **kwargs)
+
+    monkeypatch.setattr(Tape, "gradients", spy_gradients)
+    monkeypatch.setattr(surgery, "lm_loss", spy_loss)
+    score_neurons(cfg, params, rand_batches(cfg, n=3), criterion, mask_steps=3)
+    assert len(returned) == 3 and all(returned)
 
 
 def test_taylor_requires_data():
@@ -416,13 +439,10 @@ GATED_FORWARD_HELD_BYTES = 12 * 2**20
 def test_gated_forward_holds_only_what_backward_reads(no_cyclic_gc):
     cfg, params, batch, logits = _gated_parent()
     params.set_requires_grad(False)
-    tracemalloc.start()
-    try:
+    with traced_memory() as traced:
         with Tape() as tape:
             loss = _gated_loss(cfg, params, batch, logits)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+        held = traced()[0]
     assert held < GATED_FORWARD_HELD_BYTES, held
     assert set(tape.gradients(loss)) == set(logits)
 

@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from tinylm.tokenizer import (
     train_bpe,
     vocab_id_map,
 )
+from conftest import traced_memory
 
 
 def _vocab_with_merges(pairs):
@@ -363,25 +363,22 @@ def test_recode_rejects_ids_outside_the_vocabulary():
         recode(np.array([97, 258], dtype=np.int32), vocab, compact)
 
 
-def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_train_bpe_and_encode_stay_within_memory_budgets():
     # measured on seeds 1, 2, 3, 7, 31 and 901: train_bpe peaks at 7.43-7.80 MB,
     # encode at 5.53-5.87 MB; the scan these replaced peaked at 8.80 and 5.27 MB.
     # recode to a 0.5-coverage compaction peaks at 3.42-4.27 MB on those seeds
     # (6.44-6.48 MB when everything is dropped and it splits the stream to bytes)
     corpus = zipf_corpus(400_000, seed=2, n_words=2000)
-    vocab, train_peak = _traced_peak(train_bpe, corpus, 768)
-    ids, encode_peak = _traced_peak(encode, corpus, vocab)
+    with traced_memory() as traced:
+        vocab = train_bpe(corpus, 768)
+        train_peak = traced()[1]
+    with traced_memory() as traced:
+        ids = encode(corpus, vocab)
+        encode_peak = traced()[1]
     compact = compact_vocab(vocab, frequencies(ids, vocab.size), coverage=0.5)
-    _, recode_peak = _traced_peak(recode, ids, vocab, compact)
+    with traced_memory() as traced:
+        recode(ids, vocab, compact)
+        recode_peak = traced()[1]
     assert train_peak < 8_300_000
     assert encode_peak < 6_300_000
     assert recode_peak < 4_700_000
