@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 import struct
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -425,6 +424,12 @@ def lm_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray, **forwar
     return softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
 
 
+def batch_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray, **forward_kwargs) -> float:
+    """``lm_loss`` of one batch as a float, for use outside a Tape: the loss
+    helper of perplexity, the layer-skip scan and the forgetting scan."""
+    return float(lm_loss(config, params, batch, **forward_kwargs).data)
+
+
 # ---------------------------------------------------------------------------
 # inference: greedy decoding
 # ---------------------------------------------------------------------------
@@ -458,26 +463,6 @@ def generate(
         out.append(cur[:, None])
     full = np.concatenate(out, axis=1)
     return full[0] if squeeze else full
-
-
-def speed_bench(
-    config: ModelConfig,
-    params: ParamStore,
-    prefix_len: int = 2,
-    new_tokens: int = 510,
-    batch: int = 20,
-    repeats: int = 1,
-) -> float:
-    """Greedy-decoding throughput in generated tokens per second. Only
-    meaningful for comparisons between configs on the same machine."""
-    rng = np.random.default_rng(0)
-    prefix = rng.integers(0, config.vocab_size, size=(batch, prefix_len))
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        generate(config, params, prefix, new_tokens)
-        best = min(best, time.perf_counter() - t0)
-    return batch * new_tokens / best
 
 
 # ---------------------------------------------------------------------------

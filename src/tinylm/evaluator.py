@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, forward, lm_loss
+from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, batch_loss, forward
 from .fileio import csv_text, write_atomic
 
 # cloze items per prefix-shared scoring chunk; bounds the chunk's KV cache
@@ -75,24 +75,13 @@ def perplexity(
     total_tokens = 0
     rows = []
     for i, batch in enumerate(batches):
-        loss = float(lm_loss(config, params, batch).data)
+        loss = batch_loss(config, params, batch)
         b, t = batch[:, 1:].shape
         total_loss += loss * b * t
         total_tokens += b * t
         rows.append({"index": i, "loss": loss})
     mean = total_loss / total_tokens
     return EvalReport("perplexity", float(np.exp(mean)), len(batches), rows)
-
-
-def candidate_logliks(
-    config: ModelConfig,
-    params: ParamStore,
-    context: list[int],
-    candidates: list[list[int]],
-) -> list[float]:
-    """Mean per-token log-likelihood of each candidate after ``context``:
-    the one-item case of ``score_items``."""
-    return score_items(config, params, [(context, candidates)])[0]
 
 
 def score_items(

@@ -276,11 +276,12 @@ def validate(config_file) -> PipelineConfig:
     name the field. Each input file is read here and only here, and parsed
     and hashed from the same bytes.
 
-    Token ids in a cloze file are checked against the best-known vocabulary
-    size: tokenizer.compact.size, else tokenizer.load's size, else
-    tokenizer.train.target_size. An id under that bound but past the final
-    vocabulary (BPE stopped early, or coverage compaction shrank it) is found
-    only at the eval stage."""
+    Token ids in a cloze file and architecture.config.vocab_size are checked
+    against the best-known vocabulary size: tokenizer.compact.size, else
+    tokenizer.load's size, else tokenizer.train.target_size. A value under
+    that bound can still miss the final vocabulary (BPE stopped early, or
+    coverage compaction shrank it); that is found only at run time, by the
+    arch stage for vocab_size and by the eval stage for cloze ids."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -319,6 +320,9 @@ def validate(config_file) -> PipelineConfig:
         vocab_size = tok["train"]["target_size"]
     if "size" in tok.get("compact", {}):
         vocab_size = tok["compact"]["size"]
+    if arch.get("config", {}).get("vocab_size", 0) > vocab_size:
+        raise ConfigError(f"architecture.config.vocab_size {arch['config']['vocab_size']} "
+                          f"exceeds the vocabulary of at most {vocab_size}")
     if "search" in arch:
         # feasibility and pick, against the best-known vocabulary size
         _search(arch["search"], vocab_size)
@@ -649,18 +653,9 @@ def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> R
     if dry_run:
         runner.write_manifest()
         return runner.manifest
-    stage_fns = {
-        "corpus": runner.stage_corpus,
-        "tokenizer": runner.stage_tokenizer,
-        "arch": runner.stage_arch,
-        "params": runner.stage_params,
-        "scan": runner.stage_scan,
-        "train": runner.stage_train,
-        "eval": runner.stage_eval,
-    }
     try:
         for stage in runner.manifest.stages_planned:
-            stage_fns[stage]()
+            getattr(runner, f"stage_{stage}")()
             runner.manifest.stages_completed.append(stage)
     except Exception as err:
         runner.manifest.failure = f"{stage}: {err}"

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, lm_loss
+from .arch import ModelConfig, ParamStore, batch_loss, lm_loss
 from .fileio import csv_text
 from .tensor import Tape, Tensor, sigmoid
 from .trainer import AdamW, TrainPlan
@@ -60,7 +60,7 @@ def layer_skip_eval(
         raise ValueError("layer_skip_eval needs a nonempty eval set")
 
     def metric(skip: frozenset[int]) -> float:
-        losses = [float(lm_loss(config, params, b, skip_layers=skip).data) for b in eval_batches]
+        losses = [batch_loss(config, params, b, skip_layers=skip) for b in eval_batches]
         return -float(np.mean(losses))
 
     baseline = metric(frozenset())
@@ -98,6 +98,12 @@ def select_layers(
 # ---------------------------------------------------------------------------
 
 
+def _top(scores: np.ndarray, k: int) -> list[int]:
+    """Indices of the ``k`` highest scores, ascending; ties keep the lower
+    index."""
+    return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:k])
+
+
 @dataclass
 class NeuronScores:
     criterion: str
@@ -107,9 +113,7 @@ class NeuronScores:
     def top_units(self, layer: int, n_heads: int, n_channels: int) -> tuple[list[int], list[int]]:
         """Indices of the best units in one layer, ascending; ties keep the
         lower index."""
-        heads = np.argsort(-self.head_scores[layer], kind="stable")[:n_heads]
-        chans = np.argsort(-self.ffn_scores[layer], kind="stable")[:n_channels]
-        return sorted(int(i) for i in heads), sorted(int(i) for i in chans)
+        return _top(self.head_scores[layer], n_heads), _top(self.ffn_scores[layer], n_channels)
 
     def to_csv(self) -> str:
         return csv_text(("layer", "unit_kind", "unit", "score"), (
@@ -220,14 +224,8 @@ class MaskParams:
     def harden(self) -> tuple[list[list[int]], list[list[int]]]:
         """Exactly the target count of units per layer, by logit, ties to the
         lower index. Returns (head indices, channel indices) per layer."""
-        heads, chans = [], []
-        for lg in self.head_logits:
-            order = np.argsort(-lg, kind="stable")[: self.head_target]
-            heads.append(sorted(int(i) for i in order))
-        for lg in self.ffn_logits:
-            order = np.argsort(-lg, kind="stable")[: self.ffn_target]
-            chans.append(sorted(int(i) for i in order))
-        return heads, chans
+        return ([_top(lg, self.head_target) for lg in self.head_logits],
+                [_top(lg, self.ffn_target) for lg in self.ffn_logits])
 
 
 def learn_masks(
@@ -506,9 +504,7 @@ def make_plan(
     if child_config.width == parent_config.width:
         channel_plan = list(range(parent_config.width))
     else:
-        rank = channel_importance(parent_config, parent_params)
-        order = np.argsort(-rank, kind="stable")[: child_config.width]
-        channel_plan = sorted(int(i) for i in order)
+        channel_plan = _top(channel_importance(parent_config, parent_params), child_config.width)
     return InheritancePlan(
         kept_layers=kept_layers,
         head_indices=head_indices,

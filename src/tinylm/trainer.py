@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, lm_loss
+from .arch import ModelConfig, ParamStore, batch_loss, lm_loss
 from .fileio import csv_text
 from .tensor import Tape
 
@@ -118,11 +118,6 @@ def part_assignment(n_batches: int, parts: int) -> np.ndarray:
     sizes = [len(chunk) for chunk in np.array_split(np.arange(n_batches), parts)]
     out = np.concatenate([np.full(s, p, dtype=np.intp) for p, s in enumerate(sizes)])
     return out
-
-
-def batch_loss(config: ModelConfig, params: ParamStore, batch: np.ndarray) -> float:
-    """Mean next-token cross entropy of one batch, no gradients."""
-    return float(lm_loss(config, params, batch).data)
 
 
 class AdamW:

@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tinylm.arch import (
     ModelConfig,
     ParamStore,
     attention_block,
+    batch_loss,
     forward,
     generate,
     lm_loss,
@@ -20,10 +22,12 @@ from tinylm.arch import (
     param_shapes,
     save_checkpoint,
     search_configs,
-    speed_bench,
 )
+from tinylm.evaluator import perplexity
 from tinylm.initializers import InitScheme, initialize
+from tinylm.surgery import layer_skip_eval
 from tinylm.tensor import Tape, Tensor, softmax_cross_entropy
+from tinylm.trainer import BatchLossLedger, LedgerEntry, forgetting_scan
 
 
 def small_config(**overrides):
@@ -208,6 +212,36 @@ def test_lm_loss_is_the_inline_cross_entropy(gated, skip):
     b, t, v = logits.shape
     inline = softmax_cross_entropy(logits.reshape((b * t, v)), batch[:, 1:].reshape(-1))
     assert lm_loss(cfg, params, batch, **kwargs).data.tobytes() == inline.data.tobytes()
+
+
+def test_batch_loss_is_the_no_tape_loss_of_every_scan():
+    cfg = small_config()
+    params = init_params(cfg, sigma=0.2)
+    rng = np.random.default_rng(7)
+    batches = [rng.integers(0, cfg.vocab_size, size=(2, 6)) for _ in range(3)]
+    assert (batch_loss(cfg, params, batches[0], skip_layers={0})
+            == float(lm_loss(cfg, params, batches[0], skip_layers={0}).data))
+
+    losses = [batch_loss(cfg, params, b) for b in batches]
+    weighted = 0.0
+    for loss, b in zip(losses, batches):
+        weighted += loss * b.shape[0] * (b.shape[1] - 1)
+    report = perplexity(cfg, params, batches)
+    assert report.value == float(np.exp(weighted / sum(b[:, 1:].size for b in batches)))
+    assert [row["loss"] for row in report.rows] == losses
+
+    ledger = BatchLossLedger([LedgerEntry(0, 0, 0.0), LedgerEntry(1, 0, 0.0),
+                              LedgerEntry(2, 1, 0.0)], parts=2)
+    assert forgetting_scan(cfg, params, batches, ledger) == [float(np.mean(losses[:2])),
+                                                             float(np.mean(losses[2:]))]
+
+    def metric(skip):
+        return -float(np.mean([batch_loss(cfg, params, b, skip_layers=skip) for b in batches]))
+
+    imp = layer_skip_eval(cfg, params, batches, windows=(1, 2))
+    assert imp.baseline == metric(frozenset())
+    assert imp.scores == {(w, s): metric(frozenset(range(s, s + w)))
+                          for w in (1, 2) for s in range(cfg.depth - w + 1)}
 
 
 def test_bad_skip_index():
@@ -408,11 +442,17 @@ def test_deeper_config_slower_at_equal_size():
                        ffn_hidden=32)
     shallow = ModelConfig(vocab_size=300, width=44, depth=1, n_heads=2, kv_groups=2,
                           ffn_hidden=80)
-    deep_speed = speed_bench(deep, init_params(deep), prefix_len=2, new_tokens=30,
-                             batch=4, repeats=3)
-    shallow_speed = speed_bench(shallow, init_params(shallow), prefix_len=2,
-                                new_tokens=30, batch=4, repeats=3)
-    assert shallow_speed > deep_speed
+    prefix = np.random.default_rng(0).integers(0, 300, size=(4, 2))
+
+    def best_decode_s(cfg):
+        params, times = init_params(cfg), []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            generate(cfg, params, prefix, 30)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_decode_s(shallow) < best_decode_s(deep)
 
 
 # -------------------------------------------------------------- store / io

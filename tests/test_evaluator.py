@@ -7,7 +7,6 @@ from tinylm.data import make_cloze_items
 from tinylm.evaluator import (
     CLOZE_CHUNK,
     ClozeItem,
-    candidate_logliks,
     cloze_accuracy,
     load_cloze_items,
     parse_cloze_items,
@@ -122,7 +121,7 @@ def test_cloze_single_item_hand_scores():
         z = logits - logits.max(axis=-1, keepdims=True)
         lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         hand.append(np.mean([lp[1, cand[0]], lp[2, cand[1]]]))
-    lib = candidate_logliks(cfg, params, item.context, item.candidates)
+    lib = score_items(cfg, params, [(item.context, item.candidates)])[0]
     assert np.allclose(lib, hand, rtol=1e-12)
     report = cloze_accuracy(cfg, params, [item])
     assert report.rows[0]["choice"] == int(np.argmax(hand))
@@ -135,7 +134,7 @@ def test_batched_candidate_logliks_match_per_candidate_forwards():
     params = initialize(cfg, InitScheme("constant", 0.3, seed=10))
     context = [4, 1, 8]
     candidates = [[9], [0, 5, 3, 2], [7, 7], [255, 1, 6]]
-    batched = candidate_logliks(cfg, params, context, candidates)
+    batched = score_items(cfg, params, [(context, candidates)])[0]
     single = []
     for cand in candidates:
         seq = np.array([context + cand])
@@ -240,9 +239,9 @@ def test_kv_cache_repeat_copies_rows_in_order():
 def test_candidate_logliks_reject_empty_inputs():
     cfg, params = passthrough_model()
     with pytest.raises(ValueError):
-        candidate_logliks(cfg, params, [], [[1], [2]])
+        score_items(cfg, params, [([], [[1], [2]])])
     with pytest.raises(ValueError):
-        candidate_logliks(cfg, params, [1], [[1], []])
+        score_items(cfg, params, [([1], [[1], []])])
 
 
 def test_cloze_choice_affine_invariant():
@@ -250,7 +249,7 @@ def test_cloze_choice_affine_invariant():
                       ffn_hidden=12)
     params = initialize(cfg, InitScheme("constant", 0.3, seed=9))
     item = ClozeItem(context=[4, 1], candidates=[[9, 2], [0, 5], [7, 7]], gold=0)
-    scores = np.array(candidate_logliks(cfg, params, item.context, item.candidates))
+    scores = np.array(score_items(cfg, params, [(item.context, item.candidates)])[0])
     for a, b in ((1.0, 0.0), (3.5, 2.0), (0.25, -7.0)):
         assert np.argmax(a * scores + b) == np.argmax(scores)
 
@@ -310,7 +309,7 @@ def test_candidate_scoring_rejects_ids_outside_vocab():
     for context, candidates in (([1, 2], [[-1], [259]]), ([1, 2], [[5], [260]]),
                                 ([1, 260], [[5], [6]])):
         with pytest.raises(ValueError, match="cloze item 0"):
-            candidate_logliks(cfg, params, context, candidates)
+            score_items(cfg, params, [(context, candidates)])
     items = [ClozeItem([1], [[2], [3]], gold=0), ClozeItem([1], [[2], [300]], gold=0)]
     with pytest.raises(ValueError, match="cloze item 1"):
         cloze_accuracy(cfg, params, items)

@@ -1,6 +1,7 @@
 import builtins
 import copy
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tinylm
 from tinylm.arch import ModelConfig, save_checkpoint
 from tinylm import pipeline
 from tinylm.cli import main
@@ -432,6 +434,27 @@ def test_validate_rejects_cloze_file_ids_past_the_vocabulary(tmp_path, capsys, t
     assert "evaluation.cloze_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokenizer, bound", [
+    ({"train": {"target_size": 300}}, 300),
+    ({"train": {"target_size": 300}, "compact": {"size": 280}}, 280),
+], ids=["target_size", "compact_size"])
+def test_validate_rejects_a_model_vocab_size_past_the_vocabulary(tmp_path, capsys, tokenizer,
+                                                                 bound):
+    # used to pass validate and fail at the arch stage (exit 2)
+    def config_with_size(size):
+        arch = {"config": {"width": 16, "depth": 2, "n_heads": 2, "ffn_hidden": 24,
+                           "vocab_size": size}}
+        return write_config(tmp_path, f"config{size}.json", tokenizer=tokenizer,
+                            architecture=arch)
+
+    validate(config_with_size(bound))
+    path = config_with_size(bound + 1)
+    with pytest.raises(ConfigError, match="architecture.config.vocab_size"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "architecture.config.vocab_size" in capsys.readouterr().err
+
+
 def test_validate_rejects_a_truncated_parent_checkpoint(tmp_path, capsys):
     # used to pass validate, which read only the header, and fail at params with exit 2
     path = _inheriting(tmp_path, generate={})
@@ -655,6 +678,12 @@ def test_run_dry_run_plans_without_computing(tmp_path):
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 
+def test_every_stage_has_one_run_method():
+    # run dispatches on the method name, and perfbench's tracer wraps each by name
+    methods = {name[len("stage_"):] for name in vars(pipeline._Run) if name.startswith("stage_")}
+    assert methods == set(pipeline.STAGES)
+
+
 def test_run_stage_targeted_tokenize(tmp_path):
     cfg = validate(write_config(tmp_path))
     manifest = run(cfg, until="tokenizer")
@@ -703,10 +732,10 @@ def test_compacting_run_encodes_once_and_matches_a_re_encode(tmp_path, monkeypat
 
 
 def test_run_records_failure_in_manifest(tmp_path):
-    # architecture config contradicts the tokenizer vocabulary
+    # architecture config contradicts the tokenizer vocabulary, under the bound validate checks
     path = write_config(
         tmp_path,
-        architecture={"config": {"vocab_size": 999, "width": 16, "depth": 2,
+        architecture={"config": {"vocab_size": 299, "width": 16, "depth": 2,
                                  "n_heads": 2, "ffn_hidden": 24}},
     )
     cfg = validate(path)
@@ -909,6 +938,13 @@ def test_report_flags_missing_artifact(tmp_path):
 # ---------------------------------------------------------------------- cli
 
 
+def test_package_all_lists_every_public_import():
+    assert all(hasattr(tinylm, name) for name in tinylm.__all__)
+    public = {name for name, obj in vars(tinylm).items() if not name.startswith("_")
+              and (inspect.isclass(obj) or inspect.isfunction(obj))}
+    assert public <= set(tinylm.__all__)
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     assert main(["validate", str(write_config(tmp_path))]) == 0
     assert '"seed": 7' in capsys.readouterr().out
@@ -929,7 +965,7 @@ def test_cli_zero_seq_len_is_config_error_exit_1(tmp_path, capsys):
 def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     path = write_config(
         tmp_path,
-        architecture={"config": {"vocab_size": 999, "width": 16, "depth": 2,
+        architecture={"config": {"vocab_size": 299, "width": 16, "depth": 2,
                                  "n_heads": 2, "ffn_hidden": 24}},
     )
     assert main(["run", str(path)]) == 2
