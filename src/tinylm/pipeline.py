@@ -543,9 +543,7 @@ class _Run:
                 plan = self.input("inheritance.plan")
             else:
                 gen = inh["generate"]
-                if self.pre_compact_vocab is not None and (
-                    self.pre_compact_vocab.size == parent_config.vocab_size
-                ):
+                if self.pre_compact_vocab.size == parent_config.vocab_size:
                     vocab_map = vocab_id_map(self.vocab, self.pre_compact_vocab)
                 elif self.vocab.size == parent_config.vocab_size:
                     vocab_map = list(range(parent_config.vocab_size))

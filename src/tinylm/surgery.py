@@ -87,9 +87,8 @@ def select_layers(
         raise PlanError(f"keep_ends {keep_ends} exceed child depth {child_depth}")
     kept = set(range(f)) | set(range(depth - b, depth))
     middle = [i for i in range(depth) if i not in kept]
-    ranked = sorted(middle, key=lambda i: (-importance.importance(1, i), i))
-    for i in ranked[: child_depth - len(kept)]:
-        kept.add(i)
+    gains = np.array([importance.importance(1, i) for i in middle])
+    kept.update(middle[j] for j in _top(gains, child_depth - len(kept)))
     return sorted(kept)
 
 
@@ -106,6 +105,9 @@ def _top(scores: np.ndarray, k: int) -> list[int]:
 
 @dataclass
 class NeuronScores:
+    """One score per head and FFN channel; only their order matters to
+    ``top_units`` (learned: the raw gate logits or their sigmoid openness)."""
+
     criterion: str
     head_scores: list[np.ndarray]  # per layer, [n_heads]
     ffn_scores: list[np.ndarray]  # per layer, [ffn_hidden]
@@ -153,7 +155,6 @@ def score_neurons(
     data_batches: list[np.ndarray],
     criterion: str,
     mask_steps: int = 120,
-    mask_seed: int = 0,
 ) -> NeuronScores:
     """Importance of every head and FFN channel under one criterion.
 
@@ -168,18 +169,17 @@ def score_neurons(
 
     if criterion == "learned":
         # train gates toward a generic half-size target and report the final
-        # gate openness (monotone in the logits used for hardening)
-        masks = learn_masks(
+        # gate openness (monotone in the logits, so top_units ranks the same)
+        logits = learn_masks(
             config,
             params,
             data_batches,
             child_heads=max(1, config.n_heads // 2),
             child_channels=max(1, config.ffn_hidden // 2),
             steps=mask_steps,
-            seed=mask_seed,
         )
-        head_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.head_logits]
-        ffn_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in masks.ffn_logits]
+        head_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in logits.head_scores]
+        ffn_scores = [1.0 / (1.0 + np.exp(-lg)) for lg in logits.ffn_scores]
         return NeuronScores("learned", head_scores, ffn_scores)
 
     if criterion == "taylor":
@@ -213,19 +213,9 @@ def score_neurons(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaskParams:
-    head_logits: list[np.ndarray]
-    ffn_logits: list[np.ndarray]
-    head_target: int
-    ffn_target: int
-    final_temperature: float
-
-    def harden(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Exactly the target count of units per layer, by logit, ties to the
-        lower index. Returns (head indices, channel indices) per layer."""
-        return ([_top(lg, self.head_target) for lg in self.head_logits],
-                [_top(lg, self.ffn_target) for lg in self.ffn_logits])
+MASK_LR = 0.1
+MASK_TEMPERATURE = (2.0, 0.5)  # gate temperature at the first and the last step
+MASK_PENALTY = 1.0  # weight of each layer's squared count gap
 
 
 def learn_masks(
@@ -235,18 +225,16 @@ def learn_masks(
     child_heads: int,
     child_channels: int,
     steps: int = 100,
-    lr: float = 0.1,
-    temperature: tuple[float, float] = (2.0, 0.5),
-    penalty: float = 1.0,
     seed: int = 0,
-) -> MaskParams:
-    """Optimize one relaxed binary gate per head / FFN channel.
+) -> NeuronScores:
+    """Optimize one relaxed binary gate per head / FFN channel and return
+    the final gate logits as ``NeuronScores("learned", ...)``.
 
-    Gates are sigmoid(logit / tau) with tau decaying linearly; the objective
-    is the task loss plus ``penalty`` times the squared gap between each
-    layer's expected retained count and its target. Model weights stay
-    frozen; only the gate logits move (AdamW with beta2 0.999, no weight
-    decay and no clipping)."""
+    Gates are sigmoid(logit / tau) with tau decaying linearly over
+    MASK_TEMPERATURE; the objective is the task loss plus MASK_PENALTY times
+    the squared gap between each layer's expected retained count and its
+    target. Model weights stay frozen; only the gate logits move (AdamW at
+    MASK_LR with beta2 0.999, no weight decay and no clipping)."""
     if not data_batches:
         raise ValueError("learn_masks needs data batches")
     if child_heads > config.n_heads or child_channels > config.ffn_hidden:
@@ -265,8 +253,8 @@ def learn_masks(
         for _ in range(config.depth)
     ]
     gates = ParamStore({str(i): lg for i, lg in enumerate(head_logits + ffn_logits)})
-    opt = AdamW(gates, TrainPlan(lr=lr, beta2=0.999, weight_decay=0.0, grad_clip=0.0))
-    tau0, tau1 = temperature
+    opt = AdamW(gates, TrainPlan(lr=MASK_LR, beta2=0.999, weight_decay=0.0, grad_clip=0.0))
+    tau0, tau1 = MASK_TEMPERATURE
     for step in range(steps):
         tau = tau0 + (tau1 - tau0) * (step / max(1, steps - 1))
         batch = data_batches[step % len(data_batches)]
@@ -275,20 +263,18 @@ def learn_masks(
             ffn_gates = [sigmoid(lg * (1.0 / tau)) for lg in ffn_logits]
             loss = lm_loss(config, params, batch, head_gates=head_gates, ffn_gates=ffn_gates)
             for g in head_gates:
-                loss = loss + penalty * (g.sum() - float(child_heads)) ** 2
+                loss = loss + MASK_PENALTY * (g.sum() - float(child_heads)) ** 2
             for g in ffn_gates:
-                loss = loss + penalty * (g.sum() - float(child_channels)) ** 2
+                loss = loss + MASK_PENALTY * (g.sum() - float(child_channels)) ** 2
         if not np.isfinite(loss.data):
             raise RuntimeError(f"mask optimization diverged at step {step}")
         grad_map = tape.gradients(loss)
-        opt.step({name: grad_map[lg] for name, lg in gates.tensors.items()}, lr)
+        opt.step({name: grad_map[lg] for name, lg in gates.tensors.items()}, MASK_LR)
         del grad_map  # free this step's gradients before the next forward
-    return MaskParams(
-        head_logits=[lg.data.copy() for lg in head_logits],
-        ffn_logits=[lg.data.copy() for lg in ffn_logits],
-        head_target=child_heads,
-        ffn_target=child_channels,
-        final_temperature=tau1,
+    return NeuronScores(
+        "learned",
+        [lg.data.copy() for lg in head_logits],
+        [lg.data.copy() for lg in ffn_logits],
     )
 
 
@@ -482,7 +468,7 @@ def make_plan(
     importance = layer_skip_eval(parent_config, parent_params, data_batches, windows=(1,))
     kept_layers = select_layers(importance, child_config.depth, keep_ends)
     if criterion == "learned":
-        masks = learn_masks(
+        scores = learn_masks(
             parent_config,
             parent_params,
             data_batches,
@@ -491,16 +477,12 @@ def make_plan(
             steps=mask_steps,
             seed=seed,
         )
-        all_heads, all_chans = masks.harden()
-        head_indices = [all_heads[i] for i in kept_layers]
-        ffn_indices = [all_chans[i] for i in kept_layers]
     else:
         scores = score_neurons(parent_config, parent_params, data_batches, criterion)
-        head_indices, ffn_indices = [], []
-        for i in kept_layers:
-            heads, chans = scores.top_units(i, child_config.n_heads, child_config.ffn_hidden)
-            head_indices.append(heads)
-            ffn_indices.append(chans)
+    units = [scores.top_units(i, child_config.n_heads, child_config.ffn_hidden)
+             for i in kept_layers]
+    head_indices = [heads for heads, _ in units]
+    ffn_indices = [chans for _, chans in units]
     if child_config.width == parent_config.width:
         channel_plan = list(range(parent_config.width))
     else:

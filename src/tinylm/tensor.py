@@ -72,7 +72,7 @@ class ShapeError(ValueError):
 
 
 class TapeConsumedError(RuntimeError):
-    """backward() was called on a tape that already ran its backward pass."""
+    """Tape.gradients was called on a tape that already ran its backward pass."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -227,14 +227,6 @@ class Tape:
                 else:
                     grads[key] = existing + g_in
         return grads
-
-
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Gradient map of a scalar loss produced under an active tape."""
-    tape = loss._tape
-    if tape is None:
-        raise RuntimeError("loss was not produced under an active tape")
-    return tape.gradients(loss)
 
 
 def _as_tensor(x) -> Tensor:
@@ -517,20 +509,22 @@ def matmul(a, b) -> Tensor:
     return _emit(out, (a, b), bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _emit(out, (a,), bw)
 
 
 MASK_VALUE = -1e30  # additive causal mask; exp() underflows to exactly 0
+RMS_EPS = 1e-6  # rms_normalize and rms_norm add it to the mean square
 
 
 def causal_attention(q, k, v, length: int | None = None) -> Tensor:
@@ -641,11 +635,11 @@ def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return _emit(rotate(x.data, signed_sin), (x,), lambda g: (rotate(g, -signed_sin),))
 
 
-def rms_normalize(a, eps: float = 1e-6) -> Tensor:
+def rms_normalize(a) -> Tensor:
     """Scale rows (last axis) to unit RMS; multiply by a learned scale outside."""
     a = _as_tensor(a)
     n = a.shape[-1]
-    ms = (a.data * a.data).mean(axis=-1, keepdims=True) + eps
+    ms = (a.data * a.data).mean(axis=-1, keepdims=True) + RMS_EPS
     s = ms**-0.5
     out = a.data * s
 
@@ -656,7 +650,7 @@ def rms_normalize(a, eps: float = 1e-6) -> Tensor:
     return _emit(out, (a,), bw)
 
 
-def rms_norm(x, scale, eps: float = 1e-6) -> Tensor:
+def rms_norm(x, scale) -> Tensor:
     """rms_normalize(x) * scale as one tape node; scale is [d] for x [..., d].
 
     Forward and backward evaluate the same expressions, in the same order, as
@@ -666,7 +660,7 @@ def rms_norm(x, scale, eps: float = 1e-6) -> Tensor:
     """
     x, scale = _as_tensor(x), _as_tensor(scale)
     n = x.shape[-1]
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True) + eps
+    ms = (x.data * x.data).mean(axis=-1, keepdims=True) + RMS_EPS
     s = ms**-0.5
     out = x.data * s
     out *= scale.data
@@ -752,15 +746,14 @@ def finite_diff_check(
     f: Callable[[Tensor], Tensor],
     point: Tensor,
     h: float = 1e-3,
-    eps: float = 1e-6,
 ) -> float:
-    """Max over coordinates of |analytic - central difference| / (|cd| + eps).
+    """Max over coordinates of |analytic - central difference| / (|cd| + 1e-6).
 
     ``f`` maps a tensor to a scalar Tensor. The analytic gradient comes from
     the tape; the central differences use the fourth-order five-point
     stencil (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / 12h, exact for
     polynomials up to degree 4, re-evaluating ``f`` at each point.
-    ``eps`` floors the denominator so coordinates with a near-zero true
+    The 1e-6 floors the denominator so coordinates with a near-zero true
     derivative are judged on absolute error at that scale.
     """
     x = Tensor(point.data.copy(), requires_grad=True)
@@ -784,6 +777,6 @@ def finite_diff_check(
         if not np.isfinite(values).all():
             raise NonFiniteError(f"f not finite near coordinate {i}")
         cd = (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * h)
-        err = abs(analytic.reshape(-1)[i] - cd) / (abs(cd) + eps)
+        err = abs(analytic.reshape(-1)[i] - cd) / (abs(cd) + 1e-6)
         worst = max(worst, err)
     return worst

@@ -22,7 +22,7 @@ import heapq
 import io
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class Vocabulary:
         for rank, (left, right, merged) in enumerate(self.merges):
             if merged != BASE_SIZE + rank:
                 raise ValueError(f"merge rank {rank} produces non-dense id {merged}")
-            if left >= merged or right >= merged:
-                raise ValueError(f"merge {merged} has operand with rank >= its own")
+            if not (0 <= left < merged and 0 <= right < merged):
+                raise ValueError(f"merge {left} {right} {merged}: operand outside [0, {merged})")
             if merged in produced:
                 raise ValueError(f"token {merged} produced by more than one merge")
             produced.add(merged)
@@ -89,7 +89,6 @@ class CoverageCurve:
 
     ks: list[int]
     fractions: list[float]
-    order: list[int] = field(default_factory=list)  # token ids, most frequent first
 
     def to_csv(self) -> str:
         return csv_text(("k", "cumulative_fraction"), zip(self.ks, self.fractions))
@@ -399,7 +398,6 @@ def coverage_curve(freq: FrequencyTable) -> CoverageCurve:
     return CoverageCurve(
         ks=list(range(1, len(order) + 1)),
         fractions=[float(f) for f in cum],
-        order=[int(i) for i in order],
     )
 
 

@@ -184,7 +184,6 @@ def train_round(
     params: ParamStore,
     batches: list[np.ndarray],
     plan: TrainPlan,
-    lr_schedule: np.ndarray | None = None,
     batch_indices: list[int] | None = None,
     curve: list[tuple[int, float, float]] | None = None,
 ) -> tuple[ParamStore, BatchLossLedger]:
@@ -194,10 +193,7 @@ def train_round(
     if not batches:
         raise ValueError("train_round needs a nonempty batch list")
     plan.validate()
-    if lr_schedule is None:
-        lr_schedule = cosine_schedule(plan.lr, len(batches), plan.cosine_floor)
-    if len(lr_schedule) != len(batches):
-        raise ValueError("lr schedule length must match batch count")
+    lr_schedule = cosine_schedule(plan.lr, len(batches), plan.cosine_floor)
     if batch_indices is None:
         batch_indices = list(range(len(batches)))
     parts = part_assignment(len(batches), plan.parts)

@@ -317,6 +317,18 @@ def test_validate_rejects_malformed_tokenizer_load(tmp_path, architecture):
         validate(write_config(tmp_path, **overrides))
 
 
+def test_validate_rejects_a_vocabulary_merge_with_a_negative_operand(tmp_path, capsys):
+    # this used to pass validate and run, with token 256 never produced
+    lines = [bytes([i]).hex() for i in range(BASE_SIZE)]
+    lines += ["787961", "7879", "#MERGES", "-1 97 256", "120 121 257"]
+    (tmp_path / "vocab.txt").write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path, tokenizer={"load": "vocab.txt"})
+    with pytest.raises(ConfigError, match="tokenizer.load"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "tokenizer.load" in capsys.readouterr().err
+
+
 def _save_parent(path, **config):
     """A small checkpoint for configs to inherit from; returns its config."""
     cfg = ModelConfig(**{"vocab_size": BASE_SIZE, "width": 16, "depth": 2, "n_heads": 2,

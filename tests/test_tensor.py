@@ -12,7 +12,6 @@ from tinylm.tensor import (
     TapeConsumedError,
     Tensor,
     add,
-    backward,
     causal_attention,
     concat,
     exp,
@@ -97,26 +96,26 @@ def test_cross_entropy_target_out_of_range():
 
 def test_backward_linear_gives_ones():
     w = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         loss = tsum(w)
-    grads = backward(loss)
+    grads = tape.gradients(loss)
     assert np.array_equal(grads[w], np.ones((3, 4)))
 
 
 def test_backward_square_hand_grad():
     w = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         loss = tsum(mul(w, w))
-    grads = backward(loss)
+    grads = tape.gradients(loss)
     assert np.allclose(grads[w], [2.0, 4.0], rtol=0, atol=0)
 
 
 def test_backward_constant_loss_no_grad():
     w = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0])
-    with Tape():
+    with Tape() as tape:
         loss = tsum(mul(c, c)) + 0.0 * tsum(w)
-    grads = backward(loss)
+    grads = tape.gradients(loss)
     assert np.array_equal(grads[w], np.zeros(2))
 
 
@@ -129,18 +128,11 @@ def test_backward_twice_raises():
         tape.gradients(loss)
 
 
-def test_backward_without_tape_raises():
-    w = Tensor([1.0], requires_grad=True)
-    loss = tsum(w)
-    with pytest.raises(RuntimeError):
-        backward(loss)
-
-
 def test_fan_out_accumulates():
     w = Tensor([3.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         loss = tsum(add(mul(w, w), w))  # w^2 + w -> 2w + 1 = 7
-    assert backward(loss)[w] == pytest.approx([7.0])
+    assert tape.gradients(loss)[w] == pytest.approx([7.0])
 
 
 def test_finite_diff_quadratic():

@@ -633,6 +633,17 @@ def test_vocab_parser_rejects_a_line_holding_a_splitlines_separator(tmp_path, se
         load_vocab(tmp_path / "vocab.txt")
 
 
+@pytest.mark.parametrize("merge, product", [("-1 97 256", "787961"), ("97 -1 256", "617879")],
+                         ids=["left", "right"])
+def test_vocab_parser_rejects_a_negative_merge_operand(merge, product):
+    # tokens[-1] is the last token, so the bytes check alone passed this
+    # merge, whose product encode can never emit
+    lines = [bytes([i]).hex() for i in range(BASE_SIZE)]
+    lines += [product, "7879", "#MERGES", merge, "120 121 257"]
+    with pytest.raises(ValueError, match=f"merge {merge}"):
+        parse_vocab(("\n".join(lines) + "\n").encode("ascii"))
+
+
 def test_vocab_id_map_matches_bytes():
     corpus = zipf_corpus(6_000, seed=10)
     parent = train_bpe(corpus, 330)

@@ -467,6 +467,21 @@ def test_round_two_batch_count():
     assert set(e.batch_index for e in ledgers[1].entries) <= set(range(11))
 
 
+def test_each_round_steps_on_its_own_cosine_schedule():
+    cfg = tiny_config()
+    batches = tiny_batches(cfg, n=7, seed=8)
+    params = initialize(cfg, InitScheme("constant", 0.02, 4))
+    plan = TrainPlan(lr=2e-3, cosine_floor=0.2, rounds=2, sampling_rate=0.5, parts=3, seed=1)
+    curve = []
+    _, ledgers = multi_round_train(cfg, params, batches, plan, curve=curve)
+    n1, n2 = len(ledgers[0].entries), len(ledgers[1].entries)
+    assert n1 == 7 and 1 < n2 < n1
+    expected = [*cosine_schedule(plan.lr, n1, plan.cosine_floor),
+                *cosine_schedule(plan.lr, n2, plan.cosine_floor)]
+    assert [step for step, _, _ in curve] == list(range(n1 + n2))
+    assert [lr for _, lr, _ in curve] == [float(lr) for lr in expected]
+
+
 # --------------------------------------------------------- forgetting scan
 
 
