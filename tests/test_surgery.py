@@ -679,18 +679,18 @@ def test_make_plan_learned_runs_one_forward_per_mask_step(monkeypatch):
     params = initialize(cfg, InitScheme("constant", 0.3, seed=23))
     child = mha_config(depth=2, ffn_hidden=5)
     forward_fn, learn_masks_fn = arch.forward, surgery.learn_masks
-    depth, inside = [0], []
+    scopes, inside = [], []
 
     def counting_forward(*args, **kwargs):
-        inside.append(depth[0] > 0)
+        inside.append(bool(scopes))
         return forward_fn(*args, **kwargs)
 
     def scoped_learn_masks(*args, **kwargs):
-        depth[0] += 1
+        scopes.append("learn_masks")
         try:
             return learn_masks_fn(*args, **kwargs)
         finally:
-            depth[0] -= 1
+            scopes.pop()
 
     monkeypatch.setattr(arch, "forward", counting_forward)
     monkeypatch.setattr(surgery, "learn_masks", scoped_learn_masks)
