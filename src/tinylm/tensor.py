@@ -464,47 +464,25 @@ def gather_rows(table, ids) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """A projection ``a[..., k] @ b[k, n]``: one 2-D GEMM over all of a's
+    leading axes, in training, scoring and decoding alike."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2 and a.shape[-2] == 1:
-        # a stack of single rows (a decode step): one GEMM, not a GEMV per
-        # row; larger stacks keep numpy's per-matrix GEMMs, whose rounding
-        # trained artifacts depend on
-        out = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], -1)
-    else:
-        out = a.data @ b.data
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: need a[..., k] @ b[k, n], got {a.shape} @ {b.shape}")
+    a2 = a.data.reshape(-1, a.shape[-1])
+    out = (a2 @ b.data).reshape(*a.shape[:-1], -1)
     need_a, need_b = a.requires_grad, b.requires_grad
-    shape_a, shape_b = a.shape, b.shape
+    shape_a = a.shape
     # each operand is kept only for the other one's gradient: a pass through
     # frozen weights keeps no projection input
-    data_a = a.data if need_b else None
+    data_a = a2 if need_b else None
     data_b = b.data if need_a else None
 
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        # projection case: collapse the batch dims into plain GEMMs
-        k = a.shape[-1]
-
-        def bw(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ data_b.T).reshape(shape_a) if need_a else None
-            gb = data_a.reshape(-1, k).T @ g2 if need_b else None
-            return ga, gb
-
-    else:
-
-        def bw(g):
-            ga = (
-                _unbroadcast(g @ np.swapaxes(data_b, -1, -2), shape_a)
-                if need_a
-                else None
-            )
-            gb = (
-                _unbroadcast(np.swapaxes(data_a, -1, -2) @ g, shape_b)
-                if need_b
-                else None
-            )
-            return ga, gb
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        ga = (g2 @ data_b.T).reshape(shape_a) if need_a else None
+        gb = data_a.T @ g2 if need_b else None
+        return ga, gb
 
     return _emit(out, (a, b), bw)
 

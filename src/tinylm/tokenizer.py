@@ -59,17 +59,17 @@ class Vocabulary:
             raise ValueError("first 256 tokens must be the single bytes")
         if len(self.tokens) != BASE_SIZE + len(self.merges):
             raise ValueError("token count does not match base + merges")
-        produced = set()
+        first_id = {}  # merged bytes -> first id; byte tokens are shorter
         for rank, (left, right, merged) in enumerate(self.merges):
             if merged != BASE_SIZE + rank:
                 raise ValueError(f"merge rank {rank} produces non-dense id {merged}")
             if not (0 <= left < merged and 0 <= right < merged):
                 raise ValueError(f"merge {left} {right} {merged}: operand outside [0, {merged})")
-            if merged in produced:
-                raise ValueError(f"token {merged} produced by more than one merge")
-            produced.add(merged)
             if self.tokens[merged] != self.tokens[left] + self.tokens[right]:
                 raise ValueError(f"merge {merged} bytes do not match operands")
+            earlier = first_id.setdefault(self.tokens[merged], merged)
+            if earlier != merged:
+                raise ValueError(f"tokens {earlier} and {merged} have the same bytes")
 
 
 @dataclass

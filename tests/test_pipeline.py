@@ -329,6 +329,20 @@ def test_validate_rejects_a_vocabulary_merge_with_a_negative_operand(tmp_path, c
     assert "tokenizer.load" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_vocabulary_with_two_tokens_of_the_same_bytes(tmp_path, capsys):
+    # this used to pass validate: 258 (ab+c) and 259 (a+bc) are both "abc"
+    vocab = Vocabulary.base()
+    for left, right in [(97, 98), (98, 99), (256, 99), (97, 257)]:
+        vocab.merges.append((left, right, vocab.size))
+        vocab.tokens.append(vocab.tokens[left] + vocab.tokens[right])
+    save_vocab(vocab, tmp_path / "vocab.txt")
+    path = write_config(tmp_path, tokenizer={"load": "vocab.txt"})
+    with pytest.raises(ConfigError, match="tokenizer.load"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "tokens 258 and 259" in capsys.readouterr().err
+
+
 def _save_parent(path, **config):
     """A small checkpoint for configs to inherit from; returns its config."""
     cfg = ModelConfig(**{"vocab_size": BASE_SIZE, "width": 16, "depth": 2, "n_heads": 2,

@@ -55,16 +55,23 @@ def test_matmul_zero():
     assert np.array_equal(out.data, np.zeros((2, 4)))
 
 
-def test_matmul_stack_of_single_rows():
-    # [B,1,k] @ [k,n] (a decode step's projections) runs as one [B,k] GEMM
+def test_matmul_is_one_2d_gemm_over_leading_axes():
     rng = np.random.default_rng(13)
-    a, w = rng.normal(size=(5, 1, 3)), rng.normal(size=(3, 4))
-    out = matmul(Tensor(a), Tensor(w)).data
-    assert out.shape == (5, 1, 4)
-    assert np.allclose(out, np.stack([row @ w for row in a]), rtol=1e-12, atol=1e-12)
-    probe = Tensor(rng.uniform(-1, 1, size=(5, 1, 4)))
-    err = finite_diff_check(lambda t: tsum(mul(matmul(t, Tensor(w)), probe)), Tensor(a))
-    assert err < 1e-4
+    w = rng.normal(size=(3, 4))
+    # a decode step, a training batch, plain rows
+    for shape in [(5, 1, 3), (4, 6, 3), (7, 3)]:
+        a = rng.normal(size=shape)
+        out = matmul(Tensor(a), Tensor(w)).data
+        assert out.shape == (*shape[:-1], 4)
+        assert np.array_equal(out, (a.reshape(-1, 3) @ w).reshape(*shape[:-1], 4))
+    a = rng.normal(size=(4, 6, 3))
+    probe = Tensor(rng.uniform(-1, 1, size=(4, 6, 4)))
+    err_a = finite_diff_check(lambda t: tsum(mul(matmul(t, Tensor(w)), probe)), Tensor(a))
+    err_w = finite_diff_check(lambda t: tsum(mul(matmul(Tensor(a), t), probe)), Tensor(w))
+    assert err_a < 1e-4 and err_w < 1e-4
+    for bad in [(3,), (2, 3, 4)]:
+        with pytest.raises(ShapeError, match=rf"\(4, 6, 3\) @ \({bad[0]},"):
+            matmul(Tensor(a), Tensor(np.ones(bad)))
 
 
 def test_matmul_shape_mismatch():
@@ -169,11 +176,12 @@ def test_softmax_rows_normalized():
 
 def test_forward_determinism():
     rng = np.random.default_rng(5)
-    a, b = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-    first = matmul(Tensor(a), Tensor(b)).data
-    for _ in range(3):
-        again = matmul(Tensor(a.copy()), Tensor(b.copy())).data
-        assert np.array_equal(first, again)
+    b = rng.normal(size=(6, 6))
+    for a in (rng.normal(size=(6, 6)), rng.normal(size=(3, 8, 6))):
+        first = matmul(Tensor(a), Tensor(b)).data
+        for _ in range(3):
+            again = matmul(Tensor(a.copy()), Tensor(b.copy())).data
+            assert np.array_equal(first, again)
 
 
 def _scalarized(op, n_inputs=1):

@@ -644,6 +644,22 @@ def test_vocab_parser_rejects_a_negative_merge_operand(merge, product):
         parse_vocab(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def test_vocab_parser_rejects_two_tokens_with_the_same_bytes():
+    # 258 is ab+c and 259 is a+bc: encode emits only 258, and vocab_id_map
+    # sent both to 259
+    lines = [bytes([i]).hex() for i in range(BASE_SIZE)]
+    lines += ["6162", "6263", "616263", "616263",
+              "#MERGES", "97 98 256", "98 99 257", "256 99 258", "97 257 259"]
+    with pytest.raises(ValueError, match="tokens 258 and 259 have the same bytes"):
+        parse_vocab(("\n".join(lines) + "\n").encode("ascii"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=st.one_of(SMALL_ALPHABET.filter(len), WORD_CORPUS))
+def test_train_bpe_never_makes_two_tokens_with_the_same_bytes_property(corpus):
+    train_bpe(corpus, 320).validate()
+
+
 def test_vocab_id_map_matches_bytes():
     corpus = zipf_corpus(6_000, seed=10)
     parent = train_bpe(corpus, 330)
