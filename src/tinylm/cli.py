@@ -8,7 +8,7 @@ Verbs:
   surgery CONFIG           stop after init/inheritance
   train CONFIG             stop after training
   eval CONFIG              alias of run
-  report OUTPUT_DIR        summarize an existing run
+  report OUTPUT_DIR        summarize a run: exit 0 if complete, else 2
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure. The
 environment variable TINYLM_OUT overrides the config's output root.

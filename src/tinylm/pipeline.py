@@ -332,8 +332,8 @@ def validate(config_file) -> PipelineConfig:
             raise ConfigError(f"evaluation.cloze_file: item {i} holds token id {top}, "
                               f"outside the vocabulary of at most {vocab_size}")
     if inh:
-        parent = inputs["inheritance.parent_checkpoint"][0]
-        _check_parent(parent, child, inputs.get("inheritance.plan"), inh)
+        parent, params = inputs["inheritance.parent_checkpoint"]
+        _check_parent(parent, params, child, inputs.get("inheritance.plan"), inh)
     if "generate" in inh:
         keep = inh["generate"]["keep_ends"]
         if len(keep) != 2:
@@ -345,11 +345,14 @@ def validate(config_file) -> PipelineConfig:
     return PipelineConfig(raw=raw, path=path, inputs=inputs, input_hashes=hashes)
 
 
-def _check_parent(parent: ModelConfig, child: ModelConfig | None,
+def _check_parent(parent: ModelConfig, params, child: ModelConfig | None,
                   plan: InheritancePlan | None, inh: dict) -> None:
-    """The child, the plan file and the generated plan's kept ends against
-    the parent checkpoint's config."""
+    """The parent checkpoint's values, which must be finite, and the child, the
+    plan file and the generated plan's kept ends against its config."""
     field = "inheritance.parent_checkpoint"
+    for name, tensor in params.tensors.items():
+        for i in np.flatnonzero(~np.isfinite(tensor.data))[:1]:  # the first non-finite value
+            raise ConfigError(f"{field}: tensor {name!r} is {tensor.data.flat[i]} at flat index {i}")
     keep = inh.get("generate", {}).get("keep_ends", [])
     if sum(keep) > parent.depth:
         raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
@@ -382,10 +385,6 @@ def _parse(config_path: Path, field_path: str, rel: str, parse) -> tuple:
 def _resolve(config_path: Path, rel) -> Path:
     p = Path(rel)
     return p if p.is_absolute() else config_path.parent / p
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass
@@ -643,102 +642,102 @@ class _Run:
 
 
 def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> RunManifest:
-    """Execute the pipeline stages in order, writing artifacts and the
-    manifest under the config's output directory. A config serves one run:
-    the params stage releases the parsed parent checkpoint it holds."""
+    """Execute the planned stages in order, none on a dry run, writing the
+    manifest before the first, after each and on failure. A config serves one
+    run: the params stage releases the parsed parent checkpoint it holds."""
     runner = _Run(config, until)
     runner.out.mkdir(parents=True, exist_ok=True)
-    if dry_run:
-        runner.write_manifest()
-        return runner.manifest
+    runner.write_manifest()
     try:
-        for stage in runner.manifest.stages_planned:
+        for stage in [] if dry_run else runner.manifest.stages_planned:
             getattr(runner, f"stage_{stage}")()
             runner.manifest.stages_completed.append(stage)
+            runner.write_manifest()
     except Exception as err:
         runner.manifest.failure = f"{stage}: {err}"
         runner.write_manifest()
         raise
-    runner.write_manifest()
     return runner.manifest
 
 
+_HEADLINES = {  # listed artifact -> (headline, its value from the artifact's text)
+    "arch_report.json": ("params", lambda text: json.loads(text)["total_params"]),
+    "curves.csv": ("final_loss", lambda text: float(text.split()[-1].split(",")[2])),
+    "eval_perplexity.json": ("perplexity", lambda text: json.loads(text)["value"]),
+    "eval_cloze.json": ("cloze", lambda text: json.loads(text)["value"]),
+    "coverage.csv": ("coverage", lambda text: text.split()[-1]),
+}
+
+
+def _read_run(run_dir: Path) -> dict:
+    """The one reader of a run directory: the manifest's fields, each listed
+    artifact as (name, bytes, intact) after one hash, the headlines of intact
+    ones, and ``complete``: no failure, no unfinished stage, no broken artifact."""
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_bytes())
+        if not isinstance(manifest, dict):
+            raise TypeError("not a JSON object")
+        rec = {key: manifest[key] for key in ("version", "seed", "stages_planned",
+                                              "stages_completed", "artifacts")}
+        listed = [(a["name"], a["sha256"], a["bytes"]) for a in rec["artifacts"]]
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        reason = f"no key {err}" if isinstance(err, KeyError) else err
+        return {"unreadable": f"manifest unreadable: {reason}", "complete": False}
+    rec.update(failure=manifest.get("failure"), artifacts=[], headlines={})
+    for name, digest, nbytes in listed:
+        data = (run_dir / name).read_bytes() if (run_dir / name).is_file() else None
+        intact = data is not None and hashlib.sha256(data).hexdigest() == digest
+        rec["artifacts"].append((name, nbytes, intact))
+        if intact and name in _HEADLINES:
+            key, parse = _HEADLINES[name]
+            rec["headlines"][key] = parse(data.decode())
+    rec["unfinished"] = [s for s in rec["stages_planned"] if s not in rec["stages_completed"]]
+    rec["complete"] = not (rec["failure"] or rec["unfinished"]) and all(
+        intact for *_, intact in rec["artifacts"])
+    return rec
+
+
 def report(output_dir) -> tuple[str, bool]:
-    """Consolidated run summary. Returns (text, complete); ``complete`` is
-    False when expected artifacts are missing. Pointed at a directory of
-    runs instead of a single run, it renders one comparison row per run."""
+    """Consolidated run summary. Returns (text, complete), ``complete`` by
+    ``_read_run``'s rule. Pointed at a directory of runs instead of a single
+    run, it renders one comparison row per run."""
     out = Path(output_dir)
-    manifest_path = out / "manifest.json"
-    lines = [f"run report: {out}"]
-    complete = True
-    if not manifest_path.is_file():
+    if not (out / "manifest.json").is_file():
         children = sorted(p for p in out.glob("*/manifest.json")) if out.is_dir() else []
         if children:
             return _family_report(out, [p.parent for p in children])
         return f"no manifest found in {out}", False
-    manifest = json.loads(manifest_path.read_text())
-    lines.append(f"toolkit version: {manifest['version']}   seed: {manifest['seed']}")
-    if manifest.get("failure"):
-        lines.append(f"FAILED at {manifest['failure']}")
-        complete = False
+    rec = _read_run(out)
+    lines = [f"run report: {out}"]
+    if "unreadable" in rec:
+        return "\n".join(lines + [rec["unreadable"]]) + "\n", False
+    lines.append(f"toolkit version: {rec['version']}   seed: {rec['seed']}")
+    if rec["failure"]:
+        lines.append(f"FAILED at {rec['failure']}")
     lines.append(
-        f"stages: {', '.join(manifest['stages_completed'])} "
-        f"(planned: {', '.join(manifest['stages_planned'])})"
+        f"stages: {', '.join(rec['stages_completed'])} "
+        f"(planned: {', '.join(rec['stages_planned'])})"
     )
-    for artifact in manifest["artifacts"]:
-        path = out / artifact["name"]
-        status = "ok" if path.is_file() and _sha256(path) == artifact["sha256"] else "MISSING/CHANGED"
-        if status != "ok":
-            complete = False
-        lines.append(f"  {artifact['name']:28s} {artifact['bytes']:>10d} B  {status}")
-    for name, label in (
-        ("eval_perplexity.json", "perplexity"),
-        ("eval_cloze.json", "cloze accuracy"),
-    ):
-        path = out / name
-        if path.is_file():
-            value = json.loads(path.read_text())["value"]
-            lines.append(f"{label}: {value:.6g}")
-    cov = out / "coverage.csv"
-    if cov.is_file():
-        last = cov.read_text().strip().splitlines()[-1]
-        lines.append(f"coverage curve terminal: {last}")
-    if manifest["stages_planned"] and not manifest.get("failure"):
-        missing = set(manifest["stages_planned"]) - set(manifest["stages_completed"])
-        if missing:
-            complete = False
-            lines.append(f"unfinished stages: {sorted(missing)}")
-    return "\n".join(lines) + "\n", complete
+    for name, nbytes, intact in rec["artifacts"]:
+        lines.append(f"  {name:28s} {nbytes:>10d} B  {'ok' if intact else 'MISSING/CHANGED'}")
+    for key, text in (("perplexity", "perplexity: {:.6g}"), ("cloze", "cloze accuracy: {:.6g}"),
+                      ("coverage", "coverage curve terminal: {}")):
+        if key in rec["headlines"]:
+            lines.append(text.format(rec["headlines"][key]))
+    if rec["unfinished"] and not rec["failure"]:
+        lines.append(f"unfinished stages: {rec['unfinished']}")
+    return "\n".join(lines) + "\n", rec["complete"]
 
 
 def _family_report(root: Path, run_dirs: list[Path]) -> tuple[str, bool]:
     """One comparison row per run: parameters, final train loss, metrics."""
-    lines = [f"experiment family: {root} ({len(run_dirs)} runs)"]
-    header = f"{'run':20s} {'params':>10s} {'final_loss':>11s} {'perplexity':>11s} {'cloze':>7s}"
-    lines.append(header)
-    complete = True
-    for run_dir in run_dirs:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        if manifest.get("failure") or (
-            set(manifest["stages_planned"]) - set(manifest["stages_completed"])
-        ):
-            complete = False
-        cells = {"params": "-", "final_loss": "-", "perplexity": "-", "cloze": "-"}
-        arch = run_dir / "arch_report.json"
-        if arch.is_file():
-            cells["params"] = str(json.loads(arch.read_text())["total_params"])
-        curves = run_dir / "curves.csv"
-        if curves.is_file():
-            rows = curves.read_text().strip().splitlines()[1:]
-            if rows:
-                cells["final_loss"] = f"{float(rows[-1].split(',')[2]):.4f}"
-        for name, key in (("eval_perplexity.json", "perplexity"),
-                          ("eval_cloze.json", "cloze")):
-            path = run_dir / name
-            if path.is_file():
-                cells[key] = f"{json.loads(path.read_text())['value']:.4g}"
-        lines.append(
-            f"{run_dir.name:20s} {cells['params']:>10s} {cells['final_loss']:>11s} "
-            f"{cells['perplexity']:>11s} {cells['cloze']:>7s}"
-        )
-    return "\n".join(lines) + "\n", complete
+    lines = [f"experiment family: {root} ({len(run_dirs)} runs)",
+             f"{'run':20s} {'params':>10s} {'final_loss':>11s} {'perplexity':>11s} {'cloze':>7s}"]
+    records = [_read_run(run_dir) for run_dir in run_dirs]
+    for run_dir, rec in zip(run_dirs, records):
+        headlines = rec.get("headlines", {})
+        cells = [format(headlines[key], spec) if key in headlines else "-" for key, spec in (
+            ("params", "d"), ("final_loss", ".4f"), ("perplexity", ".4g"), ("cloze", ".4g"))]
+        row = f"{cells[0]:>10s} {cells[1]:>11s} {cells[2]:>11s} {cells[3]:>7s}"
+        lines.append(f"{run_dir.name:20s} {rec.get('unreadable', row)}")
+    return "\n".join(lines) + "\n", all(rec["complete"] for rec in records)

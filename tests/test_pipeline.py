@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import shutil
 import weakref
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tinylm
-from tinylm.arch import ModelConfig, save_checkpoint
+from tinylm.arch import ModelConfig, load_checkpoint, save_checkpoint
 from tinylm import pipeline
 from tinylm.cli import main
 from tinylm.initializers import InitScheme, initialize
@@ -22,7 +23,7 @@ from tinylm.data import zipf_corpus
 from tinylm.surgery import PlanError, identity_plan
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
-                             load_vocab, recode, save_vocab)
+                             load_vocab, recode, save_vocab, vocab_id_map)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -491,6 +492,33 @@ def test_validate_rejects_a_truncated_parent_checkpoint(tmp_path, capsys):
     assert "inheritance.parent_checkpoint: checkpoint truncated in tensor" in err
 
 
+@pytest.mark.parametrize("tensor", ["layers.0.attn_norm", "embed"])
+def test_validate_rejects_a_non_finite_parent_value(tmp_path, capsys, tensor):
+    # both used to pass validate: a NaN norm weight made the run fail at params with
+    # exit 2, and a NaN only in an embedding row that compaction drops let it exit 0
+    run(validate(write_config(tmp_path, name="parent.json",
+                              output_dir=str(tmp_path / "parent"))), until="train")
+    raw = json.loads(write_config(tmp_path).read_text())
+    del raw["init"]
+    raw["tokenizer"]["compact"] = {"size": 290}
+    raw["inheritance"] = {"parent_checkpoint": "parent/model.ckpt",
+                          "generate": {"keep_ends": [1, 1]}}
+    path = _write(tmp_path / "child.json", raw)
+    run(validate(path), until="tokenizer")
+    kept = vocab_id_map(load_vocab(tmp_path / "out" / "vocab_compact.txt"),
+                        load_vocab(tmp_path / "out" / "vocab.txt"))
+    dropped = min(set(range(len(kept) + 1)) - set(kept))
+    index = 3 if tensor == "layers.0.attn_norm" else dropped * 16 + 5  # width 16
+    config, params = load_checkpoint(tmp_path / "parent" / "model.ckpt")
+    params[tensor].data.reshape(-1)[index] = np.nan
+    save_checkpoint(tmp_path / "parent" / "model.ckpt", config, params)
+    message = f"inheritance.parent_checkpoint: tensor {tensor!r} is nan at flat index {index}"
+    with pytest.raises(ConfigError, match=message):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def _with_plan(tmp_path, **fields):
     """The write_config config inheriting through a plan file: the identity
     plan of a parent shaped like the child, with ``fields`` replaced."""
@@ -955,10 +983,73 @@ def test_report_on_empty_dir(tmp_path):
 def test_report_flags_missing_artifact(tmp_path):
     cfg = validate(write_config(tmp_path))
     run(cfg)
+    shutil.copytree(tmp_path / "out", tmp_path / "edited")
     (tmp_path / "out" / "curves.csv").unlink()
     text, complete = report(tmp_path / "out")
     assert not complete
     assert "MISSING" in text
+    # an edited file is reported, and no number is read from it
+    (tmp_path / "edited" / "eval_perplexity.json").write_text('{"value": 2.0}')
+    text, complete = report(tmp_path / "edited")
+    assert not complete
+    assert "MISSING/CHANGED" in text and "perplexity:" not in text
+
+
+CLOZE_EVAL = {"holdout_batches": 2, "cloze": {"n_items": 4}}
+# under the bound validate checks, but not the vocabulary the tokenizer trains
+BAD_VOCAB_SIZE = {"config": {"vocab_size": 299, "width": 16, "depth": 2, "n_heads": 2,
+                             "ffn_hidden": 24}}
+
+
+def test_report_skips_the_metrics_of_a_failed_rerun(tmp_path):
+    # a rerun that failed at arch used to report the previous run's perplexity and cloze
+    run(validate(write_config(tmp_path, evaluation=CLOZE_EVAL)))
+    with pytest.raises(pipeline.PipelineError):
+        run(validate(write_config(tmp_path, evaluation=CLOZE_EVAL,
+                                  architecture=BAD_VOCAB_SIZE)))
+    text, complete = report(tmp_path / "out")
+    assert not complete
+    assert "FAILED at arch" in text
+    assert "perplexity" not in text and "cloze accuracy" not in text
+    assert "coverage curve terminal: " in text  # this run's tokenizer stage rewrote it
+    assert main(["report", str(tmp_path / "out")]) == 2
+
+
+def test_report_names_an_interrupted_rerun_and_its_unfinished_stages(tmp_path, monkeypatch):
+    run(validate(write_config(tmp_path, evaluation=CLOZE_EVAL)))
+    on_disk = []
+
+    def interrupted(self):
+        on_disk.append(json.loads((self.out / "manifest.json").read_text()))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline._Run, "stage_arch", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(validate(write_config(tmp_path, evaluation=CLOZE_EVAL, seed=8)))
+    assert on_disk[0]["stages_completed"] == ["corpus", "tokenizer"]
+    text, complete = report(tmp_path / "out")
+    assert not complete
+    assert "seed: 8" in text
+    assert "unfinished stages: ['arch', 'params', 'scan', 'train', 'eval']" in text
+    assert "perplexity" not in text and "cloze accuracy" not in text
+
+
+UNREADABLE = {"truncated": ('{"version": "0.1.0", "se', "manifest unreadable: Unterminated"),
+              "no_seed": ('{"version": "0.1.0"}', "manifest unreadable: no key 'seed'"),
+              "not_an_object": ("[1, 2]", "manifest unreadable: not a JSON object")}
+
+
+@pytest.mark.parametrize("text, line", UNREADABLE.values(), ids=UNREADABLE)
+def test_report_on_an_unreadable_manifest(tmp_path, capsys, text, line):
+    # these used to raise a JSONDecodeError or a KeyError out of report
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "manifest.json").write_text(text)
+    report_text, complete = report(tmp_path / "out")
+    assert not complete
+    header, reason = report_text.splitlines()
+    assert header == f"run report: {tmp_path / 'out'}" and reason.startswith(line)
+    assert main(["report", str(tmp_path / "out")]) == 2
+    assert report_text == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------- cli
@@ -1032,7 +1123,7 @@ def test_output_env_var_overrides_root(tmp_path):
 def test_ablation_ladder_emits_comparable_reports(tmp_path):
     """Four runs, each changing one section: baseline, compact tokenizer,
     deeper architecture, and two-round training."""
-    base = json.loads(write_config(tmp_path).read_text())
+    base = json.loads(write_config(tmp_path, evaluation=CLOZE_EVAL).read_text())
     base["training"]["max_batches"] = 8
     rungs = {"baseline": {}}
     rungs["compact"] = {"tokenizer": {"train": {"target_size": 300},
@@ -1063,3 +1154,30 @@ def test_ablation_ladder_emits_comparable_reports(tmp_path):
     assert "4 runs" in text
     for name in rungs:
         assert f"out_{name}" in text
+        assert "-" not in _family_row(text, f"out_{name}")
+
+    def rerun_failing(rung):
+        raw = json.loads((tmp_path / "deeper.json").read_text())
+        raw.update(output_dir=str(rung), architecture=BAD_VOCAB_SIZE)
+        with pytest.raises(pipeline.PipelineError):
+            run(validate(_write(tmp_path / "failing.json", raw)))
+
+    # one damaged rung, each on a copy of the ladder, makes the family incomplete
+    damages = {"edited": lambda rung: (rung / "ledger.csv").write_text("edited\n"),
+               "failed_rerun": rerun_failing,
+               "unreadable": lambda rung: (rung / "manifest.json").write_text("{")}
+    rows = {}
+    for case, damage in damages.items():
+        shutil.copytree(tmp_path / "ladder", tmp_path / case)
+        damage(tmp_path / case / "out_deeper")
+        text, complete = report(tmp_path / case)
+        assert not complete, case
+        rows[case] = _family_row(text, "out_deeper")
+    assert "-" not in rows["edited"]
+    assert rows["failed_rerun"] == ["-", "-", "-", "-"]  # params, loss, perplexity, cloze
+    assert rows["unreadable"][:2] == ["manifest", "unreadable:"]
+
+
+def _family_row(text, run_name):
+    """The cells of one run's row in a family report."""
+    return next(line.split()[1:] for line in text.splitlines() if line.startswith(run_name))
