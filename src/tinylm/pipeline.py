@@ -36,7 +36,7 @@ from .tokenizer import (
     parse_vocab,
     recode,
     save_vocab,
-    train_bpe,
+    train_and_encode,
     vocab_id_map,
 )
 from .trainer import (
@@ -467,12 +467,12 @@ class _Run:
     def stage_tokenizer(self) -> None:
         section = self.cfg.raw["tokenizer"]
         if "train" in section:
-            vocab = train_bpe(self.corpus, section["train"]["target_size"])
+            vocab, ids = train_and_encode(self.corpus, section["train"]["target_size"])
         else:
             vocab = self.input("tokenizer.load")
+            ids = encode(self.corpus, vocab)
         self.pre_compact_vocab = vocab
         self.emit("vocab.txt", lambda path: save_vocab(vocab, path))
-        ids = encode(self.corpus, vocab)
         freq = frequencies(ids, vocab.size)
         self.emit("frequencies.csv", freq.to_csv())
         self.emit("coverage.csv", coverage_curve(freq).to_csv())
@@ -680,6 +680,14 @@ def _read_run(run_dir: Path) -> dict:
         rec = {key: manifest[key] for key in ("version", "seed", "stages_planned",
                                               "stages_completed", "artifacts")}
         listed = [(a["name"], a["sha256"], a["bytes"]) for a in rec["artifacts"]]
+        for name, digest, nbytes in listed:
+            if not isinstance(name, str) or name != Path(name).name or name in ("", ".", ".."):
+                raise ValueError(f"artifact name {name!r} is not a file name")
+            if not isinstance(digest, str) or type(nbytes) is not int or nbytes < 0:
+                raise ValueError(f"artifact {name}: sha256 must be a string and bytes a count")
+        for key in ("stages_planned", "stages_completed"):
+            if not isinstance(rec[key], list) or not all(isinstance(s, str) for s in rec[key]):
+                raise ValueError(f"{key} is not a list of stage names")
     except (OSError, ValueError, KeyError, TypeError) as err:
         reason = f"no key {err}" if isinstance(err, KeyError) else err
         return {"unreadable": f"manifest unreadable: {reason}", "complete": False}

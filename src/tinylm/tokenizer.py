@@ -12,8 +12,10 @@ A merge finds its sites in its left operand's list, writes the product in
 place and unlinks the right operand, so it costs work proportional to that
 operand's occurrences, not a scan of the text. Training counts adjacent pairs
 once and keeps the counts across merges. The most frequent pair wins, ties
-breaking toward the smaller (left, right) id pair. A compacted vocabulary's
-stream is derived from the full one (``recode``), not encoded from the text.
+breaking toward the smaller (left, right) id pair. Training applies its
+merges in rank order to the index, so the stream it leaves is the corpus's
+encoding (``train_and_encode``). A compacted vocabulary's stream is derived
+from the full one (``recode``), not encoded from the text.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import heapq
 import io
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +202,9 @@ def _tally(tokens: np.ndarray):
 
 
 def _merge_counted(index: _PositionIndex, left: int, right: int, merged: int,
-                   span: int) -> tuple[Counter, dict[int, int]]:
+                   span: int) -> tuple[dict[int, int], dict[int, int]]:
     """Apply one merge. Returns how far each existing pair's count falls and
-    the counts of the pairs it creates, keyed ``left * span + right``.
+    the counts of the pairs it creates that repeat, keyed ``left * span + right``.
 
     (prev, left), (left, right), (right, next) go; (prev, merged) and
     (merged, next) come; every other pair is unchanged. A pair between two
@@ -220,15 +221,17 @@ def _merge_counted(index: _PositionIndex, left: int, right: int, merged: int,
     index.merge(sites, merged)
     new_next = ids[nxt[sites]]
 
-    gone = Counter({left * span + right: sites.size})
+    gone = {left * span + right: sites.size}
     came = {}
     for t, c in _tally(prev):
-        gone[t * span + left] += c
-        came[t * span + merged] = c
+        key = t * span + left
+        gone[key] = gone.get(key, 0) + c
+        if c >= 2:
+            came[t * span + merged] = c
     for t, c in _tally(old_next):
-        gone[right * span + t] += c
-    for t, c in _tally(new_next):
-        came[merged * span + t] = c
+        key = right * span + t
+        gone[key] = gone.get(key, 0) + c
+    came.update((merged * span + t, c) for t, c in _tally(new_next) if c >= 2)
     return gone, came
 
 
@@ -246,8 +249,16 @@ def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
     that repeat are counted at all. The best pair comes from a min-heap of
     ``key - count * span²`` (highest count first, then smallest key), one
     entry per counted pair; an entry whose count has fallen is lowered when
-    it reaches the top.
+    it reaches the top. The merged corpus left behind is its encoding;
+    ``train_and_encode`` returns it too.
     """
+    return train_and_encode(corpus, target_size)[0]
+
+
+def train_and_encode(corpus: bytes, target_size: int) -> tuple[Vocabulary, np.ndarray]:
+    """``train_bpe``'s vocabulary and the corpus's stream under it: training
+    merges the corpus in place, in rank order, with ``encode``'s index code,
+    so the stream equals ``encode(corpus, vocabulary)``, dtype included."""
     if target_size < BASE_SIZE:
         raise ValueError(f"target_size must be >= {BASE_SIZE}, got {target_size}")
     vocab = Vocabulary.base()
@@ -286,10 +297,9 @@ def train_bpe(corpus: bytes, target_size: int) -> Vocabulary:
             if count >= 2:
                 counts[key] = count
         for key, count in came.items():
-            if count >= 2:
-                counts[key] = count
-                heapq.heappush(heap, key - count * span2)
-    return vocab
+            counts[key] = count
+            heapq.heappush(heap, key - count * span2)
+    return vocab, index.tokens()
 
 
 def _replay(index: _PositionIndex, merges) -> np.ndarray:

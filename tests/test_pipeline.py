@@ -758,8 +758,18 @@ def test_run_with_compaction_and_coverage_artifacts(tmp_path):
     assert (tmp_path / "out" / "vocab_compact.txt").is_file()
 
 
-@pytest.mark.parametrize("compact", [{"size": 290}, {"coverage": 0.9}])
-def test_compacting_run_encodes_once_and_matches_a_re_encode(tmp_path, monkeypatch, compact):
+# a trained vocabulary's stream comes out of training; only a loaded one is encoded
+@pytest.mark.parametrize("compact, loaded", [({"size": 290}, False), ({"coverage": 0.9}, False),
+                                             ({"size": 290}, True)],
+                         ids=["compact0", "compact1", "load"])
+def test_compacting_run_encodes_once_and_matches_a_re_encode(tmp_path, monkeypatch, compact,
+                                                             loaded):
+    tokenizer = {"train": {"target_size": 320}, "compact": compact}
+    if loaded:
+        trained = str(tmp_path / "trained")
+        run(validate(write_config(tmp_path, "trained.json", output_dir=trained,
+                                  tokenizer=tokenizer)), until="tokenizer")
+        tokenizer = {"load": f"{trained}/vocab.txt", "compact": compact}
     encoded, streams = [], []
 
     def counted_encode(data, vocab):
@@ -772,10 +782,9 @@ def test_compacting_run_encodes_once_and_matches_a_re_encode(tmp_path, monkeypat
 
     monkeypatch.setattr(pipeline, "encode", counted_encode)
     monkeypatch.setattr(pipeline, "recode", kept_recode)
-    path = write_config(tmp_path, tokenizer={"train": {"target_size": 320}, "compact": compact})
-    run(validate(path), until="tokenizer")
+    run(validate(write_config(tmp_path, tokenizer=tokenizer)), until="tokenizer")
     out = tmp_path / "out"
-    assert len(encoded) == 1
+    assert encoded == ([len((out / "corpus.bin").read_bytes())] if loaded else [])
     vocab, compacted = load_vocab(out / "vocab.txt"), load_vocab(out / "vocab_compact.txt")
     assert compacted.size < vocab.size
     ids = encode((out / "corpus.bin").read_bytes(), compacted)
@@ -1034,14 +1043,37 @@ def test_report_names_an_interrupted_rerun_and_its_unfinished_stages(tmp_path, m
     assert "perplexity" not in text and "cloze accuracy" not in text
 
 
+def _manifest_text(artifact=None, **fields):
+    """A manifest listing one artifact, with any field replaced."""
+    artifact = {"name": "a.txt", "sha256": "0" * 64, "bytes": 12, **(artifact or {})}
+    return json.dumps({"version": "0.1.0", "seed": 7, "stages_planned": ["corpus"],
+                       "stages_completed": ["corpus"], "artifacts": [artifact], **fields})
+
+
 UNREADABLE = {"truncated": ('{"version": "0.1.0", "se', "manifest unreadable: Unterminated"),
               "no_seed": ('{"version": "0.1.0"}', "manifest unreadable: no key 'seed'"),
-              "not_an_object": ("[1, 2]", "manifest unreadable: not a JSON object")}
+              "not_an_object": ("[1, 2]", "manifest unreadable: not a JSON object"),
+              "string_bytes": (_manifest_text({"bytes": "12"}),
+                               "manifest unreadable: artifact a.txt: sha256 must be a string"),
+              "bool_bytes": (_manifest_text({"bytes": True}), "manifest unreadable: artifact a.txt"),
+              "negative_bytes": (_manifest_text({"bytes": -1}), "manifest unreadable: artifact a.txt"),
+              "int_sha256": (_manifest_text({"sha256": 5}), "manifest unreadable: artifact a.txt"),
+              "int_name": (_manifest_text({"name": 5}),
+                           "manifest unreadable: artifact name 5 is not a file name"),
+              "parent_name": (_manifest_text({"name": "../x"}),
+                              "manifest unreadable: artifact name '../x' is not a file name"),
+              "dotdot_name": (_manifest_text({"name": ".."}), "manifest unreadable: artifact name"),
+              "empty_name": (_manifest_text({"name": ""}), "manifest unreadable: artifact name"),
+              "stage_not_a_string": (_manifest_text(stages_completed=[1]),
+                                     "manifest unreadable: stages_completed is not a list"),
+              "stages_not_a_list": (_manifest_text(stages_planned="corpus"),
+                                    "manifest unreadable: stages_planned is not a list")}
 
 
 @pytest.mark.parametrize("text, line", UNREADABLE.values(), ids=UNREADABLE)
 def test_report_on_an_unreadable_manifest(tmp_path, capsys, text, line):
-    # these used to raise a JSONDecodeError or a KeyError out of report
+    # these used to raise a JSONDecodeError, KeyError, ValueError or TypeError
+    # out of report, or hash a file outside the run directory
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "manifest.json").write_text(text)
     report_text, complete = report(tmp_path / "out")
@@ -1165,7 +1197,8 @@ def test_ablation_ladder_emits_comparable_reports(tmp_path):
     # one damaged rung, each on a copy of the ladder, makes the family incomplete
     damages = {"edited": lambda rung: (rung / "ledger.csv").write_text("edited\n"),
                "failed_rerun": rerun_failing,
-               "unreadable": lambda rung: (rung / "manifest.json").write_text("{")}
+               "unreadable": lambda rung: (rung / "manifest.json").write_text("{"),
+               "ill_typed": _with_string_bytes}
     rows = {}
     for case, damage in damages.items():
         shutil.copytree(tmp_path / "ladder", tmp_path / case)
@@ -1176,6 +1209,14 @@ def test_ablation_ladder_emits_comparable_reports(tmp_path):
     assert "-" not in rows["edited"]
     assert rows["failed_rerun"] == ["-", "-", "-", "-"]  # params, loss, perplexity, cloze
     assert rows["unreadable"][:2] == ["manifest", "unreadable:"]
+    assert rows["ill_typed"][:3] == ["manifest", "unreadable:", "artifact"]
+
+
+def _with_string_bytes(run_dir):
+    """Rewrite a run's manifest with one artifact's byte count as a string."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["artifacts"][0]["bytes"] = str(manifest["artifacts"][0]["bytes"])
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 def _family_row(text, run_name):

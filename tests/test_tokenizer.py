@@ -23,6 +23,7 @@ from tinylm.tokenizer import (
     parse_vocab,
     recode,
     save_vocab,
+    train_and_encode,
     train_bpe,
     vocab_id_map,
 )
@@ -44,6 +45,8 @@ def _vocab_with_merges(pairs):
 # The benchmark's tracer (perfbench/tracer.py) times train_bpe and encode in
 # every run, traced or not, binds their arguments by name and reads
 # len(result.merges); a change to either signature fails every tokenize job.
+# train_and_encode, which the pipeline calls, is pinned the same way so that
+# the tracer can probe it by name.
 def test_train_bpe_and_encode_keep_the_benchmark_probe_contract():
     train = inspect.signature(train_bpe, eval_str=True)
     assert list(train.parameters) == ["corpus", "target_size"]
@@ -54,6 +57,11 @@ def test_train_bpe_and_encode_keep_the_benchmark_probe_contract():
     vocab = train_bpe(corpus=b"abab", target_size=257)
     assert isinstance(vocab, Vocabulary) and len(vocab.merges) == 1
     assert isinstance(encode(data=b"abab", vocab=vocab), np.ndarray)
+    both = inspect.signature(train_and_encode, eval_str=True)
+    assert list(both.parameters) == ["corpus", "target_size"]
+    assert both.return_annotation == tuple[Vocabulary, np.ndarray]
+    vocab, ids = train_and_encode(corpus=b"abab", target_size=257)
+    assert len(vocab.merges) == 1 and ids.tolist() == [256, 256]
 
 
 # The benchmark's workloads call these loaders with one path; a change to any
@@ -208,6 +216,24 @@ SMALL_ALPHABET = st.lists(st.sampled_from(b"ab c"), max_size=300).map(bytes)
 @given(corpus=SMALL_ALPHABET, target_size=st.integers(256, 320))
 def test_train_bpe_matches_reference_property(corpus, target_size):
     _assert_matches_reference(corpus, target_size)
+
+
+# runs of one symbol make overlapping (t, t) pairs, which merge every other one
+SYMBOL_RUNS = st.lists(st.tuples(st.sampled_from(b"aab "), st.integers(1, 40)),
+                       max_size=80).map(lambda runs: bytes(b for b, n in runs for _ in range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(corpus=st.one_of(SYMBOL_RUNS, SMALL_ALPHABET), target_size=st.integers(256, 330))
+@example(corpus=b"", target_size=300)
+@example(corpus=b"a", target_size=300)
+@example(corpus=b"abab" * 8, target_size=256)  # no merges
+def test_train_and_encode_returns_the_corpus_encoding_property(corpus, target_size):
+    vocab, ids = train_and_encode(corpus, target_size)
+    assert vocab == train_bpe(corpus, target_size)
+    want = encode(corpus, vocab)
+    assert ids.dtype == want.dtype
+    np.testing.assert_array_equal(ids, want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
