@@ -93,26 +93,33 @@ class ModelConfig:
         return cfg
 
 
+# The role of each axis of every parameter kind, in store order (embedding, one
+# layer's kinds, final norm, head): vocabulary rows, residual channels,
+# query-head columns (the width), KV-head columns (kv_groups * head_dim) or FFN
+# channels. Shapes, child slicing, channel ranking and KV pooling all read it.
+AXES: dict[str, tuple[str, ...]] = {
+    "embed": ("vocab", "width"),
+    "attn_norm": ("width",),
+    "wq": ("width", "heads"),
+    "wk": ("width", "kv"),
+    "wv": ("width", "kv"),
+    "wo": ("heads", "width"),
+    "ffn_norm": ("width",),
+    "wgate": ("width", "ffn"),
+    "wup": ("width", "ffn"),
+    "wdown": ("ffn", "width"),
+    "final_norm": ("width",),
+    "head": ("width", "vocab"),
+}
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every named tensor the config requires, with its exact shape."""
-    v, d = config.vocab_size, config.width
-    kv = config.kv_groups * config.head_dim
-    f = config.ffn_hidden
-    shapes: dict[str, tuple[int, ...]] = {"embed": (v, d)}
-    for i in range(config.depth):
-        p = f"layers.{i}."
-        shapes[p + "attn_norm"] = (d,)
-        shapes[p + "wq"] = (d, d)
-        shapes[p + "wk"] = (d, kv)
-        shapes[p + "wv"] = (d, kv)
-        shapes[p + "wo"] = (d, d)
-        shapes[p + "ffn_norm"] = (d,)
-        shapes[p + "wgate"] = (d, f)
-        shapes[p + "wup"] = (d, f)
-        shapes[p + "wdown"] = (f, d)
-    shapes["final_norm"] = (d,)
-    shapes["head"] = (d, v)
-    return shapes
+    size = {"vocab": config.vocab_size, "width": config.width, "heads": config.width,
+            "kv": config.kv_groups * config.head_dim, "ffn": config.ffn_hidden}
+    first, *layer, final, head = AXES
+    names = [first, *(f"layers.{i}.{k}" for i in range(config.depth) for k in layer), final, head]
+    return {name: tuple(size[r] for r in AXES[name.rsplit(".", 1)[-1]]) for name in names}
 
 
 class ParamStore:

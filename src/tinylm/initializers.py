@@ -51,7 +51,7 @@ def _depth_fraction(layer: int, depth: int) -> float:
 def specified_std(scheme: InitScheme, config: ModelConfig, name: str) -> float:
     """The standard deviation the scheme assigns to one named tensor."""
     sigma = scheme.sigma
-    if name.endswith("_norm") or name == "final_norm":
+    if name.endswith("_norm"):
         return 0.0  # norm scales are constant 1
     if name in ("embed", "head"):
         return sigma
@@ -79,7 +79,7 @@ def initialize(config: ModelConfig, scheme: InitScheme) -> ParamStore:
     rng = np.random.default_rng(scheme.seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith("_norm") or name == "final_norm":
+        if name.endswith("_norm"):
             tensors[name] = Tensor(np.ones(shape))
         else:
             s = specified_std(scheme, config, name)

@@ -277,11 +277,12 @@ def validate(config_file) -> PipelineConfig:
     and hashed from the same bytes.
 
     Token ids in a cloze file and architecture.config.vocab_size are checked
-    against the best-known vocabulary size: tokenizer.compact.size, else
-    tokenizer.load's size, else tokenizer.train.target_size. A value under
-    that bound can still miss the final vocabulary (BPE stopped early, or
-    coverage compaction shrank it); that is found only at run time, by the
-    arch stage for vocab_size and by the eval stage for cloze ids."""
+    against the best-known vocabulary size: tokenizer.load's size, else
+    tokenizer.train.target_size, or tokenizer.compact.size where that is
+    smaller (compaction never grows a vocabulary). A value under that bound
+    can still miss the final vocabulary (BPE stopped early, or coverage
+    compaction shrank it); that is found only at run time, by the arch stage
+    for vocab_size and by the eval stage for cloze ids."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -319,7 +320,7 @@ def validate(config_file) -> PipelineConfig:
     else:
         vocab_size = tok["train"]["target_size"]
     if "size" in tok.get("compact", {}):
-        vocab_size = tok["compact"]["size"]
+        vocab_size = min(vocab_size, tok["compact"]["size"])
     if arch.get("config", {}).get("vocab_size", 0) > vocab_size:
         raise ConfigError(f"architecture.config.vocab_size {arch['config']['vocab_size']} "
                           f"exceeds the vocabulary of at most {vocab_size}")
@@ -357,6 +358,16 @@ def _check_parent(parent: ModelConfig, params, child: ModelConfig | None,
     if sum(keep) > parent.depth:
         raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
                           f"{field} has ({parent.depth})")
+    if "generate" in inh:
+        # plan generation scores and slices whole heads (surgery._require_mha)
+        if parent.kv_groups != parent.n_heads:
+            raise ConfigError(f"{field}: inheritance.generate needs an MHA parent (kv_groups "
+                              f"== n_heads), got kv_groups {parent.kv_groups} and n_heads "
+                              f"{parent.n_heads}")
+        if child and child.kv_groups != child.n_heads:
+            raise ConfigError(f"architecture.config.kv_groups {child.kv_groups} must equal "
+                              f"n_heads {child.n_heads} under inheritance.generate; set "
+                              "inheritance.gqa_groups for a grouped-KV child")
     if child:
         if child.depth > parent.depth:
             raise ConfigError(f"architecture.config.depth {child.depth} exceeds the depth "

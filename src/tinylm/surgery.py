@@ -12,11 +12,11 @@ afterwards if wanted. All tie-breaks prefer the lower index.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .arch import ModelConfig, ParamStore, batch_loss, lm_loss
+from .arch import AXES, ModelConfig, ParamStore, batch_loss, lm_loss, param_shapes
 from .fileio import csv_text
 from .tensor import Tape, Tensor, sigmoid
 from .trainer import AdamW, TrainPlan
@@ -323,6 +323,18 @@ class InheritancePlan:
                 raise PlanError(
                     f"plan retains {len(chans)} FFN channels, child has {child.ffn_hidden}"
                 )
+        if any(heads != list(range(parent.n_heads)) for heads in self.head_indices):
+            _require_mha(parent)
+            if child.kv_groups != child.n_heads:
+                raise PlanError(
+                    "a head-pruned child keeps one KV head per query head; "
+                    "apply convert_to_gqa afterwards for grouped KV"
+                )
+        elif child.kv_groups != parent.kv_groups:
+            raise PlanError(
+                f"child kv_groups {child.kv_groups} must match parent "
+                f"{parent.kv_groups} when no heads are pruned"
+            )
         _check_ids("channel_plan", self.channel_plan, parent.width, increasing=True)
         if len(self.channel_plan) != child.width:
             raise PlanError(
@@ -369,10 +381,6 @@ def identity_plan(config: ModelConfig) -> InheritancePlan:
     )
 
 
-def _head_cols(heads: list[int], head_dim: int) -> np.ndarray:
-    return np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in heads])
-
-
 def build_child(
     parent_config: ModelConfig,
     parent_params: ParamStore,
@@ -381,48 +389,30 @@ def build_child(
 ) -> ParamStore:
     """Slice the parent into a child ParamStore: kept layers in order, head
     blocks and FFN channels per layer, one shared residual-channel plan, and
-    embedding/head rows from the vocab map."""
+    embedding/head rows from the vocab map. Each child tensor takes, along
+    each axis, the parent indices of that axis's role (``AXES``)."""
     parent_config.validate()
     child_config.validate()
     plan.validate(parent_config, child_config)
     hd = parent_config.head_dim
-    full_heads = list(range(parent_config.n_heads))
-    prunes_heads = any(h != full_heads for h in plan.head_indices)
-    if prunes_heads:
-        _require_mha(parent_config)
-        if child_config.kv_groups != child_config.n_heads:
-            raise PlanError(
-                "a head-pruned child keeps one KV head per query head; "
-                "apply convert_to_gqa afterwards for grouped KV"
-            )
-    elif child_config.kv_groups != parent_config.kv_groups:
-        raise PlanError(
-            f"child kv_groups {child_config.kv_groups} must match parent "
-            f"{parent_config.kv_groups} when no heads are pruned"
-        )
-    rows = np.asarray(plan.vocab_map)
-    cols = np.asarray(plan.channel_plan)
-    tensors: dict[str, Tensor] = {
-        "embed": Tensor(parent_params["embed"].data[np.ix_(rows, cols)]),
-        "head": Tensor(parent_params["head"].data[np.ix_(cols, rows)]),
-        "final_norm": Tensor(parent_params["final_norm"].data[cols]),
-    }
-    for new_i, old_i in enumerate(plan.kept_layers):
-        po = f"layers.{old_i}."
-        pn = f"layers.{new_i}."
-        heads = plan.head_indices[new_i]
-        chans = np.asarray(plan.ffn_indices[new_i])
-        hcols = _head_cols(heads, hd)
-        kvcols = hcols if prunes_heads else np.arange(parent_config.kv_groups * hd)
-        tensors[pn + "attn_norm"] = Tensor(parent_params[po + "attn_norm"].data[cols])
-        tensors[pn + "wq"] = Tensor(parent_params[po + "wq"].data[np.ix_(cols, hcols)])
-        tensors[pn + "wk"] = Tensor(parent_params[po + "wk"].data[np.ix_(cols, kvcols)])
-        tensors[pn + "wv"] = Tensor(parent_params[po + "wv"].data[np.ix_(cols, kvcols)])
-        tensors[pn + "wo"] = Tensor(parent_params[po + "wo"].data[np.ix_(hcols, cols)])
-        tensors[pn + "ffn_norm"] = Tensor(parent_params[po + "ffn_norm"].data[cols])
-        tensors[pn + "wgate"] = Tensor(parent_params[po + "wgate"].data[np.ix_(cols, chans)])
-        tensors[pn + "wup"] = Tensor(parent_params[po + "wup"].data[np.ix_(cols, chans)])
-        tensors[pn + "wdown"] = Tensor(parent_params[po + "wdown"].data[np.ix_(chans, cols)])
+    shared = {"vocab": np.asarray(plan.vocab_map), "width": np.asarray(plan.channel_plan)}
+    # validate_structure lets only an MHA parent lose heads: a grouped-KV
+    # parent keeps all of its KV columns
+    mha = parent_config.kv_groups == parent_config.n_heads
+    layers = []
+    for heads, chans in zip(plan.head_indices, plan.ffn_indices):
+        cols = (np.asarray(heads)[:, None] * hd + np.arange(hd)).ravel()
+        kv = cols if mha else np.arange(parent_config.kv_groups * hd)
+        layers.append({**shared, "heads": cols, "kv": kv, "ffn": np.asarray(chans)})
+    tensors: dict[str, Tensor] = {}
+    for name in param_shapes(child_config):
+        kind = name.rsplit(".", 1)[-1]
+        if name.startswith("layers."):
+            i = int(name.split(".")[1])
+            source, index = f"layers.{plan.kept_layers[i]}.{kind}", layers[i]
+        else:
+            source, index = name, shared
+        tensors[name] = Tensor(parent_params[source].data[np.ix_(*(index[r] for r in AXES[kind]))])
     store = ParamStore(tensors)
     try:
         store.validate(child_config)
@@ -436,14 +426,10 @@ def channel_importance(config: ModelConfig, params: ParamStore) -> np.ndarray:
     head, and every layer's projections; used to pick a shared channel plan
     when the child is narrower."""
     sq = np.zeros(config.width)
-    sq += (params["embed"].data ** 2).sum(axis=0)
-    sq += (params["head"].data ** 2).sum(axis=1)
-    for i in range(config.depth):
-        p = f"layers.{i}."
-        for name in ("wq", "wk", "wv", "wgate", "wup"):
-            sq += (params[p + name].data ** 2).sum(axis=1)
-        sq += (params[p + "wo"].data ** 2).sum(axis=0)
-        sq += (params[p + "wdown"].data ** 2).sum(axis=0)
+    for name in param_shapes(config):
+        axes = AXES[name.rsplit(".", 1)[-1]]
+        if len(axes) == 2:  # projections and embeddings; norm scales are not ranked
+            sq += (params[name].data ** 2).sum(axis=1 - axes.index("width"))
     return np.sqrt(sq)
 
 
@@ -512,24 +498,16 @@ def convert_to_gqa(
         raise ValueError("convert_to_gqa expects an MHA model (kv_groups == n_heads)")
     hd = config.head_dim
     group_size = config.n_heads // groups
-    new_config = ModelConfig(
-        vocab_size=config.vocab_size,
-        width=config.width,
-        depth=config.depth,
-        n_heads=config.n_heads,
-        kv_groups=groups,
-        ffn_hidden=config.ffn_hidden,
-    )
     tensors: dict[str, Tensor] = {}
     for name, t in params.tensors.items():
-        kind = name.split(".")[-1]
-        if kind in ("wk", "wv"):
-            d = t.shape[0]
-            blocks = t.data.reshape(d, config.n_heads, hd)
-            pooled = blocks.reshape(d, groups, group_size, hd).mean(axis=2)
-            tensors[name] = Tensor(pooled.reshape(d, groups * hd))
-        else:
-            tensors[name] = Tensor(t.data.copy())
+        data = t.data
+        for axis, role in enumerate(AXES[name.rsplit(".", 1)[-1]]):
+            if role == "kv":
+                before, after = data.shape[:axis], data.shape[axis + 1:]
+                blocks = data.reshape(*before, groups, group_size, hd, *after)
+                data = blocks.mean(axis=axis + 1).reshape(*before, groups * hd, *after)
+        tensors[name] = Tensor(data.copy())
+    new_config = replace(config, kv_groups=groups)
     store = ParamStore(tensors)
     store.validate(new_config)
     return new_config, store

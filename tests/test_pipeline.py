@@ -352,12 +352,14 @@ def _save_parent(path, **config):
     return cfg
 
 
-def _inheriting(tmp_path, parent=None, **inheritance):
+def _inheriting(tmp_path, parent=None, child=None, **inheritance):
     """The write_config config with an inheritance section in place of init,
-    from a parent shaped like its child unless ``parent`` overrides that."""
+    from a parent shaped like its child unless ``parent`` overrides that;
+    ``child`` overrides architecture.config fields."""
     _save_parent(tmp_path / "parent.ckpt", **(parent or {}))
     raw = json.loads(write_config(tmp_path).read_text())
     del raw["init"]
+    raw["architecture"]["config"].update(child or {})
     raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", **inheritance}
     return _write(tmp_path / "config.json", raw)
 
@@ -390,6 +392,51 @@ def test_validate_checks_the_parent_checkpoint(tmp_path, capsys, parent, keep_en
         validate(path)
     assert main(["validate", str(path)]) == 1
     assert "inheritance.parent_checkpoint" in capsys.readouterr().err
+
+
+# parent, child (architecture.config fields over width 16, n_heads 2) and the
+# error under inheritance.generate and under a plan file that keeps the
+# child's heads (the first ones) and residual channels. Each used to pass
+# validate and fail at the params stage with exit 2; the parent matches the
+# trained vocabulary so that nothing else stops the run.
+V300 = {"vocab_size": 300}
+KV_DEFECTS = {
+    "mha_parent_child_kv_groups_2_of_4": (
+        {"n_heads": 4, "kv_groups": 4, **V300}, {"n_heads": 4, "kv_groups": 2},
+        "architecture.config.kv_groups 2 must equal n_heads 4 under inheritance.generate; "
+        "set inheritance.gqa_groups",
+        "inheritance.plan: child kv_groups 2 must match parent 4"),
+    "child_kv_groups_1_of_2": (
+        {"width": 32, "n_heads": 4, "kv_groups": 4, **V300}, {"kv_groups": 1},
+        "architecture.config.kv_groups 1 must equal n_heads 2 under inheritance.generate; "
+        "set inheritance.gqa_groups",
+        "inheritance.plan: a head-pruned child keeps one KV head per query head"),
+    "grouped_kv_parent": (
+        {"width": 32, "n_heads": 4, "kv_groups": 2, **V300}, {},
+        "inheritance.parent_checkpoint: inheritance.generate needs an MHA parent",
+        "inheritance.plan: head-level surgery needs an MHA parent"),
+}
+
+
+@pytest.mark.parametrize("source", ["generate", "plan"])
+@pytest.mark.parametrize("parent, child, generate_error, plan_error", KV_DEFECTS.values(),
+                         ids=KV_DEFECTS)
+def test_validate_checks_kv_groups_against_surgery(tmp_path, capsys, source, parent, child,
+                                                   generate_error, plan_error):
+    if source == "generate":
+        path, message = _inheriting(tmp_path, parent, child,
+                                    generate={"keep_ends": [1, 1]}), generate_error
+    else:
+        cfg = _save_parent(tmp_path / "parent.ckpt", **parent)
+        plan = identity_plan(cfg)
+        kept = list(range(child.get("n_heads", 2)))
+        plan.head_indices, plan.channel_plan = [kept, kept], list(range(16))
+        (tmp_path / "plan.json").write_text(plan.to_json())
+        path, message = _inheriting(tmp_path, parent, child, plan="plan.json"), plan_error
+    with pytest.raises(ConfigError, match=message):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_validate_rejects_a_corrupt_parent_checkpoint(tmp_path):
@@ -442,7 +489,9 @@ def test_validate_rejects_a_cloze_shape_the_holdout_stream_cannot_fit(tmp_path, 
 @pytest.mark.parametrize("tokenizer, bound", [
     ({"train": {"target_size": 300}}, 300),
     ({"train": {"target_size": 300}, "compact": {"size": 280}}, 280),
-], ids=["target_size", "compact_size"])
+    # compaction never grows the vocabulary: a larger size leaves target_size the bound
+    ({"train": {"target_size": 300}, "compact": {"size": 400}}, 300),
+], ids=["target_size", "compact_size", "compact_size_over_target"])
 def test_validate_rejects_cloze_file_ids_past_the_vocabulary(tmp_path, capsys, tokenizer,
                                                              bound):
     # used to pass validate and fail after training (exit 2)
@@ -464,7 +513,9 @@ def test_validate_rejects_cloze_file_ids_past_the_vocabulary(tmp_path, capsys, t
 @pytest.mark.parametrize("tokenizer, bound", [
     ({"train": {"target_size": 300}}, 300),
     ({"train": {"target_size": 300}, "compact": {"size": 280}}, 280),
-], ids=["target_size", "compact_size"])
+    # compaction never grows the vocabulary: a larger size leaves target_size the bound
+    ({"train": {"target_size": 300}, "compact": {"size": 400}}, 300),
+], ids=["target_size", "compact_size", "compact_size_over_target"])
 def test_validate_rejects_a_model_vocab_size_past_the_vocabulary(tmp_path, capsys, tokenizer,
                                                                  bound):
     # used to pass validate and fail at the arch stage (exit 2)

@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -550,6 +551,50 @@ def test_build_child_random_plans_validate():
         )
         store = build_child(parent, params, plan, child)
         store.validate(child)  # exact shapes forced by the child config
+        # the child lists its tensors in initialize's order, which fixes the
+        # order of AdamW's clip-norm sum
+        assert list(store.tensors) == list(param_shapes(child))
+        # every tensor against slices written out per kind
+        rows, chans = plan.vocab_map, plan.channel_plan
+        assert np.array_equal(store["embed"].data, params["embed"].data[rows][:, chans])
+        assert np.array_equal(store["head"].data, params["head"].data[chans][:, rows])
+        assert np.array_equal(store["final_norm"].data, params["final_norm"].data[chans])
+        for new_i, old_i in enumerate(plan.kept_layers):
+            new, old = f"layers.{new_i}.", f"layers.{old_i}."
+            heads = [h * parent.head_dim + j for h in plan.head_indices[new_i]
+                     for j in range(parent.head_dim)]
+            ffn = plan.ffn_indices[new_i]
+            want = {"attn_norm": params[old + "attn_norm"].data[chans],
+                    "ffn_norm": params[old + "ffn_norm"].data[chans],
+                    "wo": params[old + "wo"].data[heads][:, chans],
+                    "wdown": params[old + "wdown"].data[ffn][:, chans]}
+            want.update({k: params[old + k].data[chans][:, heads] for k in ("wq", "wk", "wv")})
+            want.update({k: params[old + k].data[chans][:, ffn] for k in ("wgate", "wup")})
+            for kind, value in want.items():
+                assert np.array_equal(store[new + kind].data, value), new + kind
+
+
+def test_plan_validate_checks_kv_groups():
+    # head pruning needs an MHA parent and an MHA child; without it the child
+    # keeps the parent's kv_groups. validate_structure checks both, so a plan
+    # file is refused at validate, and build_child through plan.validate
+    mha, gqa = mha_config(depth=2, n_heads=4), mha_config(depth=2, n_heads=4, kv_groups=2)
+    pruned = identity_plan(mha)
+    pruned.head_indices, pruned.channel_plan = [[0, 1], [1, 3]], list(range(8))
+    narrow = mha_config(depth=2, n_heads=2, width=8)
+    pruned.validate_structure(mha, narrow)
+    cases = [
+        (gqa, narrow, pruned, "needs an MHA parent"),
+        (mha, replace(narrow, kv_groups=1), pruned, "one KV head per query head"),
+        (mha, gqa, identity_plan(mha), "child kv_groups 2 must match parent 4"),
+    ]
+    identity_plan(gqa).validate_structure(gqa, gqa)
+    for parent, child, plan, message in cases:
+        with pytest.raises(PlanError, match=message):
+            plan.validate_structure(parent, child)
+        params = initialize(parent, InitScheme("constant", 0.1, seed=13))
+        with pytest.raises(PlanError, match=message):
+            build_child(parent, params, plan, child)
 
 
 def test_build_child_shape_mismatch_names_tensor():
