@@ -279,10 +279,28 @@ def validate(config_file) -> PipelineConfig:
     Token ids in a cloze file and architecture.config.vocab_size are checked
     against the best-known vocabulary size: tokenizer.load's size, else
     tokenizer.train.target_size, or tokenizer.compact.size where that is
-    smaller (compaction never grows a vocabulary). A value under that bound
-    can still miss the final vocabulary (BPE stopped early, or coverage
-    compaction shrank it); that is found only at run time, by the arch stage
-    for vocab_size and by the eval stage for cloze ids."""
+    smaller (compaction never grows a vocabulary).
+
+    A config that passes can still fail at run time only on a value that
+    needs the corpus or a stage's result; each such condition is named here:
+
+    - BPE stopping early: training ends below tokenizer.train.target_size
+      when no pair of tokens repeats, which only training the corpus shows;
+      the arch stage then finds a vocab_size mismatch, the eval stage a
+      cloze id outside the vocabulary, or the params stage no vocab map to
+      a generated plan's parent.
+    - Coverage compaction shrinking the vocabulary: how many tokens
+      tokenizer.compact.coverage keeps depends on the corpus's token
+      frequencies; the same stages find the same mismatches.
+    - A plan file's vocab_map length: it must equal the child's final
+      vocabulary size, which the two conditions above leave open until the
+      params stage.
+    - inheritance.gqa_groups and the child's shape under
+      architecture.search: the arch stage searches against the final
+      vocabulary size, so the child's n_heads (which gqa_groups must
+      divide) and the depth, head and FFN counts and width a plan must
+      match are known only then; a plan's checks against the parent alone
+      run here."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -369,17 +387,21 @@ def _check_parent(parent: ModelConfig, params, child: ModelConfig | None,
                               f"n_heads {child.n_heads} under inheritance.generate; set "
                               "inheritance.gqa_groups for a grouped-KV child")
     if child:
-        if child.depth > parent.depth:
-            raise ConfigError(f"architecture.config.depth {child.depth} exceeds the depth "
-                              f"{parent.depth} of {field}")
+        # a child can be sliced only from parts its parent has; its width is
+        # n_heads x head_dim, so equal head_dims bound it too
+        for name in ("depth", "n_heads", "ffn_hidden"):
+            if getattr(child, name) > getattr(parent, name):
+                raise ConfigError(f"architecture.config.{name} {getattr(child, name)} exceeds "
+                                  f"the {name} {getattr(parent, name)} of {field}")
         if child.head_dim != parent.head_dim:
             raise ConfigError(f"architecture.config head_dim {child.head_dim} (width / "
                               f"n_heads) differs from the head_dim {parent.head_dim} of {field}")
-        if plan:
-            try:
-                plan.validate_structure(parent, child)
-            except PlanError as err:
-                raise ConfigError(f"inheritance.plan: {err}") from err
+    if plan:
+        # under architecture.search, the checks against the parent alone
+        try:
+            plan.validate_structure(parent, child)
+        except PlanError as err:
+            raise ConfigError(f"inheritance.plan: {err}") from err
 
 
 def _parse(config_path: Path, field_path: str, rel: str, parse) -> tuple:

@@ -268,9 +268,7 @@ def learn_masks(
                 loss = loss + MASK_PENALTY * (g.sum() - float(child_channels)) ** 2
         if not np.isfinite(loss.data):
             raise RuntimeError(f"mask optimization diverged at step {step}")
-        grad_map = tape.gradients(loss)
-        opt.step({name: grad_map[lg] for name, lg in gates.tensors.items()}, MASK_LR)
-        del grad_map  # free this step's gradients before the next forward
+        opt.step(tape.gradients(loss), MASK_LR)
     return NeuronScores(
         "learned",
         [lg.data.copy() for lg in head_logits],
@@ -298,45 +296,46 @@ class InheritancePlan:
                 f"vocab map length {len(self.vocab_map)} != child vocab {child.vocab_size}"
             )
 
-    def validate_structure(self, parent: ModelConfig, child: ModelConfig) -> None:
+    def validate_structure(self, parent: ModelConfig, child: ModelConfig | None) -> None:
         """Every check but the vocab_map length, which needs the child's final
-        vocabulary size."""
+        vocabulary size. Without a ``child`` (its shape is not known yet), the
+        checks against the parent alone: every id in range and ordered, one
+        unit list per kept layer, and pruned heads only from an MHA parent."""
         _check_ids("kept_layers", self.kept_layers, parent.depth, increasing=True)
-        if len(self.kept_layers) != child.depth:
-            raise PlanError(
-                f"plan keeps {len(self.kept_layers)} layers, child depth is {child.depth}"
-            )
-        if parent.head_dim != child.head_dim:
+        depth = len(self.kept_layers)
+        if child and depth != child.depth:
+            raise PlanError(f"plan keeps {depth} layers, child depth is {child.depth}")
+        if child and parent.head_dim != child.head_dim:
             raise PlanError(
                 f"head_dim mismatch: parent {parent.head_dim}, child {child.head_dim}"
             )
         for name in ("head_indices", "ffn_indices"):
             units = getattr(self, name)
-            if not isinstance(units, (list, tuple)) or len(units) != child.depth:
-                raise PlanError(f"{name} must hold one list per child layer ({child.depth})")
+            if not isinstance(units, (list, tuple)) or len(units) != depth:
+                raise PlanError(f"{name} must hold one list per child layer ({depth})")
         for heads, chans in zip(self.head_indices, self.ffn_indices):
             _check_ids("head_indices", heads, parent.n_heads, increasing=True)
             _check_ids("ffn_indices", chans, parent.ffn_hidden, increasing=True)
-            if len(heads) != child.n_heads:
+            if child and len(heads) != child.n_heads:
                 raise PlanError(f"plan retains {len(heads)} heads, child has {child.n_heads}")
-            if len(chans) != child.ffn_hidden:
+            if child and len(chans) != child.ffn_hidden:
                 raise PlanError(
                     f"plan retains {len(chans)} FFN channels, child has {child.ffn_hidden}"
                 )
         if any(heads != list(range(parent.n_heads)) for heads in self.head_indices):
             _require_mha(parent)
-            if child.kv_groups != child.n_heads:
+            if child and child.kv_groups != child.n_heads:
                 raise PlanError(
                     "a head-pruned child keeps one KV head per query head; "
                     "apply convert_to_gqa afterwards for grouped KV"
                 )
-        elif child.kv_groups != parent.kv_groups:
+        elif child and child.kv_groups != parent.kv_groups:
             raise PlanError(
                 f"child kv_groups {child.kv_groups} must match parent "
                 f"{parent.kv_groups} when no heads are pruned"
             )
         _check_ids("channel_plan", self.channel_plan, parent.width, increasing=True)
-        if len(self.channel_plan) != child.width:
+        if child and len(self.channel_plan) != child.width:
             raise PlanError(
                 f"channel plan length {len(self.channel_plan)} != child width {child.width}"
             )

@@ -7,9 +7,9 @@ training order, into ``parts`` near-equal parts; the ledger keeps each
 batch's loss at the moment it was trained, which later drives resampling
 and the forgetting scan.
 
-A step's gradients are freed before the next forward: no tape loop here or
-in ``surgery`` keeps a gradient map past the step that uses it, so training
-holds at most one step's gradients at a time.
+A step's gradients are freed before the next forward: ``AdamW.step`` takes
+the map ``Tape.gradients`` returns as a temporary, so training holds at most
+one step's gradients at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .arch import ModelConfig, ParamStore, batch_loss, lm_loss
 from .fileio import csv_text
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 
 class NonFiniteLossError(RuntimeError):
@@ -143,13 +143,17 @@ class AdamW:
         n = math.prod(shape)
         return tuple(buf[:n].reshape(shape) for buf in self._scratch)
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
+        """One update from ``grads``, the leaf-tensor map ``Tape.gradients``
+        returns; a parameter missing from it has a zero gradient."""
         plan = self.plan
         scale = None
         if plan.grad_clip > 0:
             sq = 0.0
-            for g in grads.values():
-                sq += float(np.multiply(g, g, out=self._buffers(g.shape)[0]).sum())
+            for tensor in self.params.tensors.values():
+                g = grads.get(tensor)
+                if g is not None:
+                    sq += float(np.multiply(g, g, out=self._buffers(g.shape)[0]).sum())
             norm = math.sqrt(sq)
             if norm > plan.grad_clip:
                 scale = plan.grad_clip / norm
@@ -157,7 +161,7 @@ class AdamW:
         t = self.step_count
         for name, tensor in self.params.tensors.items():
             a, b = self._buffers(tensor.shape)
-            g = grads.get(name)
+            g = grads.get(tensor)
             # b holds the (scaled or zero) gradient until v_hat needs it
             if g is None:
                 b.fill(0.0)
@@ -207,14 +211,11 @@ def train_round(
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise NonFiniteLossError(f"non-finite loss at batch {i}")
-            grad_map = tape.gradients(loss)
             lr = float(lr_schedule[i])
             ledger.entries.append(LedgerEntry(batch_indices[i], int(parts[i]), loss_val))
             if curve is not None:
                 curve.append((len(curve), lr, loss_val))
-            opt.step({name: grad_map[tensor] for name, tensor in params.tensors.items()
-                      if tensor in grad_map}, lr)
-            del grad_map  # free this step's gradients before the next forward
+            opt.step(tape.gradients(loss), lr)
     finally:
         params.set_requires_grad(False)
     return params, ledger

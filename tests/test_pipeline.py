@@ -381,14 +381,21 @@ def test_validate_accepts_keep_ends_filling_the_depth(tmp_path):
     validate(_inheriting(tmp_path, generate={"keep_ends": [1, 1]}))
 
 
-@pytest.mark.parametrize("parent, keep_ends", [({"depth": 1}, [1, 0]),
-                                               ({"width": 32}, [1, 1]),
-                                               ({"depth": 3}, [2, 2])],
-                         ids=["child_deeper", "head_dim_16_vs_8", "keep_ends_sum_4_over_3"])
-def test_validate_checks_the_parent_checkpoint(tmp_path, capsys, parent, keep_ends):
-    # the first two used to pass validate and fail in surgery with exit 2
+@pytest.mark.parametrize("parent, keep_ends, message", [
+    ({"depth": 1}, [1, 0], "architecture.config.depth 2 exceeds the depth 1"),
+    ({"width": 32}, [1, 1], "architecture.config head_dim 8"),
+    ({"depth": 3}, [2, 2], "inheritance.generate.keep_ends"),
+    ({"width": 8, "n_heads": 1, "kv_groups": 1, "vocab_size": 300}, [1, 1],
+     "architecture.config.n_heads 2 exceeds the n_heads 1"),
+    ({"ffn_hidden": 16, "vocab_size": 300}, [1, 1],
+     "architecture.config.ffn_hidden 24 exceeds the ffn_hidden 16"),
+], ids=["child_deeper", "head_dim_16_vs_8", "keep_ends_sum_4_over_3", "child_more_heads",
+        "child_more_ffn"])
+def test_validate_checks_the_parent_checkpoint(tmp_path, capsys, parent, keep_ends, message):
+    # all but keep_ends_sum_4_over_3 used to pass validate and fail in surgery
+    # with exit 2
     path = _inheriting(tmp_path, parent, generate={"keep_ends": keep_ends})
-    with pytest.raises(ConfigError, match="inheritance.parent_checkpoint"):
+    with pytest.raises(ConfigError, match=f"{message}.*inheritance.parent_checkpoint"):
         validate(path)
     assert main(["validate", str(path)]) == 1
     assert "inheritance.parent_checkpoint" in capsys.readouterr().err
@@ -600,6 +607,33 @@ PLAN_DEFECTS = {
 def test_validate_checks_the_plan_against_parent_and_child(tmp_path, capsys, fields, message):
     # each of these used to pass validate and fail in surgery with exit 2
     path = _with_plan(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=f"inheritance.plan: {message}"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.plan" in capsys.readouterr().err
+
+
+# the cases whose check needs only the parent, and a head-pruning plan for a
+# grouped-KV parent (2 heads sharing 1 KV head)
+PARENT_PLAN_DEFECTS = {
+    **{k: (None, *PLAN_DEFECTS[k]) for k in ("kept_layer_id", "units_per_layer", "head_id",
+                                             "ffn_id", "channel_id", "vocab_id")},
+    "pruned_heads_of_grouped_kv_parent": ({"kv_groups": 1}, {"head_indices": [[0], [0]]},
+                                          "head-level surgery needs an MHA parent"),
+}
+
+
+@pytest.mark.parametrize("parent, fields, message", PARENT_PLAN_DEFECTS.values(),
+                         ids=PARENT_PLAN_DEFECTS)
+def test_validate_checks_the_plan_against_the_parent_under_search(tmp_path, capsys, parent,
+                                                                   fields, message):
+    # with no fixed child these used to pass validate and fail in surgery
+    # with exit 2
+    raw = json.loads(_with_plan(tmp_path, **fields).read_text())
+    raw["architecture"] = FEASIBLE_SEARCH
+    if parent:
+        _save_parent(tmp_path / "parent.ckpt", **parent)
+    path = _write(tmp_path / "config.json", raw)
     with pytest.raises(ConfigError, match=f"inheritance.plan: {message}"):
         validate(path)
     assert main(["validate", str(path)]) == 1

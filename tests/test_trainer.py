@@ -5,11 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from tinylm import arch, trainer
+from tinylm import arch, surgery, trainer
 from tinylm.arch import ModelConfig
 from tinylm.initializers import InitScheme, initialize
 from tinylm.surgery import learn_masks
-from tinylm.tensor import HEAP_KEPT, Tensor
+from tinylm.tensor import HEAP_KEPT, Tape, Tensor
 from tinylm.trainer import (
     AdamW,
     BatchLossLedger,
@@ -97,7 +97,7 @@ def test_adam_three_hand_steps_quadratic():
     p, m, v = 1.0, 0.0, 0.0
     for t in range(1, 4):
         g = 2.0 * p
-        opt.step({"p": np.array([2.0 * store["p"].data[0]])}, lr=0.1)
+        opt.step({store["p"]: np.array([2.0 * store["p"].data[0]])}, lr=0.1)
         m = 0.9 * m + 0.1 * g
         v = 0.95 * v + 0.05 * g * g
         m_hat = m / (1 - 0.9**t)
@@ -117,7 +117,7 @@ def test_adamw_with_mask_plan_matches_plain_adam():
     m = [np.zeros_like(a) for a in ref]
     v = [np.zeros_like(a) for a in ref]
     for step in range(50):
-        grads = {name: np.sin(3.0 * t.data) + t.data for name, t in store.tensors.items()}
+        grads = {t: np.sin(3.0 * t.data) + t.data for t in store.tensors.values()}
         opt.step(grads, 0.1)
         for i, p in enumerate(ref):
             g = np.sin(3.0 * p) + p
@@ -146,7 +146,7 @@ def test_gradient_clipping_rescales_to_unit_norm():
                      weight_decay=0.0, grad_clip=1.0)
     store = ParamStore({"p": Tensor(np.array([0.0, 0.0]))})
     opt = AdamW(store, plan)
-    opt.step({"p": np.array([30.0, 40.0])}, lr=1.0)  # norm 50 -> scaled to 1
+    opt.step({store["p"]: np.array([30.0, 40.0])}, lr=1.0)  # norm 50 -> scaled to 1
     # beta1=beta2=0: update = g_clipped / (|g_clipped| + eps), signwise ~ 1
     assert np.allclose(np.abs(store["p"].data), 1.0, atol=1e-9)
 
@@ -188,7 +188,7 @@ def test_adamw_in_place_step_is_bit_identical_to_plain_numpy(grad_clip):
     for t in range(1, 11):
         grads = {k: rng.normal(0.0, 0.05, size=p.shape)
                  for k, p in params.tensors.items() if k != "final_norm"}
-        opt.step(grads, 1e-3)
+        opt.step({params[k]: g for k, g in grads.items()}, 1e-3)
         _plain_adamw_step(plan, ref, m, v, t, grads, 1e-3)
     for k, tensor in params.tensors.items():
         assert np.array_equal(tensor.data, ref[k].data), k
@@ -242,12 +242,19 @@ def test_train_round_memory_is_one_step_without_cyclic_gc(no_cyclic_gc):
 
 
 def test_a_steps_gradients_are_freed_before_the_next_forward(monkeypatch, no_cyclic_gc):
+    # train_round and learn_masks hand AdamW the very map the tape returned
     cfg = tiny_config()
     params = initialize(cfg, InitScheme("constant", 0.02, 0))
+    returned = []  # the map a backward sweep returned, until a step takes it
     handed = []  # per AdamW step, weakrefs to the gradients it was handed
-    step = AdamW.step
+    gradients, step = Tape.gradients, AdamW.step
+
+    def spy_gradients(self, loss):
+        returned.append(gradients(self, loss))
+        return returned[-1]
 
     def spy_step(self, grads, lr):
+        assert grads is returned.pop()
         handed.append([weakref.ref(g) for g in grads.values()])
         step(self, grads, lr)
 
@@ -256,10 +263,13 @@ def test_a_steps_gradients_are_freed_before_the_next_forward(monkeypatch, no_cyc
             assert all(r() is None for r in refs), f"step {i}'s gradients outlive it"
         return arch.lm_loss(*args, **kwargs)
 
+    monkeypatch.setattr(Tape, "gradients", spy_gradients)
     monkeypatch.setattr(AdamW, "step", spy_step)
     monkeypatch.setattr(trainer, "lm_loss", spy_loss)
+    monkeypatch.setattr(surgery, "lm_loss", spy_loss)
     train_round(cfg, params, tiny_batches(cfg, n=4), TrainPlan(lr=1e-3, parts=2))
-    assert len(handed) == 4 and all(handed)
+    learn_masks(cfg, params, tiny_batches(cfg, n=2), child_heads=1, child_channels=6, steps=3)
+    assert len(handed) == 7 and all(handed) and not returned
 
 
 # growth allowed in the traced bytes held when a forward starts, past step 1's:
