@@ -131,9 +131,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def validate(self, config: ModelConfig) -> None:
         expected = param_shapes(config)
         for name, shape in expected.items():
@@ -298,8 +295,8 @@ def attention_block(
 ) -> Tensor:
     """Causal rotary attention sublayer on a normalized input [B,T,d_in].
 
-    Head count and widths are taken from the projection shapes, so sliced
-    weight sets (fewer heads than the parent) evaluate directly. With
+    ``n_heads`` query heads of ``head_dim`` share ``kv_groups`` key/value
+    heads; the caller passes all three, and the projections must match. With
     ``cache``, the tokens sit at positions cache.length onward: their keys
     and values are stored in the cache's buffers for ``layer``, and
     attention reads every cached position. ``rope_tables`` are the tokens'
@@ -363,8 +360,6 @@ def forward(
     inference only: it cannot be used under an active Tape.
     """
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
     bad = set(skip_layers) - set(range(config.depth))
     if bad:
         raise ValueError(f"skip_layers {sorted(bad)} outside [0, {config.depth})")

@@ -277,9 +277,14 @@ def validate(config_file) -> PipelineConfig:
     and hashed from the same bytes.
 
     Token ids in a cloze file and architecture.config.vocab_size are checked
-    against the best-known vocabulary size: tokenizer.load's size, else
-    tokenizer.train.target_size, or tokenizer.compact.size where that is
-    smaller (compaction never grows a vocabulary).
+    against the best-known vocabulary size: the pre-compaction bound
+    (tokenizer.load's size, else tokenizer.train.target_size), or
+    tokenizer.compact.size where that is smaller (compaction never grows a
+    vocabulary). Under inheritance.generate the parent checkpoint's
+    vocab_size may not exceed the pre-compaction bound, and must equal
+    tokenizer.load's size when nothing compacts it. The corpus must hold
+    (evaluation.holdout_batches + 1) x training.batch_size x
+    (training.seq_len + 1) bytes, since every token covers at least one.
 
     A config that passes can still fail at run time only on a value that
     needs the corpus or a stage's result; each such condition is named here:
@@ -292,6 +297,10 @@ def validate(config_file) -> PipelineConfig:
     - Coverage compaction shrinking the vocabulary: how many tokens
       tokenizer.compact.coverage keeps depends on the corpus's token
       frequencies; the same stages find the same mismatches.
+    - BPE compression leaving too few tokens: the byte bound above holds
+      one token per byte, and how far BPE merges the corpus, and so whether
+      the arch stage fills the training and hold-out batches, only
+      training shows.
     - A plan file's vocab_map length: it must equal the child's final
       vocabulary size, which the two conditions above leave open until the
       params stage.
@@ -318,11 +327,11 @@ def validate(config_file) -> PipelineConfig:
     if child and inh.get("gqa_groups") is not None and child.n_heads % inh["gqa_groups"]:
         raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
                           f"architecture.config.n_heads {child.n_heads}")
-    ev = raw["evaluation"]
+    ev, train = raw["evaluation"], raw["training"]
+    window = train["batch_size"] * (train["seq_len"] + 1)  # tokens in one batch
     if "cloze" in ev:
         # the eval stage draws items from the hold-out batches laid end to end
-        c, train = ev["cloze"], raw["training"]
-        stream = ev["holdout_batches"] * train["batch_size"] * (train["seq_len"] + 1)
+        c, stream = ev["cloze"], ev["holdout_batches"] * window
         if stream < c["context_len"] + c["candidate_len"] + 1:
             raise ConfigError(
                 f"evaluation.cloze.context_len {c['context_len']} + candidate_len "
@@ -333,12 +342,23 @@ def validate(config_file) -> PipelineConfig:
         section, _, key = name.partition(".")
         if key in raw.get(section, {}):
             inputs[name], hashes[name] = _parse(path, name, raw[section][key], parse)
-    if "load" in tok:
-        vocab_size = inputs["tokenizer.load"].size
+    corpus = raw["corpus"]
+    if "path" in corpus:
+        source, n_bytes = "corpus.path", len(inputs["corpus.path"])
     else:
-        vocab_size = tok["train"]["target_size"]
-    if "size" in tok.get("compact", {}):
-        vocab_size = min(vocab_size, tok["compact"]["size"])
+        source, n_bytes = "corpus.synthetic.n_bytes", corpus["synthetic"]["n_bytes"]
+    need = (ev["holdout_batches"] + 1) * window
+    if n_bytes < need:
+        # the arch stage needs one training batch past the hold-out ones
+        raise ConfigError(
+            f"{source}: {n_bytes} bytes cannot fill the {need} tokens of "
+            "(evaluation.holdout_batches + 1) x training.batch_size x (training.seq_len + 1); "
+            "every token covers at least one byte")
+    if "load" in tok:
+        bound, pre_size = "tokenizer.load", inputs["tokenizer.load"].size
+    else:
+        bound, pre_size = "tokenizer.train.target_size", tok["train"]["target_size"]
+    vocab_size = min(pre_size, tok.get("compact", {}).get("size", pre_size))
     if arch.get("config", {}).get("vocab_size", 0) > vocab_size:
         raise ConfigError(f"architecture.config.vocab_size {arch['config']['vocab_size']} "
                           f"exceeds the vocabulary of at most {vocab_size}")
@@ -354,6 +374,16 @@ def validate(config_file) -> PipelineConfig:
         parent, params = inputs["inheritance.parent_checkpoint"]
         _check_parent(parent, params, child, inputs.get("inheritance.plan"), inh)
     if "generate" in inh:
+        # the params stage maps the child's rows to the vocabulary the parent
+        # has the size of: the pre- or the post-compaction one
+        parent_size = parent.vocab_size
+        if parent_size > pre_size:
+            raise ConfigError(f"inheritance.parent_checkpoint: vocab_size {parent_size} exceeds "
+                              f"{bound} {pre_size}, the largest vocabulary the tokenizer makes")
+        if parent_size != pre_size and "load" in tok and "compact" not in tok:
+            raise ConfigError(f"inheritance.parent_checkpoint: vocab_size {parent_size} differs "
+                              f"from the {pre_size} tokens of {bound}, and no tokenizer.compact "
+                              "changes that")
         keep = inh["generate"]["keep_ends"]
         if len(keep) != 2:
             raise ConfigError(f"inheritance.generate.keep_ends must be two integers "
@@ -442,7 +472,6 @@ class _Run:
         if until not in STAGES:
             raise ConfigError(f"unknown stage {until!r}; choose from {STAGES}")
         self.cfg = config
-        self.until = until
         self.out = config.output_dir
         self.manifest = RunManifest(
             config=config.raw, version=__version__, seed=config.seed,
@@ -575,15 +604,13 @@ class _Run:
                 plan = self.input("inheritance.plan")
             else:
                 gen = inh["generate"]
-                if self.pre_compact_vocab.size == parent_config.vocab_size:
-                    vocab_map = vocab_id_map(self.vocab, self.pre_compact_vocab)
-                elif self.vocab.size == parent_config.vocab_size:
-                    vocab_map = list(range(parent_config.vocab_size))
-                else:
+                parent_vocab = next((v for v in (self.pre_compact_vocab, self.vocab)
+                                     if v.size == parent_config.vocab_size), None)
+                if parent_vocab is None:
                     raise PipelineError(
-                        "cannot derive a vocab map: the pre-compaction vocabulary "
-                        f"({self.pre_compact_vocab.size}) does not match the parent "
-                        f"checkpoint's vocab_size ({parent_config.vocab_size})"
+                        "cannot derive a vocab map: neither the pre-compaction vocabulary "
+                        f"({self.pre_compact_vocab.size}) nor the final one ({self.vocab.size}) "
+                        f"has the parent checkpoint's vocab_size ({parent_config.vocab_size})"
                     )
                 plan = make_plan(
                     parent_config,
@@ -592,7 +619,7 @@ class _Run:
                     self.train_batches[: gen["batches"]],
                     criterion=gen["criterion"],
                     keep_ends=tuple(gen["keep_ends"]),
-                    vocab_map=vocab_map,
+                    vocab_map=vocab_id_map(self.vocab, parent_vocab),
                     mask_steps=gen["mask_steps"],
                     seed=gen["seed"],
                 )
@@ -676,10 +703,13 @@ class _Run:
 
 def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> RunManifest:
     """Execute the planned stages in order, none on a dry run, writing the
-    manifest before the first, after each and on failure. A config serves one
-    run: the params stage releases the parsed parent checkpoint it holds."""
+    manifest before the first, after each and on failure. First, on a dry run
+    too, delete every file an earlier readable manifest in the output
+    directory lists, except the config's input files. A config serves
+    one run: the params stage releases the parsed parent checkpoint it holds."""
     runner = _Run(config, until)
     runner.out.mkdir(parents=True, exist_ok=True)
+    _clear(runner.out, config)
     runner.write_manifest()
     try:
         for stage in [] if dry_run else runner.manifest.stages_planned:
@@ -702,29 +732,57 @@ _HEADLINES = {  # listed artifact -> (headline, its value from the artifact's te
 }
 
 
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError)  # what _manifest raises
+
+
+def _manifest(run_dir: Path) -> tuple[dict, list[tuple[str, str, int]]]:
+    """A run directory's manifest fields, and the (name, sha256, bytes) of
+    each artifact it lists; raises one of ``_UNREADABLE`` on a manifest that
+    is missing or malformed."""
+    manifest = json.loads((run_dir / "manifest.json").read_bytes())
+    if not isinstance(manifest, dict):
+        raise TypeError("not a JSON object")
+    rec = {key: manifest[key] for key in ("version", "seed", "stages_planned",
+                                          "stages_completed", "artifacts")}
+    listed = [(a["name"], a["sha256"], a["bytes"]) for a in rec["artifacts"]]
+    for name, digest, nbytes in listed:
+        if not isinstance(name, str) or name != Path(name).name or name in ("", ".", ".."):
+            raise ValueError(f"artifact name {name!r} is not a file name")
+        if not isinstance(digest, str) or type(nbytes) is not int or nbytes < 0:
+            raise ValueError(f"artifact {name}: sha256 must be a string and bytes a count")
+    for key in ("stages_planned", "stages_completed"):
+        if not isinstance(rec[key], list) or not all(isinstance(s, str) for s in rec[key]):
+            raise ValueError(f"{key} is not a list of stage names")
+    rec["failure"] = manifest.get("failure")
+    return rec, listed
+
+
+def _clear(out: Path, config: PipelineConfig) -> None:
+    """Delete the files an earlier run's readable manifest in ``out`` lists,
+    so that the directory holds one run; the config's input files stay."""
+    try:
+        _, listed = _manifest(out)
+    except _UNREADABLE:
+        return
+    keep = {_resolve(config.path, config.raw[section][key]).resolve()
+            for section, _, key in (name.partition(".") for name in INPUTS)
+            if key in config.raw.get(section, {})}
+    for name, *_ in listed:
+        path = out / name
+        if path.is_file() and path.resolve() not in keep:
+            path.unlink()
+
+
 def _read_run(run_dir: Path) -> dict:
     """The one reader of a run directory: the manifest's fields, each listed
     artifact as (name, bytes, intact) after one hash, the headlines of intact
     ones, and ``complete``: no failure, no unfinished stage, no broken artifact."""
     try:
-        manifest = json.loads((run_dir / "manifest.json").read_bytes())
-        if not isinstance(manifest, dict):
-            raise TypeError("not a JSON object")
-        rec = {key: manifest[key] for key in ("version", "seed", "stages_planned",
-                                              "stages_completed", "artifacts")}
-        listed = [(a["name"], a["sha256"], a["bytes"]) for a in rec["artifacts"]]
-        for name, digest, nbytes in listed:
-            if not isinstance(name, str) or name != Path(name).name or name in ("", ".", ".."):
-                raise ValueError(f"artifact name {name!r} is not a file name")
-            if not isinstance(digest, str) or type(nbytes) is not int or nbytes < 0:
-                raise ValueError(f"artifact {name}: sha256 must be a string and bytes a count")
-        for key in ("stages_planned", "stages_completed"):
-            if not isinstance(rec[key], list) or not all(isinstance(s, str) for s in rec[key]):
-                raise ValueError(f"{key} is not a list of stage names")
-    except (OSError, ValueError, KeyError, TypeError) as err:
+        rec, listed = _manifest(run_dir)
+    except _UNREADABLE as err:
         reason = f"no key {err}" if isinstance(err, KeyError) else err
         return {"unreadable": f"manifest unreadable: {reason}", "complete": False}
-    rec.update(failure=manifest.get("failure"), artifacts=[], headlines={})
+    rec.update(artifacts=[], headlines={})
     for name, digest, nbytes in listed:
         data = (run_dir / name).read_bytes() if (run_dir / name).is_file() else None
         intact = data is not None and hashlib.sha256(data).hexdigest() == digest

@@ -117,12 +117,6 @@ class NeuronScores:
         lower index."""
         return _top(self.head_scores[layer], n_heads), _top(self.ffn_scores[layer], n_channels)
 
-    def to_csv(self) -> str:
-        return csv_text(("layer", "unit_kind", "unit", "score"), (
-            (layer, kind, u, s)
-            for kind, per_layer in (("head", self.head_scores), ("ffn", self.ffn_scores))
-            for layer, scores in enumerate(per_layer) for u, s in enumerate(scores)))
-
 
 def _require_mha(config: ModelConfig) -> None:
     if config.kv_groups != config.n_heads:
@@ -445,7 +439,8 @@ def make_plan(
 ) -> InheritancePlan:
     """End-to-end plan generation: skip-scan the parent for layer selection,
     score units with the chosen criterion, rank residual channels by
-    aggregate L2, and map vocab rows (identity when sizes match)."""
+    aggregate L2, and map vocab rows (identity when sizes match). Raises
+    PlanError for a plan ``build_child`` would refuse."""
     if vocab_map is None:
         if child_config.vocab_size != parent_config.vocab_size:
             raise PlanError("vocab sizes differ; pass an explicit vocab_map")
@@ -472,13 +467,15 @@ def make_plan(
         channel_plan = list(range(parent_config.width))
     else:
         channel_plan = _top(channel_importance(parent_config, parent_params), child_config.width)
-    return InheritancePlan(
+    plan = InheritancePlan(
         kept_layers=kept_layers,
         head_indices=head_indices,
         ffn_indices=ffn_indices,
         channel_plan=channel_plan,
         vocab_map=list(vocab_map),
     )
+    plan.validate(parent_config, child_config)  # build_child's rules, raised here
+    return plan
 
 
 # ---------------------------------------------------------------------------

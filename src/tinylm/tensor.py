@@ -383,14 +383,10 @@ def reshape(a, shape) -> Tensor:
     return _emit(out, (a,), lambda g: (g.reshape(shape_a),))
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    out = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-    return _emit(np.ascontiguousarray(out), (a,), lambda g: (np.transpose(g, inv),))
+    inv = np.argsort(axes)
+    return _emit(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def getitem(a, key) -> Tensor:
@@ -404,7 +400,7 @@ def getitem(a, key) -> Tensor:
         gx[key] += g
         return (gx,)
 
-    return _emit(np.ascontiguousarray(out), (a,), bw)
+    return _emit(out, (a,), bw)
 
 
 def concat(tensors: Sequence["Tensor"], axis: int = 0) -> Tensor:

@@ -14,7 +14,7 @@ import numpy as np
 from tinylm.arch import ArchReport, ModelConfig, ParamStore, save_checkpoint
 from tinylm.evaluator import ClozeItem, EvalReport, save_cloze_items
 from tinylm.pipeline import RunManifest, run, validate
-from tinylm.surgery import InheritancePlan, LayerImportance, NeuronScores
+from tinylm.surgery import InheritancePlan, LayerImportance
 from tinylm.tensor import Tensor
 from tinylm.tokenizer import BASE_SIZE, CoverageCurve, FrequencyTable, Vocabulary, save_vocab
 from tinylm.trainer import BatchLossLedger, LedgerEntry, curve_to_csv, ledgers_to_csv
@@ -39,18 +39,6 @@ def test_layer_importance_csv():
         "1,0,-2.5,2.8\n"
         "1,1,1e-300,0.30000000000000004\n"
         "2,0,0.125,0.17500000000000004\n"
-    )
-
-
-def test_neuron_scores_csv_writes_plain_floats():
-    # per-unit scores are numpy float64 scalars; their repr under numpy 2
-    # would be np.float64(...), which no CSV reader parses as a number
-    scores = NeuronScores("l2", [np.array([X, 1e-300])], [np.array([2.0])])
-    assert scores.to_csv() == (
-        "layer,unit_kind,unit,score\n"
-        "0,head,0,0.30000000000000004\n"
-        "0,head,1,1e-300\n"
-        "0,ffn,0,2.0\n"
     )
 
 

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import weakref
 from pathlib import Path
@@ -23,7 +24,10 @@ from tinylm.data import zipf_corpus
 from tinylm.surgery import PlanError, identity_plan
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
-                             load_vocab, recode, save_vocab, vocab_id_map)
+                             load_vocab, recode, save_vocab, train_bpe, vocab_id_map)
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "configs" / "demo.json"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -640,6 +644,90 @@ def test_validate_checks_the_plan_against_the_parent_under_search(tmp_path, caps
     assert "inheritance.plan" in capsys.readouterr().err
 
 
+# each used to pass validate and fail at the params stage: no vocabulary the
+# tokenizer can make has the parent's size, so no vocab map can be derived
+PARENT_VOCAB_DEFECTS = {
+    "above_target_size": ({"train": {"target_size": 300}}, 400,
+                          "vocab_size 400 exceeds tokenizer.train.target_size 300"),
+    "above_target_size_with_compaction": (
+        {"train": {"target_size": 300}, "compact": {"size": 280}}, 301,
+        "vocab_size 301 exceeds tokenizer.train.target_size 300"),
+    "above_loaded_size": ({"load": "vocab.txt", "compact": {"size": 256}}, 261,
+                          "vocab_size 261 exceeds tokenizer.load 260"),
+    "loaded_size_uncompacted": ({"load": "vocab.txt"}, 256,
+                                "vocab_size 256 differs from the 260 tokens of tokenizer.load"),
+}
+
+
+def _generating(tmp_path, tokenizer, parent_size):
+    """A generated-plan config from a parent of ``parent_size`` tokens, with a
+    260-token vocabulary file beside it."""
+    save_vocab(train_bpe(zipf_corpus(3_000, seed=1), 260), tmp_path / "vocab.txt")
+    path = _inheriting(tmp_path, {"vocab_size": parent_size},
+                       generate={"keep_ends": [1, 1], "criterion": "l2", "batches": 1})
+    return _write(path, {**json.loads(path.read_text()), "tokenizer": tokenizer})
+
+
+@pytest.mark.parametrize("tokenizer, parent_size, message", PARENT_VOCAB_DEFECTS.values(),
+                         ids=PARENT_VOCAB_DEFECTS)
+def test_validate_refuses_a_parent_vocabulary_no_tokenizer_makes(tmp_path, capsys, tokenizer,
+                                                                 parent_size, message):
+    path = _generating(tmp_path, tokenizer, parent_size)
+    with pytest.raises(ConfigError, match=f"inheritance.parent_checkpoint: {message}"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokenizer, parent_size", [
+    ({"train": {"target_size": 300}}, 300), ({"train": {"target_size": 300}}, 256),
+    ({"load": "vocab.txt"}, 260), ({"load": "vocab.txt", "compact": {"size": 256}}, 256),
+], ids=["trained", "trained_below_target", "loaded", "loaded_and_compacted"])
+def test_validate_accepts_a_parent_vocabulary_a_tokenizer_can_make(tmp_path, tokenizer,
+                                                                   parent_size):
+    validate(_generating(tmp_path, tokenizer, parent_size))
+
+
+@pytest.mark.parametrize("parent_size", [300, 280], ids=["pre_compaction", "compacted"])
+def test_a_generated_plan_maps_the_child_rows_to_the_parents_vocabulary(tmp_path, parent_size):
+    tokenizer = {"train": {"target_size": 300}, "compact": {"size": 280}}
+    run(validate(_generating(tmp_path, tokenizer, parent_size)), until="params")
+    out = tmp_path / "out"
+    full, compacted = load_vocab(out / "vocab.txt"), load_vocab(out / "vocab_compact.txt")
+    vocab_map = json.loads((out / "plan.json").read_text())["vocab_map"]
+    if parent_size == full.size:
+        assert vocab_map == vocab_id_map(compacted, full) != list(range(compacted.size))
+    else:
+        assert vocab_map == list(range(compacted.size))
+
+
+def test_a_gqa_groups_run_writes_a_grouped_kv_child(tmp_path):
+    path = _inheriting(tmp_path, {"vocab_size": 300}, gqa_groups=1,
+                       generate={"keep_ends": [1, 1], "criterion": "l2", "batches": 1})
+    run(validate(path), until="params")
+    config, _ = load_checkpoint(tmp_path / "out" / "model_init.ckpt")
+    assert (config.n_heads, config.kv_groups) == (2, 1)
+
+
+@pytest.mark.parametrize("corpus, field", [
+    ({"synthetic": {"n_bytes": 800, "seed": 1}}, "corpus.synthetic.n_bytes"),
+    ({"path": "corpus.bin"}, "corpus.path"),
+], ids=["synthetic", "file"])
+def test_validate_refuses_a_corpus_too_short_for_the_batches(tmp_path, capsys, corpus, field):
+    # the demo's batches need (3 + 1) x 8 x (32 + 1) = 1056 tokens; a shorter
+    # corpus used to pass validate and fail at the arch stage with exit 2
+    (tmp_path / "corpus.bin").write_bytes(b"x" * 1055)
+    path = _write(tmp_path / "demo.json", {**json.loads(DEMO.read_text()), "corpus": corpus})
+    with pytest.raises(ConfigError, match=f"{field}: .* 1056 tokens"):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    for name in (field, "evaluation.holdout_batches", "training.batch_size", "training.seq_len"):
+        assert name in err
+    (tmp_path / "corpus.bin").write_bytes(b"x" * 1056)
+    validate(_write(path, {**json.loads(path.read_text()), "corpus": {"path": "corpus.bin"}}))
+
+
 def test_plan_vocab_map_length_is_checked_at_params(tmp_path):
     # the child's vocabulary size is known only after the tokenizer stage:
     # the parent's 256 rows against the trained tokenizer's 300
@@ -686,7 +774,8 @@ PLAN_BASE = {**CONFIG_BASE, "inheritance": {"parent_checkpoint": "parent.ckpt",
 def base_dir(tmp_path_factory):
     """A directory holding the files the base configs name."""
     root = tmp_path_factory.mktemp("bases")
-    (root / "corpus.bin").write_bytes(b"x")
+    # enough bytes for CONFIG_BASE's (2 + 1) hold-out and training batches of 4 x 17
+    (root / "corpus.bin").write_bytes(b"x" * 204)
     parent = _save_parent(root / "parent.ckpt", n_heads=4, kv_groups=4)  # the child's head_dim 4
     # validate parses the cloze file, and checks the plan against the parent and the child
     (root / "plan.json").write_text(identity_plan(parent).to_json())
@@ -770,8 +859,24 @@ def test_every_table_row_rejects_bad_values(base_dir, capsys, field, bad):
     assert field in capsys.readouterr().err
 
 
+def test_readme_config_table_lists_every_field_in_order():
+    # one row per FIELDS row: the last part of its path, indented two spaces
+    # a level, then its kind; a bounds column too long for a row runs on
+    # in lines that hold no kind
+    text = (ROOT / "README.md").read_text()
+    table = text.split("### Config schema", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    rows, parents = [], []
+    for line in table.splitlines()[1:]:
+        match = re.match(r"( *)(\w+) +(\S+)", line)
+        if match:
+            indent, name, kind = match.groups()
+            parents[len(indent) // 2:] = [name]
+            rows.append((".".join(parents), kind))
+    assert rows == [(path, kind) for path, kind, *_ in FIELDS]
+
+
 def test_validate_output_is_a_fixed_point(tmp_path, capsys):
-    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    demo = DEMO
     assert main(["validate", str(demo)]) == 0
     first = capsys.readouterr().out
     assert main(["validate", str(_write(tmp_path / "resolved.json", json.loads(first)))]) == 0
@@ -779,6 +884,17 @@ def test_validate_output_is_a_fixed_point(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------- run
+
+
+def test_the_demo_config_runs_the_config_its_search_picks(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+    run(validate(DEMO), until="params")
+    out = tmp_path / "demo"
+    found = json.loads((out / "search_results.json").read_text())
+    deepest = max(found, key=lambda c: c["depth"])  # the demo's pick
+    report = json.loads((out / "arch_report.json").read_text())
+    config, _ = load_checkpoint(out / "model_init.ckpt")
+    assert {**config.to_dict(), "total_params": report["total_params"]} == deepest
 
 
 def test_run_emits_artifacts_and_manifest(tmp_path):
@@ -1107,6 +1223,22 @@ def test_report_skips_the_metrics_of_a_failed_rerun(tmp_path):
     assert "perplexity" not in text and "cloze accuracy" not in text
     assert "coverage curve terminal: " in text  # this run's tokenizer stage rewrote it
     assert main(["report", str(tmp_path / "out")]) == 2
+    # the rerun deleted the files the first run's manifest listed
+    for name in ("model.ckpt", "curves.csv", "eval_perplexity.json", "eval_perplexity.csv",
+                 "eval_cloze.json", "eval_cloze.csv"):
+        assert not (tmp_path / "out" / name).exists(), name
+
+
+def test_a_rerun_deletes_the_earlier_runs_files_but_not_its_own_inputs(tmp_path):
+    run(validate(write_config(tmp_path)), until="tokenizer")
+    out = tmp_path / "out"
+    (out / "notes.txt").write_text("no manifest lists this")
+    # the rerun reads the first run's corpus and vocabulary as its inputs
+    path = write_config(tmp_path, corpus={"path": "out/corpus.bin"},
+                        tokenizer={"load": "out/vocab.txt"})
+    run(validate(path), dry_run=True)
+    assert {p.name for p in out.iterdir()} == {"corpus.bin", "vocab.txt", "notes.txt",
+                                               "manifest.json"}
 
 
 def test_report_names_an_interrupted_rerun_and_its_unfinished_stages(tmp_path, monkeypatch):

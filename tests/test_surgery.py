@@ -291,15 +291,6 @@ def test_unit_scores_match_per_unit_reference(criterion, shape):
                     == expected.top_units(layer, n_heads, n_chans))
 
 
-def test_scores_csv_format():
-    cfg = mha_config(depth=1, ffn_hidden=3)
-    params = initialize(cfg, InitScheme("constant", 0.1, seed=19))
-    scores = score_neurons(cfg, params, [], "l2")
-    lines = scores.to_csv().strip().splitlines()
-    assert lines[0] == "layer,unit_kind,unit,score"
-    assert len(lines) == 1 + cfg.n_heads + cfg.ffn_hidden
-
-
 # -------------------------------------------------------------- learn_masks
 
 
@@ -713,6 +704,19 @@ def test_make_plan_learned_keeps_the_top_units_of_learn_masks():
     assert len(plan.kept_layers) == child.depth
     for i, heads, chans in zip(plan.kept_layers, plan.head_indices, plan.ffn_indices):
         assert (heads, chans) == logits.top_units(i, child.n_heads, child.ffn_hidden)
+
+
+@pytest.mark.parametrize("child, message", [
+    (ModelConfig(300, 16, 2, 2, 2, 16), "plan retains 1 heads, child has 2"),
+    (ModelConfig(300, 8, 2, 1, 1, 24), "plan retains 16 FFN channels, child has 24"),
+], ids=["more_heads", "more_ffn_channels"])
+def test_make_plan_refuses_a_child_its_plan_cannot_build(child, message):
+    # make_plan used to return these plans, and only build_child refused them
+    parent = ModelConfig(300, 8, 2, 1, 1, 16)
+    params = initialize(parent, InitScheme("constant", 0.3, seed=25))
+    with pytest.raises(PlanError, match=message):
+        make_plan(parent, params, child, rand_batches(parent, n=1, seed=26), criterion="l2",
+                  keep_ends=(1, 1))
 
 
 # The benchmark's inherit_gqa job counts the arch.forward spans nested in
