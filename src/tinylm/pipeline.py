@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .initializers import VARIANTS, InitScheme, initialize
 from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, convert_to_gqa,
                       layer_skip_eval, make_plan)
 from .tokenizer import (
-    BASE_SIZE,
     Vocabulary,
     compact_vocab,
     coverage_curve,
@@ -218,38 +218,172 @@ def _walk(raw: dict, config_path: Path) -> None:
             sections[path] = value
 
 
-def _model_config(spec: dict, vocab_size: int) -> ModelConfig:
-    """architecture.config as a checked ModelConfig; ``vocab_size`` and
-    n_heads stand in for the optional vocab_size and kv_groups."""
+class Size(NamedTuple):
+    """A size one stage hands the next, and the config field that sets it.
+    Before the run it is an upper bound unless ``exact``; a run knows it."""
+
+    n: int
+    field: str
+    exact: bool = False
+
+    def admits(self, n: int) -> bool:
+        """Whether the stage can hand on a size of exactly ``n``."""
+        return n == self.n if self.exact else n <= self.n
+
+    def __str__(self) -> str:
+        return str(self.n) if self.exact else f"at most {self.n}"
+
+
+def _stream_sizes(raw: dict, inputs: dict) -> tuple[Size, Size, Size]:
+    """The token count, and the vocabulary sizes before and after compaction,
+    as known before the run: tokenizer.load's size is exact, BPE gives at most
+    tokenizer.train.target_size, compaction at most the smaller of
+    tokenizer.compact.size and the size before it, and the token count is at
+    most the byte count (every token covers at least one byte)."""
+    corpus, tok = raw["corpus"], raw["tokenizer"]
+    tokens = (Size(len(inputs["corpus.path"]), "corpus.path") if "path" in corpus
+              else Size(corpus["synthetic"]["n_bytes"], "corpus.synthetic.n_bytes"))
+    pre = (Size(inputs["tokenizer.load"].size, "tokenizer.load", exact=True) if "load" in tok
+           else Size(tok["train"]["target_size"], "tokenizer.train.target_size"))
+    if "compact" not in tok:
+        return tokens, pre, pre
+    (key, value), = tok["compact"].items()
+    size = min(value, pre.n) if key == "size" else pre.n
+    return tokens, pre, Size(size, f"tokenizer.compact.{key}")
+
+
+def _model_config(spec: dict, vocab: Size) -> ModelConfig:
+    """architecture.config as a checked ModelConfig for the final vocabulary;
+    ``vocab`` and n_heads stand in for the optional vocab_size and kv_groups."""
+    n = spec.get("vocab_size", vocab.n)
+    if not vocab.admits(n):
+        raise ConfigError(f"architecture.config.vocab_size {n} does not match the vocabulary "
+                          f"of {vocab} tokens that {vocab.field} gives")
     try:
-        return ModelConfig.from_dict({"vocab_size": vocab_size, "kv_groups": spec["n_heads"],
-                                      **spec})
+        return ModelConfig.from_dict({"vocab_size": n, "kv_groups": spec["n_heads"], **spec})
     except ValueError as err:
         raise ConfigError(f"architecture.config: {err}") from err
 
 
-def _search(spec: dict, vocab_size: int) -> tuple[list[ModelConfig], ModelConfig]:
-    """architecture.search for one vocabulary size: every feasible config, and
-    the one ``pick`` names."""
+def _search(spec: dict, vocab: Size) -> tuple[list[ModelConfig], ModelConfig]:
+    """architecture.search for the final vocabulary: every feasible config,
+    and the one ``pick`` names."""
     try:
-        found = search_configs(spec["budget"], vocab_size, spec["depths"], spec["expansions"],
+        found = search_configs(spec["budget"], vocab.n, spec["depths"], spec["expansions"],
                                tolerance=spec["tolerance"], head_dim=spec["head_dim"])
     except (OverflowError, ValueError) as err:  # nan or overflow in the width solve
         raise ConfigError(f"architecture.search: values too large to solve ({err})") from err
     if not found:
-        raise ConfigError(
-            "architecture.search: no feasible config for this budget and "
-            f"vocabulary size {vocab_size} (search_configs returned an empty list)"
-        )
+        raise ConfigError("architecture.search: no feasible config for this budget and "
+                          f"vocabulary size {vocab.n} (search_configs returned an empty list)")
     pick = spec["pick"]
     if pick in ("deepest", "widest"):
         return found, max(found, key=lambda c: c.depth if pick == "deepest" else c.width)
     if pick >= len(found):
-        raise ConfigError(
-            f"architecture.search.pick {pick} is out of range: the search finds "
-            f"{len(found)} configs for vocabulary size {vocab_size}"
-        )
+        raise ConfigError(f"architecture.search.pick {pick} is out of range: the search finds "
+                          f"{len(found)} configs for vocabulary size {vocab.n}")
     return found, found[pick]
+
+
+def _stream_fills_batches(raw: dict, tokens: Size) -> None:
+    """The arch stage cuts the token stream into the hold-out batches and at
+    least one training batch."""
+    ev, train = raw["evaluation"], raw["training"]
+    need = (ev["holdout_batches"] + 1) * train["batch_size"] * (train["seq_len"] + 1)
+    if tokens.n < need:
+        raise ConfigError(
+            f"{tokens.field}: a stream of {tokens} tokens cannot fill the {need} tokens of "
+            "(evaluation.holdout_batches + 1) x training.batch_size x (training.seq_len + 1)")
+
+
+def _child(raw: dict) -> str:
+    """The section that fixes the child's shape, as messages name it."""
+    return "architecture.config" if "config" in raw["architecture"] else "architecture.search.pick"
+
+
+def _gqa_groups(raw: dict, child: ModelConfig | None) -> None:
+    """convert_to_gqa shares each KV head among n_heads / gqa_groups query heads."""
+    groups = raw.get("inheritance", {}).get("gqa_groups")
+    if child and groups is not None and child.n_heads % groups:
+        raise ConfigError(f"inheritance.gqa_groups {groups} does not divide "
+                          f"{_child(raw)}.n_heads {child.n_heads}")
+
+
+def _child_fits(raw: dict, parent: ModelConfig, child: ModelConfig | None) -> None:
+    """The child surgery slices from the parent: no more layers, heads or FFN
+    channels and the same head_dim, so no wider. A generated plan keeps the
+    first and last keep_ends layers, and scores whole heads, of MHA models."""
+    field, named = "inheritance.parent_checkpoint", _child(raw)
+    for name in ("depth", "n_heads", "ffn_hidden") if child else ():
+        if getattr(child, name) > getattr(parent, name):
+            raise ConfigError(f"{named}.{name} {getattr(child, name)} exceeds the {name} "
+                              f"{getattr(parent, name)} of {field}")
+    if child and child.head_dim != parent.head_dim:
+        raise ConfigError(f"{named} head_dim {child.head_dim} (width / n_heads) differs from "
+                          f"the head_dim {parent.head_dim} of {field}")
+    if "generate" not in raw["inheritance"]:
+        return
+    keep = raw["inheritance"]["generate"]["keep_ends"]
+    if len(keep) != 2:
+        raise ConfigError(f"inheritance.generate.keep_ends must be two integers [front, back], "
+                          f"got {keep!r}")
+    for depth, of in ((parent.depth, f"{field} has"), (child and child.depth, f"{named}.depth")):
+        if depth is not None and sum(keep) > depth:
+            raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
+                              f"{of} ({depth})")
+    if parent.kv_groups != parent.n_heads:
+        raise ConfigError(f"{field}: inheritance.generate needs an MHA parent (kv_groups == "
+                          f"n_heads), got kv_groups {parent.kv_groups} and n_heads "
+                          f"{parent.n_heads}")
+    if child and child.kv_groups != child.n_heads:
+        raise ConfigError(f"{named}.kv_groups {child.kv_groups} must equal n_heads "
+                          f"{child.n_heads} under inheritance.generate; set "
+                          "inheritance.gqa_groups for a grouped-KV child")
+
+
+def _plan_fits(plan: InheritancePlan, parent: ModelConfig, child: ModelConfig | None,
+               vocab: Size) -> None:
+    """InheritancePlan's checks on a plan file: those against the child need
+    its shape, and the vocab_map length its exact vocabulary size."""
+    try:
+        (plan.validate if child and vocab.exact else plan.validate_structure)(parent, child)
+    except PlanError as err:
+        raise ConfigError(f"inheritance.plan: {err}") from err
+
+
+def _parent_vocab(parent_size: int, pre: Size, post: Size) -> None:
+    """A generated plan maps the child's rows to whichever of the pre- and
+    post-compaction vocabularies has the parent's vocab_size."""
+    if pre.admits(parent_size) or post.admits(parent_size):
+        return
+    head = f"inheritance.parent_checkpoint: vocab_size {parent_size}"
+    # at run time a trained vocabulary below the parent's size stopped early
+    if parent_size > pre.n and (not pre.exact or pre.field == "tokenizer.load"):
+        raise ConfigError(f"{head} exceeds {pre.field} {pre.n}, the largest vocabulary the "
+                          "tokenizer makes")
+    compact = (", and no tokenizer.compact changes that" if post.field == pre.field
+               else f", and {post.field} leaves {post}")
+    hint = (f"; setting tokenizer.train.target_size to {parent_size} trains a vocabulary of "
+            "that size" if pre.field == "tokenizer.train.target_size" and parent_size < pre.n
+            else "")
+    raise ConfigError(f"{head} differs from the {pre.n} tokens of {pre.field}{compact}{hint}")
+
+
+def _cloze_ids(items, vocab: Size) -> None:
+    """Every id of an evaluation.cloze_file item lies inside the final vocabulary."""
+    for i, item in enumerate(items):
+        top = max(max(ids) for ids in (item.context, *item.candidates))
+        if top >= vocab.n:
+            raise ConfigError(f"evaluation.cloze_file: item {i} holds token id {top}, outside "
+                              f"the vocabulary of {vocab} tokens that {vocab.field} gives")
+
+
+def _at_run(rule, *args):
+    """``rule`` on a run's actual sizes, which validate's checks let through."""
+    try:
+        return rule(*args)
+    except ConfigError as err:
+        raise PipelineError(str(err)) from err
 
 
 @dataclass
@@ -276,40 +410,21 @@ def validate(config_file) -> PipelineConfig:
     name the field. Each input file is read here and only here, and parsed
     and hashed from the same bytes.
 
-    Token ids in a cloze file and architecture.config.vocab_size are checked
-    against the best-known vocabulary size: the pre-compaction bound
-    (tokenizer.load's size, else tokenizer.train.target_size), or
-    tokenizer.compact.size where that is smaller (compaction never grows a
-    vocabulary). Under inheritance.generate the parent checkpoint's
-    vocab_size may not exceed the pre-compaction bound, and must equal
-    tokenizer.load's size when nothing compacts it. The corpus must hold
-    (evaluation.holdout_batches + 1) x training.batch_size x
-    (training.seq_len + 1) bytes, since every token covers at least one.
+    Each rule a stage applies to the sizes it is given is one function, which
+    validate calls with what `_stream_sizes` knows before the run and the
+    stage with the actual sizes. A config that passes can still fail at run
+    time only where a size known only as a bound, or the child that
+    architecture.search picks for it, reaches a rule:
 
-    A config that passes can still fail at run time only on a value that
-    needs the corpus or a stage's result; each such condition is named here:
-
-    - BPE stopping early: training ends below tokenizer.train.target_size
-      when no pair of tokens repeats, which only training the corpus shows;
-      the arch stage then finds a vocab_size mismatch, the eval stage a
-      cloze id outside the vocabulary, or the params stage no vocab map to
-      a generated plan's parent.
-    - Coverage compaction shrinking the vocabulary: how many tokens
-      tokenizer.compact.coverage keeps depends on the corpus's token
-      frequencies; the same stages find the same mismatches.
-    - BPE compression leaving too few tokens: the byte bound above holds
-      one token per byte, and how far BPE merges the corpus, and so whether
-      the arch stage fills the training and hold-out batches, only
-      training shows.
-    - A plan file's vocab_map length: it must equal the child's final
-      vocabulary size, which the two conditions above leave open until the
-      params stage.
-    - inheritance.gqa_groups and the child's shape under
-      architecture.search: the arch stage searches against the final
-      vocabulary size, so the child's n_heads (which gqa_groups must
-      divide) and the depth, head and FFN counts and width a plan must
-      match are known only then; a plan's checks against the parent alone
-      run here."""
+    - `_model_config`, `_search` (exit 1), `_plan_fits` and `_cloze_ids`: the
+      final vocabulary size, which BPE stopping early or compaction can leave
+      below the bound.
+    - `_stream_fills_batches`: the token count, which depends on how far BPE
+      merges the corpus.
+    - `_gqa_groups` and `_child_fits`: the shape of a searched child.
+    - `_parent_vocab`: a generate parent's vocab_size, which only a vocabulary
+      of exactly that size can map; a target_size above it passes, since BPE
+      may stop early at it."""
     path = Path(config_file)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -320,118 +435,47 @@ def validate(config_file) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _walk(raw, path)
+    inputs, hashes = {}, {}
 
-    tok, arch, inh = raw["tokenizer"], raw["architecture"], raw.get("inheritance", {})
-    # the checks that need no input file come first
-    child = _model_config(arch["config"], BASE_SIZE) if "config" in arch else None
-    if child and inh.get("gqa_groups") is not None and child.n_heads % inh["gqa_groups"]:
-        raise ConfigError(f"inheritance.gqa_groups {inh['gqa_groups']} does not divide "
-                          f"architecture.config.n_heads {child.n_heads}")
-    ev, train = raw["evaluation"], raw["training"]
-    window = train["batch_size"] * (train["seq_len"] + 1)  # tokens in one batch
+    def read(names) -> None:  # each named input file the config holds, once
+        for name in names:
+            section, _, key = name.partition(".")
+            if name not in inputs and key in raw.get(section, {}):
+                inputs[name], hashes[name] = _parse(path, name, raw[section][key], INPUTS[name][0])
+
+    read(("corpus.path", "tokenizer.load"))
+    tokens, pre, post = _stream_sizes(raw, inputs)
+    arch, inh, ev = raw["architecture"], raw.get("inheritance"), raw["evaluation"]
+    if "config" in arch:
+        child = _model_config(arch["config"], post)
+    else:  # a pick against a bound need not be the run's pick
+        _, child = _search(arch["search"], post)
+        child = child if post.exact else None
+    _stream_fills_batches(raw, tokens)
+    _gqa_groups(raw, child)
     if "cloze" in ev:
         # the eval stage draws items from the hold-out batches laid end to end
-        c, stream = ev["cloze"], ev["holdout_batches"] * window
+        c, train = ev["cloze"], raw["training"]
+        stream = ev["holdout_batches"] * train["batch_size"] * (train["seq_len"] + 1)
         if stream < c["context_len"] + c["candidate_len"] + 1:
             raise ConfigError(
                 f"evaluation.cloze.context_len {c['context_len']} + candidate_len "
                 f"{c['candidate_len']} + 1 exceeds the {stream}-token hold-out stream "
                 "(evaluation.holdout_batches x training.batch_size x (training.seq_len + 1))")
-    inputs, hashes = {}, {}
-    for name, (parse, _) in INPUTS.items():
-        section, _, key = name.partition(".")
-        if key in raw.get(section, {}):
-            inputs[name], hashes[name] = _parse(path, name, raw[section][key], parse)
-    corpus = raw["corpus"]
-    if "path" in corpus:
-        source, n_bytes = "corpus.path", len(inputs["corpus.path"])
-    else:
-        source, n_bytes = "corpus.synthetic.n_bytes", corpus["synthetic"]["n_bytes"]
-    need = (ev["holdout_batches"] + 1) * window
-    if n_bytes < need:
-        # the arch stage needs one training batch past the hold-out ones
-        raise ConfigError(
-            f"{source}: {n_bytes} bytes cannot fill the {need} tokens of "
-            "(evaluation.holdout_batches + 1) x training.batch_size x (training.seq_len + 1); "
-            "every token covers at least one byte")
-    if "load" in tok:
-        bound, pre_size = "tokenizer.load", inputs["tokenizer.load"].size
-    else:
-        bound, pre_size = "tokenizer.train.target_size", tok["train"]["target_size"]
-    vocab_size = min(pre_size, tok.get("compact", {}).get("size", pre_size))
-    if arch.get("config", {}).get("vocab_size", 0) > vocab_size:
-        raise ConfigError(f"architecture.config.vocab_size {arch['config']['vocab_size']} "
-                          f"exceeds the vocabulary of at most {vocab_size}")
-    if "search" in arch:
-        # feasibility and pick, against the best-known vocabulary size
-        _search(arch["search"], vocab_size)
-    for i, item in enumerate(inputs.get("evaluation.cloze_file", ())):
-        top = max(max(ids) for ids in (item.context, *item.candidates))
-        if top >= vocab_size:
-            raise ConfigError(f"evaluation.cloze_file: item {i} holds token id {top}, "
-                              f"outside the vocabulary of at most {vocab_size}")
+    read(INPUTS)
     if inh:
         parent, params = inputs["inheritance.parent_checkpoint"]
-        _check_parent(parent, params, child, inputs.get("inheritance.plan"), inh)
-    if "generate" in inh:
-        # the params stage maps the child's rows to the vocabulary the parent
-        # has the size of: the pre- or the post-compaction one
-        parent_size = parent.vocab_size
-        if parent_size > pre_size:
-            raise ConfigError(f"inheritance.parent_checkpoint: vocab_size {parent_size} exceeds "
-                              f"{bound} {pre_size}, the largest vocabulary the tokenizer makes")
-        if parent_size != pre_size and "load" in tok and "compact" not in tok:
-            raise ConfigError(f"inheritance.parent_checkpoint: vocab_size {parent_size} differs "
-                              f"from the {pre_size} tokens of {bound}, and no tokenizer.compact "
-                              "changes that")
-        keep = inh["generate"]["keep_ends"]
-        if len(keep) != 2:
-            raise ConfigError(f"inheritance.generate.keep_ends must be two integers "
-                              f"[front, back], got {keep!r}")
-        if child and sum(keep) > child.depth:
-            raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
-                              f"architecture.config.depth {child.depth}")
+        for name, tensor in params.tensors.items():
+            for i in np.flatnonzero(~np.isfinite(tensor.data))[:1]:  # the first non-finite value
+                raise ConfigError(f"inheritance.parent_checkpoint: tensor {name!r} is "
+                                  f"{tensor.data.flat[i]} at flat index {i}")
+        _child_fits(raw, parent, child)
+        if "plan" in inh:
+            _plan_fits(inputs["inheritance.plan"], parent, child, post)
+        else:
+            _parent_vocab(parent.vocab_size, pre, post)
+    _cloze_ids(inputs.get("evaluation.cloze_file", ()), post)
     return PipelineConfig(raw=raw, path=path, inputs=inputs, input_hashes=hashes)
-
-
-def _check_parent(parent: ModelConfig, params, child: ModelConfig | None,
-                  plan: InheritancePlan | None, inh: dict) -> None:
-    """The parent checkpoint's values, which must be finite, and the child, the
-    plan file and the generated plan's kept ends against its config."""
-    field = "inheritance.parent_checkpoint"
-    for name, tensor in params.tensors.items():
-        for i in np.flatnonzero(~np.isfinite(tensor.data))[:1]:  # the first non-finite value
-            raise ConfigError(f"{field}: tensor {name!r} is {tensor.data.flat[i]} at flat index {i}")
-    keep = inh.get("generate", {}).get("keep_ends", [])
-    if sum(keep) > parent.depth:
-        raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
-                          f"{field} has ({parent.depth})")
-    if "generate" in inh:
-        # plan generation scores and slices whole heads (surgery._require_mha)
-        if parent.kv_groups != parent.n_heads:
-            raise ConfigError(f"{field}: inheritance.generate needs an MHA parent (kv_groups "
-                              f"== n_heads), got kv_groups {parent.kv_groups} and n_heads "
-                              f"{parent.n_heads}")
-        if child and child.kv_groups != child.n_heads:
-            raise ConfigError(f"architecture.config.kv_groups {child.kv_groups} must equal "
-                              f"n_heads {child.n_heads} under inheritance.generate; set "
-                              "inheritance.gqa_groups for a grouped-KV child")
-    if child:
-        # a child can be sliced only from parts its parent has; its width is
-        # n_heads x head_dim, so equal head_dims bound it too
-        for name in ("depth", "n_heads", "ffn_hidden"):
-            if getattr(child, name) > getattr(parent, name):
-                raise ConfigError(f"architecture.config.{name} {getattr(child, name)} exceeds "
-                                  f"the {name} {getattr(parent, name)} of {field}")
-        if child.head_dim != parent.head_dim:
-            raise ConfigError(f"architecture.config head_dim {child.head_dim} (width / "
-                              f"n_heads) differs from the head_dim {parent.head_dim} of {field}")
-    if plan:
-        # under architecture.search, the checks against the parent alone
-        try:
-            plan.validate_structure(parent, child)
-        except PlanError as err:
-            raise ConfigError(f"inheritance.plan: {err}") from err
 
 
 def _parse(config_path: Path, field_path: str, rel: str, parse) -> tuple:
@@ -480,6 +524,7 @@ class _Run:
         self.corpus: bytes = b""
         self.vocab: Vocabulary | None = None
         self.pre_compact_vocab: Vocabulary | None = None
+        self.tokens = self.pre = self.post = None  # Sizes, exact once the tokenizer has run
         self.model_config: ModelConfig | None = None
         self.params = None
         self.train_batches: list[np.ndarray] = []
@@ -517,13 +562,7 @@ class _Run:
         if "path" in section:
             self.corpus = self.input("corpus.path")
         else:
-            spec = section["synthetic"]
-            self.corpus = zipf_corpus(
-                n_bytes=spec["n_bytes"],
-                seed=spec["seed"],
-                n_words=spec["n_words"],
-                alpha=spec["alpha"],
-            )
+            self.corpus = zipf_corpus(**section["synthetic"])
         self.emit("corpus.bin", self.corpus)
 
     def stage_tokenizer(self) -> None:
@@ -539,10 +578,7 @@ class _Run:
         self.emit("frequencies.csv", freq.to_csv())
         self.emit("coverage.csv", coverage_curve(freq).to_csv())
         if "compact" in section:
-            target = section["compact"]
-            vocab = compact_vocab(
-                vocab, freq, size=target.get("size"), coverage=target.get("coverage")
-            )
+            vocab = compact_vocab(vocab, freq, **section["compact"])
             self.emit("vocab_compact.txt", lambda path: save_vocab(vocab, path))
             ids = recode(ids, self.pre_compact_vocab, vocab)
             freq = frequencies(ids, vocab.size)
@@ -550,29 +586,20 @@ class _Run:
             self.emit("coverage_compact.csv", coverage_curve(freq).to_csv())
         self.vocab = vocab
         self.stream = ids
+        actual = (ids.size, self.pre_compact_vocab.size, vocab.size)
+        self.tokens, self.pre, self.post = (size._replace(n=n, exact=True) for size, n in zip(
+            _stream_sizes(self.cfg.raw, self.cfg.inputs), actual))
 
     def stage_arch(self) -> None:
         section = self.cfg.raw["architecture"]
-        vocab_size = self.vocab.size
         if "config" in section:
-            self.model_config = _model_config(section["config"], vocab_size)
-            if self.model_config.vocab_size != vocab_size:
-                raise PipelineError(
-                    f"architecture.config.vocab_size {self.model_config.vocab_size} != "
-                    f"tokenizer vocabulary {vocab_size}"
-                )
+            self.model_config = _at_run(_model_config, section["config"], self.post)
         else:
-            found, self.model_config = _search(section["search"], vocab_size)
-            self.emit(
-                "search_results.json",
-                json.dumps(
-                    [
-                        {**c.to_dict(), "total_params": param_count(c).total_params}
-                        for c in found
-                    ],
-                    indent=2,
-                ),
-            )
+            found, self.model_config = _search(section["search"], self.post)
+            self.emit("search_results.json", json.dumps(
+                [{**c.to_dict(), "total_params": param_count(c).total_params} for c in found],
+                indent=2))
+        _at_run(_stream_fills_batches, self.cfg.raw, self.tokens)
         # batches are needed by params (plan generation) and later stages
         train_cfg = self.cfg.raw["training"]
         windows = windows_from_ids(
@@ -580,10 +607,6 @@ class _Run:
         )
         batches = batches_from_windows(windows, train_cfg["batch_size"])
         holdout = self.cfg.raw["evaluation"]["holdout_batches"]
-        if len(batches) <= holdout:
-            raise PipelineError(
-                f"corpus yields only {len(batches)} batches; cannot hold out {holdout}"
-            )
         limit = train_cfg.get("max_batches")
         self.holdout_batches = batches[len(batches) - holdout :]
         self.train_batches = batches[: len(batches) - holdout]
@@ -597,32 +620,22 @@ class _Run:
             self.params = initialize(self.model_config, scheme)
         else:
             inh = self.cfg.raw["inheritance"]
+            _at_run(_gqa_groups, self.cfg.raw, self.model_config)
             parent_config, parent_params = self.input("inheritance.parent_checkpoint")
             # no later stage reads the parent: free it before training
             del self.cfg.inputs["inheritance.parent_checkpoint"]
+            _at_run(_child_fits, self.cfg.raw, parent_config, self.model_config)
             if "plan" in inh:
                 plan = self.input("inheritance.plan")
             else:
                 gen = inh["generate"]
-                parent_vocab = next((v for v in (self.pre_compact_vocab, self.vocab)
-                                     if v.size == parent_config.vocab_size), None)
-                if parent_vocab is None:
-                    raise PipelineError(
-                        "cannot derive a vocab map: neither the pre-compaction vocabulary "
-                        f"({self.pre_compact_vocab.size}) nor the final one ({self.vocab.size}) "
-                        f"has the parent checkpoint's vocab_size ({parent_config.vocab_size})"
-                    )
-                plan = make_plan(
-                    parent_config,
-                    parent_params,
-                    self.model_config,
-                    self.train_batches[: gen["batches"]],
-                    criterion=gen["criterion"],
-                    keep_ends=tuple(gen["keep_ends"]),
-                    vocab_map=vocab_id_map(self.vocab, parent_vocab),
-                    mask_steps=gen["mask_steps"],
-                    seed=gen["seed"],
-                )
+                _at_run(_parent_vocab, parent_config.vocab_size, self.pre, self.post)
+                parent_vocab = next(v for v in (self.pre_compact_vocab, self.vocab)
+                                    if v.size == parent_config.vocab_size)
+                plan = make_plan(parent_config, parent_params, self.model_config,
+                                 self.train_batches[: gen["batches"]],
+                                 vocab_map=vocab_id_map(self.vocab, parent_vocab),
+                                 **{key: value for key, value in gen.items() if key != "batches"})
             self.emit("plan.json", plan.to_json())
             self.params = build_child(parent_config, parent_params, plan, self.model_config)
             groups = inh.get("gqa_groups")
@@ -651,18 +664,10 @@ class _Run:
         if "lr" in section:
             lr = section["lr"]
         else:
-            s = section["scaling"]
-            rule = ScalingRule(s["base_batch"], s["base_lr"], s["increment_rate"])
-            lr = scaled_lr(rule, section["batch_size"] * section["seq_len"])
-        plan = TrainPlan(
-            lr=lr,
-            weight_decay=section["weight_decay"],
-            grad_clip=section["grad_clip"],
-            rounds=section["rounds"],
-            sampling_rate=section["sampling_rate"],
-            parts=section["parts"],
-            seed=section["seed"],
-        )
+            lr = scaled_lr(ScalingRule(**section["scaling"]),
+                           section["batch_size"] * section["seq_len"])
+        plan = TrainPlan(lr=lr, **{key: section[key] for key in (
+            "weight_decay", "grad_clip", "rounds", "sampling_rate", "parts", "seed")})
         curve: list[tuple[int, float, float]] = []
         self.params, ledgers = multi_round_train(
             self.model_config, self.params, self.train_batches, plan, curve=curve
@@ -675,24 +680,17 @@ class _Run:
 
     def stage_eval(self) -> None:
         section = self.cfg.raw["evaluation"]
-        report = perplexity(self.model_config, self.params, self.holdout_batches)
-        self.emit("eval_perplexity.json", report.to_json())
-        self.emit("eval_perplexity.csv", report.to_csv())
         items = None
         if "cloze_file" in section:
             items = self.input("evaluation.cloze_file")
-        elif "cloze" in section:
-            c = section["cloze"]
+            _at_run(_cloze_ids, items, self.post)
+        report = perplexity(self.model_config, self.params, self.holdout_batches)
+        self.emit("eval_perplexity.json", report.to_json())
+        self.emit("eval_perplexity.csv", report.to_csv())
+        if "cloze" in section:
             holdout_stream = np.concatenate([b.reshape(-1) for b in self.holdout_batches])
-            raw_items = make_cloze_items(
-                holdout_stream,
-                n_items=c["n_items"],
-                context_len=c["context_len"],
-                candidate_len=c["candidate_len"],
-                n_candidates=c["n_candidates"],
-                vocab_size=self.model_config.vocab_size,
-                seed=c["seed"],
-            )
+            raw_items = make_cloze_items(holdout_stream, vocab_size=self.model_config.vocab_size,
+                                         **section["cloze"])
             self.emit("cloze_items.jsonl", lambda path: save_cloze_items(raw_items, path))
             items = [ClozeItem(**d) for d in raw_items]
         if items:

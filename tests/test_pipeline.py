@@ -736,6 +736,98 @@ def test_plan_vocab_map_length_is_checked_at_params(tmp_path):
         run(cfg, until="params")
 
 
+def test_validate_checks_a_plan_files_vocab_map_against_an_exact_vocabulary(tmp_path, capsys):
+    # a loaded vocabulary with no compaction is the run's final one, so the
+    # plan's 256-row vocab_map is checked against its 260 tokens before the run
+    path = _with_plan(tmp_path)
+    save_vocab(train_bpe(zipf_corpus(3_000, seed=1), 260), tmp_path / "vocab.txt")
+    path = _write(path, {**json.loads(path.read_text()), "tokenizer": {"load": "vocab.txt"}})
+    message = "inheritance.plan: vocab map length 256 != child vocab 260"
+    with pytest.raises(ConfigError, match=message):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_validate_checks_the_searched_child_of_an_exact_vocabulary(tmp_path, capsys):
+    # with the loaded vocabulary the run's own, validate's search picks the
+    # run's child, so gqa_groups is checked against its n_heads
+    raw = json.loads(_inheriting(tmp_path, generate={"keep_ends": [1, 1]},
+                                 gqa_groups=1000).read_text())
+    save_vocab(Vocabulary.base(), tmp_path / "vocab.txt")
+    raw.update(tokenizer={"load": "vocab.txt"}, architecture=FEASIBLE_SEARCH)
+    path = _write(tmp_path / "config.json", raw)
+    assert main(["validate", str(path)]) == 1
+    assert "inheritance.gqa_groups 1000 does not divide architecture.search.pick.n_heads" in \
+        capsys.readouterr().err
+
+
+# Each case passes validate, which knows the size only as a bound, and fails
+# at run time with exit 2 and a message naming the fields; one case per
+# entry of validate's docstring that no other test runs.
+
+
+def test_run_time_a_corpus_bpe_compresses_below_the_batches(tmp_path, capsys):
+    # 1,200 bytes clear the 204 bytes (2 + 1) x 4 x (16 + 1) the batches need,
+    # and BPE merges them into 5 tokens; this used to exit 2 with a ValueError
+    # that named no field
+    (tmp_path / "corpus.bin").write_bytes(b"ab" * 600)
+    path = write_config(tmp_path, corpus={"path": "corpus.bin"})
+    assert main(["validate", str(path)]) == 0
+    assert main(["search-arch", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "corpus.path: a stream of 5 tokens cannot fill the 204 tokens" in err
+    for name in ("evaluation.holdout_batches", "training.batch_size", "training.seq_len"):
+        assert name in err
+
+
+def test_run_time_a_parent_vocabulary_below_the_trained_one(tmp_path, capsys):
+    # a target_size above the parent's 256 tokens passes validate, since BPE
+    # may stop early at 256; here it reaches 300, and no vocab map can be derived
+    path = _inheriting(tmp_path, {"vocab_size": 256},
+                       generate={"keep_ends": [1, 1], "criterion": "l2", "batches": 1})
+    assert main(["validate", str(path)]) == 0
+    assert main(["surgery", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "inheritance.parent_checkpoint: vocab_size 256 differs from the 300 tokens of " \
+           "tokenizer.train.target_size" in err
+    assert "setting tokenizer.train.target_size to 256 trains a vocabulary of that size" in err
+    # and the advice holds
+    raw = json.loads(path.read_text())
+    raw["tokenizer"]["train"]["target_size"] = 256
+    assert main(["surgery", str(_write(path, raw))]) == 0
+
+
+def test_run_time_a_cloze_file_id_past_the_compacted_vocabulary(tmp_path, capsys):
+    # coverage compaction keeps at most the 280 trained tokens, so id 279
+    # passes validate; on this corpus it keeps fewer
+    item = {"context": [1, 2], "candidates": [[3], [279]], "gold": 0}
+    (tmp_path / "cloze.jsonl").write_text(json.dumps(item) + "\n")
+    path = write_config(tmp_path, tokenizer={"train": {"target_size": 280},
+                                             "compact": {"coverage": 0.9}},
+                        evaluation={"holdout_batches": 2, "cloze_file": "cloze.jsonl"})
+    assert main(["validate", str(path)]) == 0
+    assert main(["eval", str(path)]) == 2
+    size = load_vocab(tmp_path / "out" / "vocab_compact.txt").size
+    assert size <= 279
+    assert (f"evaluation.cloze_file: item 0 holds token id 279, outside the vocabulary of "
+            f"{size} tokens") in capsys.readouterr().err
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"].startswith(
+        "eval: ")
+
+
+def test_run_time_gqa_groups_against_the_searched_child(tmp_path, capsys):
+    # the search runs against the trained vocabulary, so validate cannot know
+    # the child's n_heads; no searched child has 1000 heads
+    raw = json.loads(_inheriting(tmp_path, V300, generate={"keep_ends": [1, 1]},
+                                 gqa_groups=1000).read_text())
+    path = _write(tmp_path / "config.json", {**raw, "architecture": FEASIBLE_SEARCH})
+    assert main(["validate", str(path)]) == 0
+    assert main(["surgery", str(path)]) == 2
+    assert "inheritance.gqa_groups 1000 does not divide architecture.search.pick.n_heads" in \
+        capsys.readouterr().err
+
+
 # Two valid configs that between them use every section: the first searches,
 # initializes, scales the lr, makes cloze items and scans layers; the second
 # names an explicit config, inherits with a generated plan and converts to
@@ -809,7 +901,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=4,
 )
-FUZZ_BASES = {"search": SEARCH_BASE, "config": CONFIG_BASE}
+FUZZ_BASES = {"search": SEARCH_BASE, "config": CONFIG_BASE, "plan": PLAN_BASE}
 FUZZ_SITES = [(name, path) for name, base in FUZZ_BASES.items() for path in _paths(base)]
 
 
@@ -822,6 +914,26 @@ def test_validate_raises_only_config_errors(base_dir, site, value):
         validate(_write(base_dir / "fuzz.json", raw))
     except ConfigError:
         pass
+
+
+def test_validate_names_each_place_a_bound_reaches_a_rule(base_dir, monkeypatch):
+    # the rules are the functions that take a Size, or a child that may be
+    # unknown; a place is a rule that validate calls with a bound or no child
+    rules = {name for name, fn in vars(pipeline).items() if inspect.isfunction(fn)
+             and any(p.annotation in ("Size", "ModelConfig | None")
+                     for p in inspect.signature(fn).parameters.values())}
+    reached = set()
+    for name in rules:
+        def spy(*args, rule=getattr(pipeline, name), name=name):
+            if any(a is None or isinstance(a, pipeline.Size) and not a.exact for a in args):
+                reached.add(name)
+            return rule(*args)
+        monkeypatch.setattr(pipeline, name, spy)
+    searched_plan = {**PLAN_BASE, "architecture": FEASIBLE_SEARCH}
+    for raw in (SEARCH_BASE, CONFIG_BASE, PLAN_BASE, searched_plan):
+        validate(_write(base_dir / "places.json", raw))
+    listed = re.findall(r"`(\w+)`", pipeline.validate.__doc__.split("reaches a rule:")[1])
+    assert set(listed) == reached == rules
 
 
 def _bad_values(kind, bounds):
