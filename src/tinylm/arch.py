@@ -68,12 +68,17 @@ class ModelConfig:
         return self.width // self.n_heads
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int:  # a bool or a float is refused too
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.vocab_size < 256:
             raise ValueError(f"vocab_size must be >= 256, got {self.vocab_size}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.ffn_hidden < 1:
             raise ValueError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
         if self.n_heads < 1 or self.width % self.n_heads != 0:
             raise ValueError(f"width {self.width} not divisible by n_heads {self.n_heads}")
         if self.kv_groups < 1 or self.n_heads % self.kv_groups != 0:
@@ -83,14 +88,10 @@ class ModelConfig:
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even for rotary encoding, got {self.head_dim}")
 
+    __post_init__ = validate  # so every instance, replace()'s too, is valid
+
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 # The role of each axis of every parameter kind, in store order (embedding, one
@@ -218,9 +219,8 @@ def search_configs(
                     continue
                 h = d // head_dim
                 ffn = max(1, round(rho * d))
-                cfg = ModelConfig(vocab_size, d, L, h, h, ffn)
                 try:
-                    cfg.validate()
+                    cfg = ModelConfig(vocab_size, d, L, h, h, ffn)
                 except ValueError:
                     continue
                 total = param_count(cfg).total_params
@@ -517,7 +517,7 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
     if not isinstance(manifest.get("tensors"), list):
         raise ValueError("checkpoint manifest must have a 'tensors' list")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as err:  # unknown keys or ill-typed values
         raise ValueError(f"checkpoint 'config' is invalid: {err}") from err
     tensors: dict[str, Tensor] = {}

@@ -24,7 +24,7 @@ from .fileio import csv_text, write_atomic
 CLOZE_CHUNK = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClozeItem:
     context: list[int]
     candidates: list[list[int]]
@@ -42,6 +42,8 @@ class ClozeItem:
         for ids in (self.context, *self.candidates):
             if not all(_is_int(t) and t >= 0 for t in ids):
                 raise ValueError(f"token ids must be integers >= 0, got {ids!r}")
+
+    __post_init__ = validate
 
 
 def _is_int(x) -> bool:
@@ -142,8 +144,6 @@ def cloze_accuracy(
 ) -> EvalReport:
     if not items:
         raise ValueError("cloze_accuracy needs a nonempty item list")
-    for item in items:
-        item.validate()
     all_scores = score_items(config, params, [(it.context, it.candidates) for it in items])
     correct = 0
     rows = []
@@ -165,9 +165,7 @@ def parse_cloze_items(data: bytes) -> list[ClozeItem]:
         d = json.loads(line)
         if not isinstance(d, dict) or sorted(d) != ["candidates", "context", "gold"]:
             raise ValueError(f"cloze item {len(items)}: need exactly context, candidates, gold")
-        item = ClozeItem(**d)
-        item.validate()
-        items.append(item)
+        items.append(ClozeItem(**d))
     return items
 
 

@@ -41,6 +41,8 @@ class InitScheme:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
+    __post_init__ = validate
+
 
 def _depth_fraction(layer: int, depth: int) -> float:
     if depth == 1:
@@ -74,8 +76,6 @@ def specified_std(scheme: InitScheme, config: ModelConfig, name: str) -> float:
 
 
 def initialize(config: ModelConfig, scheme: InitScheme) -> ParamStore:
-    scheme.validate()
-    config.validate()
     rng = np.random.default_rng(scheme.seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():

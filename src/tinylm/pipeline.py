@@ -260,7 +260,7 @@ def _model_config(spec: dict, vocab: Size) -> ModelConfig:
         raise ConfigError(f"architecture.config.vocab_size {n} does not match the vocabulary "
                           f"of {vocab} tokens that {vocab.field} gives")
     try:
-        return ModelConfig.from_dict({"vocab_size": n, "kv_groups": spec["n_heads"], **spec})
+        return ModelConfig(**{"vocab_size": n, "kv_groups": spec["n_heads"], **spec})
     except ValueError as err:
         raise ConfigError(f"architecture.config: {err}") from err
 
@@ -627,6 +627,7 @@ class _Run:
             _at_run(_child_fits, self.cfg.raw, parent_config, self.model_config)
             if "plan" in inh:
                 plan = self.input("inheritance.plan")
+                _at_run(_plan_fits, plan, parent_config, self.model_config, self.post)
             else:
                 gen = inh["generate"]
                 _at_run(_parent_vocab, parent_config.vocab_size, self.pre, self.post)

@@ -384,8 +384,6 @@ def build_child(
     blocks and FFN channels per layer, one shared residual-channel plan, and
     embedding/head rows from the vocab map. Each child tensor takes, along
     each axis, the parent indices of that axis's role (``AXES``)."""
-    parent_config.validate()
-    child_config.validate()
     plan.validate(parent_config, child_config)
     hd = parent_config.head_dim
     shared = {"vocab": np.asarray(plan.vocab_map), "width": np.asarray(plan.channel_plan)}

@@ -47,15 +47,16 @@ class ScalingRule:
         if not 0.0 <= self.increment_rate <= 1.0:
             raise ValueError(f"increment_rate must be in [0, 1], got {self.increment_rate}")
 
+    __post_init__ = validate
+
 
 def scaled_lr(rule: ScalingRule, batch_size: float) -> float:
     if batch_size <= 0:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    rule.validate()
     return (batch_size / rule.base_batch) ** rule.increment_rate * rule.base_lr
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainPlan:
     lr: float = 1e-3
     beta1: float = 0.9
@@ -76,6 +77,8 @@ class TrainPlan:
             raise ValueError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
         if self.parts < 1:
             raise ValueError(f"parts must be >= 1, got {self.parts}")
+
+    __post_init__ = validate
 
 
 @dataclass
@@ -196,7 +199,6 @@ def train_round(
     resampled round keep original corpus batch ids in its ledger."""
     if not batches:
         raise ValueError("train_round needs a nonempty batch list")
-    plan.validate()
     lr_schedule = cosine_schedule(plan.lr, len(batches), plan.cosine_floor)
     if batch_indices is None:
         batch_indices = list(range(len(batches)))
@@ -266,7 +268,6 @@ def multi_round_train(
     """Round 1 trains on every batch; each later round trains on a
     loss-weighted resample of the previous round, under a fresh cosine
     schedule and fresh optimizer state."""
-    plan.validate()
     ledgers: list[BatchLossLedger] = []
     params, ledger = train_round(config, params, batches, plan, curve=curve)
     ledgers.append(ledger)

@@ -1,6 +1,7 @@
 import json
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -609,6 +610,32 @@ def test_checkpoint_manifest_without_config_raises_value_error(tmp_path):
     _with_manifest(path, lambda m: {})
     with pytest.raises(ValueError, match="'config' object"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("width", [16.0, 0, True])
+def test_checkpoint_config_with_a_bad_width_raises_value_error_naming_it(tmp_path, width):
+    # 16.0 and 0 used to load; a float width then broke surgery with a TypeError
+    path = _saved_checkpoint(tmp_path)
+    _with_manifest(path, lambda m: {**m, "config": {**m["config"], "width": width}})
+    with pytest.raises(ValueError, match="checkpoint 'config' is invalid: width must be"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((256, 0, 1, 1, 1, 1), "width must be >= 1, got 0"),
+    ((256, -4, 1, 2, 2, 1), "width must be >= 1, got -4"),
+    ((256, 16, 1.0, 2, 2, 8), "depth must be an integer, got 1.0"),
+    ((256, 16, 1, 2, True, 8), "kv_groups must be an integer, got True"),
+], ids=["width_zero", "width_negative", "depth_float", "kv_groups_bool"])
+def test_model_config_checks_itself_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(*fields)
+
+
+def test_replace_checks_the_new_model_config():
+    cfg = small_config(width=32, n_heads=4, kv_groups=4)
+    with pytest.raises(ValueError, match="n_heads 4 not divisible by kv_groups 3"):
+        replace(cfg, kv_groups=3)
 
 
 def test_checkpoint_tensors_not_a_list_raises_value_error(tmp_path):

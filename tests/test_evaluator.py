@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,12 @@ def test_cloze_item_validation():
         ClozeItem(context=[1], candidates=[[1]], gold=0).validate()
     with pytest.raises(ValueError):
         ClozeItem(context=[1], candidates=[[1], [2]], gold=2).validate()
+
+
+def test_cloze_item_is_frozen():
+    item = ClozeItem(context=[1], candidates=[[2], [3]], gold=0)
+    with pytest.raises(FrozenInstanceError):
+        item.gold = 1
 
 
 @pytest.mark.parametrize("line", [

@@ -21,10 +21,11 @@ from tinylm import pipeline
 from tinylm.cli import main
 from tinylm.initializers import InitScheme, initialize
 from tinylm.data import zipf_corpus
-from tinylm.surgery import PlanError, identity_plan
+from tinylm.surgery import identity_plan
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
                              load_vocab, recode, save_vocab, train_bpe, vocab_id_map)
+from test_arch import _with_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "configs" / "demo.json"
@@ -544,6 +545,16 @@ def test_validate_rejects_a_model_vocab_size_past_the_vocabulary(tmp_path, capsy
     assert "architecture.config.vocab_size" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_parent_whose_width_is_not_an_integer(tmp_path, capsys):
+    # used to pass validate; surgery then failed with exit 2 and a TypeError naming no field
+    path = _inheriting(tmp_path, generate={"keep_ends": [1, 1]})
+    _with_manifest(tmp_path / "parent.ckpt",
+                   lambda m: {**m, "config": {**m["config"], "width": 16.0}})
+    assert main(["validate", str(path)]) == 1
+    assert ("inheritance.parent_checkpoint: checkpoint 'config' is invalid: width must be an "
+            "integer, got 16.0") in capsys.readouterr().err
+
+
 def test_validate_rejects_a_truncated_parent_checkpoint(tmp_path, capsys):
     # used to pass validate, which read only the header, and fail at params with exit 2
     path = _inheriting(tmp_path, generate={})
@@ -732,7 +743,8 @@ def test_plan_vocab_map_length_is_checked_at_params(tmp_path):
     # the child's vocabulary size is known only after the tokenizer stage:
     # the parent's 256 rows against the trained tokenizer's 300
     cfg = validate(_with_plan(tmp_path))
-    with pytest.raises(PlanError, match="vocab map length 256 != child vocab 300"):
+    with pytest.raises(pipeline.PipelineError,
+                       match="inheritance.plan: vocab map length 256 != child vocab 300"):
         run(cfg, until="params")
 
 

@@ -1,6 +1,7 @@
 import math
 import resource
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ def test_scaled_lr_rejects_bad_inputs():
         scaled_lr(ScalingRule(1e6, 1e-4, 0.5), 0)
     with pytest.raises(ValueError):
         ScalingRule(1e6, 1e-4, 1.5).validate()
+
+
+def test_train_plan_checks_itself_when_built_and_is_frozen():
+    with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
+        TrainPlan(rounds=0)
+    with pytest.raises(FrozenInstanceError):
+        TrainPlan().lr = 1.0
 
 
 # ------------------------------------------------------------------- adamw
