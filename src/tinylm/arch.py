@@ -168,29 +168,23 @@ class ArchReport:
         return json.dumps(asdict(self), indent=2)
 
 
+# the report bucket of each parameter kind, in breakdown order
+_BUCKETS = {"embed": "embedding", "head": "head",
+            **dict.fromkeys(("wq", "wk", "wv", "wo"), "attention"),
+            **dict.fromkeys(("wgate", "wup", "wdown"), "ffn"),
+            **dict.fromkeys(("attn_norm", "ffn_norm", "final_norm"), "norms")}
+
+
 def param_count(config: ModelConfig) -> ArchReport:
-    """Closed-form parameter counts under the documented accounting:
-    no biases, scale-only norms, untied embedding and head."""
-    v, d, L = config.vocab_size, config.width, config.depth
-    kv = config.kv_groups * config.head_dim
-    f = config.ffn_hidden
-    embed_head = 2 * v * d
-    attention = L * (2 * d * d + 2 * d * kv)
-    ffn = L * 3 * d * f
-    norms = L * 2 * d + d
-    total = embed_head + attention + ffn + norms
-    return ArchReport(
-        total_params=total,
-        embedding_head_params=embed_head,
-        pehl=embed_head / total,
-        breakdown={
-            "embedding": v * d,
-            "head": v * d,
-            "attention": attention,
-            "ffn": ffn,
-            "norms": norms,
-        },
-    )
+    """Exact parameter counts of ``param_shapes(config)``: no biases,
+    scale-only norms, untied embedding and head."""
+    breakdown = dict.fromkeys(_BUCKETS.values(), 0)
+    for name, shape in param_shapes(config).items():
+        breakdown[_BUCKETS[name.rsplit(".", 1)[-1]]] += math.prod(shape)
+    embed_head = breakdown["embedding"] + breakdown["head"]
+    total = sum(breakdown.values())
+    return ArchReport(total_params=total, embedding_head_params=embed_head,
+                      pehl=embed_head / total, breakdown=breakdown)
 
 
 def search_configs(
@@ -204,7 +198,20 @@ def search_configs(
     """For each (depth, expansion) pair, solve the width that lands the total
     parameter count on ``budget``, round it to a multiple of head_dim (ties
     toward the smaller width), and keep configs within relative tolerance.
-    Every config is MHA (kv_groups == n_heads)."""
+    Every config is MHA (kv_groups == n_heads). An input no config can take
+    raises ValueError, its message led by the parameter's name; a width the
+    solve cannot represent raises OverflowError."""
+    if type(vocab_size) is not int or vocab_size < 256:
+        raise ValueError(f"vocab_size must be an integer >= 256, got {vocab_size!r}")
+    if type(head_dim) is not int or head_dim < 2 or head_dim % 2:
+        raise ValueError(f"head_dim must be even and >= 2 for rotary encoding, got {head_dim!r}")
+    for L in depths:
+        if type(L) is not int or L < 1:
+            raise ValueError(f"depths must be integers >= 1, got {L!r}")
+
+    def gap(cfg: ModelConfig) -> int:
+        return abs(param_count(cfg).total_params - budget)
+
     out: list[ModelConfig] = []
     for L in depths:
         for rho in expansion_rates:
@@ -213,23 +220,15 @@ def search_configs(
             b = 2.0 * vocab_size + 2.0 * L + 1.0
             disc = b * b + 4.0 * a * budget
             d_real = (-b + disc**0.5) / (2.0 * a)
-            candidates = []
-            for d in (int(d_real // head_dim) * head_dim, (int(d_real // head_dim) + 1) * head_dim):
-                if d < head_dim:
-                    continue
-                h = d // head_dim
-                ffn = max(1, round(rho * d))
-                try:
-                    cfg = ModelConfig(vocab_size, d, L, h, h, ffn)
-                except ValueError:
-                    continue
-                total = param_count(cfg).total_params
-                candidates.append((abs(total - budget), d, cfg, total))
-            if not candidates:
-                continue
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            gap, _, cfg, total = candidates[0]
-            if gap / budget <= tolerance:
+            if not math.isfinite(d_real):
+                raise OverflowError(f"width solve for depth {L}, expansion {rho} is {d_real}")
+            k = int(d_real // head_dim)
+            # the head counts either side of d_real, at least one; min keeps
+            # the first, narrower config on a tie
+            cfg = min((ModelConfig(vocab_size, h * head_dim, L, h, h,
+                                   max(1, round(rho * (h * head_dim))))
+                       for h in range(max(k, 1), k + 2)), key=gap)
+            if gap(cfg) / budget <= tolerance:
                 out.append(cfg)
     return out
 

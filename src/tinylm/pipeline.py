@@ -271,8 +271,10 @@ def _search(spec: dict, vocab: Size) -> tuple[list[ModelConfig], ModelConfig]:
     try:
         found = search_configs(spec["budget"], vocab.n, spec["depths"], spec["expansions"],
                                tolerance=spec["tolerance"], head_dim=spec["head_dim"])
-    except (OverflowError, ValueError) as err:  # nan or overflow in the width solve
+    except OverflowError as err:
         raise ConfigError(f"architecture.search: values too large to solve ({err})") from err
+    except ValueError as err:  # an input no config takes, named first in the message
+        raise ConfigError(f"architecture.search.{err}") from err
     if not found:
         raise ConfigError("architecture.search: no feasible config for this budget and "
                           f"vocabulary size {vocab.n} (search_configs returned an empty list)")

@@ -82,6 +82,9 @@ class NonFiniteError(FloatingPointError):
 class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
+    A float64 array is kept as given, not copied, so ``.data`` may be a
+    strided view, such as a transpose's output; reshape, BLAS and ufuncs
+    all take one.
     Tensors are immutable once created; the only sanctioned mutation is an
     optimizer updating ``.data`` in place between forward passes.
     """
@@ -89,10 +92,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self._tape: Tape | None = None  # the tape that recorded it, if any
         self._node: _Node | None = None  # its producer on that tape
@@ -699,12 +699,12 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
         raise IndexError(f"target id out of range for vocab {v}")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    out = np.asarray((lse - z[np.arange(n), tgt]).mean())
+    e = np.exp(z)
+    rows = e.sum(axis=1, keepdims=True)
+    out = np.asarray((np.log(rows[:, 0]) - z[np.arange(n), tgt]).mean())
 
     def bw(g):
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / rows
         p[np.arange(n), tgt] -= 1.0
         return (p * (g / n),)
 

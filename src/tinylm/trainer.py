@@ -125,26 +125,15 @@ def part_assignment(n_batches: int, parts: int) -> np.ndarray:
 
 class AdamW:
     """Decoupled-weight-decay Adam over a ParamStore. With a zero gradient a
-    parameter shrinks by exactly (1 - lr * wd) per step.
-
-    A step allocates nothing: the moments update in place, and every
-    temporary lands in two scratch buffers sized for the largest parameter
-    and shared by all of them. Each expression keeps the operands of the
-    plain numpy form, so results are bit-identical to it."""
+    parameter shrinks by exactly (1 - lr * wd) per step. The moments update
+    in place; every other temporary is a fresh numpy array."""
 
     def __init__(self, params: ParamStore, plan: TrainPlan):
         self.params = params
         self.plan = plan
         self.m = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
         self.v = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
-        size = max((t.size for t in params.tensors.values()), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
         self.step_count = 0
-
-    def _buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The two scratch buffers, viewed in ``shape``."""
-        n = math.prod(shape)
-        return tuple(buf[:n].reshape(shape) for buf in self._scratch)
 
     def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
         """One update from ``grads``, the leaf-tensor map ``Tape.gradients``
@@ -152,38 +141,27 @@ class AdamW:
         plan = self.plan
         scale = None
         if plan.grad_clip > 0:
-            sq = 0.0
-            for tensor in self.params.tensors.values():
-                g = grads.get(tensor)
-                if g is not None:
-                    sq += float(np.multiply(g, g, out=self._buffers(g.shape)[0]).sum())
-            norm = math.sqrt(sq)
+            norm = math.sqrt(sum(float((grads[t] * grads[t]).sum())
+                                 for t in self.params.tensors.values() if t in grads))
             if norm > plan.grad_clip:
                 scale = plan.grad_clip / norm
         self.step_count += 1
         t = self.step_count
         for name, tensor in self.params.tensors.items():
-            a, b = self._buffers(tensor.shape)
-            g = grads.get(tensor)
-            # b holds the (scaled or zero) gradient until v_hat needs it
-            if g is None:
-                b.fill(0.0)
-                g = b
-            elif scale is not None:
-                g = np.multiply(g, scale, out=b)
+            g = grads.get(tensor, 0.0)
+            if scale is not None:
+                g = g * scale
             m = self.m[name]
             v = self.v[name]
             m *= plan.beta1
-            m += np.multiply(1.0 - plan.beta1, g, out=a)
+            m += (1.0 - plan.beta1) * g
             v *= plan.beta2
-            v += np.multiply(1.0 - plan.beta2, np.multiply(g, g, out=a), out=a)
-            m_hat = np.divide(m, 1.0 - plan.beta1**t, out=a)
-            v_hat = np.divide(v, 1.0 - plan.beta2**t, out=b)
+            v += (1.0 - plan.beta2) * (g * g)
+            m_hat = m / (1.0 - plan.beta1**t)
+            v_hat = v / (1.0 - plan.beta2**t)
             if plan.weight_decay:
                 tensor.data *= 1.0 - lr * plan.weight_decay
-            denom = np.sqrt(v_hat, out=b)
-            denom += plan.adam_eps
-            tensor.data -= np.multiply(lr, np.divide(m_hat, denom, out=a), out=a)
+            tensor.data -= lr * (m_hat / (np.sqrt(v_hat) + plan.adam_eps))
 
 
 def train_round(

@@ -111,17 +111,25 @@ def test_embedding_head_params_linear_in_vocab():
 
 
 def test_toy_config_hand_count():
-    cfg = ModelConfig(vocab_size=512, width=64, depth=4, n_heads=4, kv_groups=4,
+    mha = ModelConfig(vocab_size=512, width=64, depth=4, n_heads=4, kv_groups=4,
                       ffn_hidden=160)
-    by_hand = (
-        512 * 64  # embedding
-        + 64 * 512  # head
-        + 4 * (4 * 64 * 64)  # q, k, v, out per layer
-        + 4 * (3 * 64 * 160)  # gate, up, down per layer
-        + 4 * 2 * 64  # two norm scales per layer
-        + 64  # final norm
-    )
-    assert param_count(cfg).total_params == by_hand
+    gqa = ModelConfig(vocab_size=512, width=64, depth=4, n_heads=4, kv_groups=2,
+                      ffn_hidden=128)
+    for cfg, attention in (
+        (mha, 4 * (4 * 64 * 64)),  # q, k, v, out per layer
+        (gqa, 4 * (2 * 64 * 64 + 2 * 64 * 32)),  # k and v: 2 groups x head_dim 16
+    ):
+        by_hand = {
+            "embedding": 512 * 64,
+            "head": 64 * 512,
+            "attention": attention,
+            "ffn": 4 * (3 * 64 * cfg.ffn_hidden),  # gate, up, down per layer
+            "norms": 4 * 2 * 64 + 64,  # two norm scales per layer, final norm
+        }
+        report = param_count(cfg)
+        assert list(report.breakdown.items()) == list(by_hand.items()), cfg
+        assert report.total_params == sum(by_hand.values())
+        assert report.embedding_head_params == 2 * 512 * 64
 
 
 def test_pehl_increases_with_vocab():
@@ -167,6 +175,18 @@ def test_search_toy_budget_within_tolerance():
 
 def test_search_infeasible_budget_empty():
     assert search_configs(1000, 512, [2, 4], [2.0], tolerance=0.05, head_dim=16) == []
+
+
+@pytest.mark.parametrize("vocab, head_dim, depths, name", [
+    (400, 15, [2, 3], "head_dim"),
+    (255, 16, [2, 3], "vocab_size"),
+    (np.int64(400), 16, [2, 3], "vocab_size"),
+    (400, 16, [2, np.int64(3)], "depths"),
+], ids=["odd_head_dim", "small_vocab", "numpy_vocab", "numpy_depth"])
+def test_search_names_an_input_no_config_takes(vocab, head_dim, depths, name):
+    # each used to drop every candidate and return [] without an error
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        search_configs(400_000, vocab, depths, [2.0, 2.77], 0.03, head_dim=head_dim)
 
 
 # ------------------------------------------------------------------ forward

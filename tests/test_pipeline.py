@@ -257,12 +257,16 @@ def test_run_time_pick_out_of_range_is_config_error(tmp_path, capsys):
          {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "depths": "x"}}}),
         ("corpus.synthetic.n_bytes", {"corpus": {"synthetic": {"n_bytes": -5, "seed": 1}}}),
         ("corpus.synthetic", {"corpus": {"synthetic": 5}}),
+        ("architecture.search.head_dim must be even",
+         {"architecture": {"search": {**FEASIBLE_SEARCH["search"], "head_dim": 15}}}),
     ],
-    ids=["head_dim_zero", "depths_string", "n_bytes_negative", "synthetic_not_object"],
+    ids=["head_dim_zero", "depths_string", "n_bytes_negative", "synthetic_not_object",
+         "head_dim_odd"],
 )
 def test_validate_rejects_search_or_corpus_field(tmp_path, capsys, field, overrides):
     # the first two used to die in validate with a raw ZeroDivisionError or
-    # TypeError, and the corpus values passed validate
+    # TypeError, the corpus values passed validate, and an odd head_dim was
+    # reported as "no feasible config for this budget"
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=field):
         validate(path)

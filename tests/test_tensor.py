@@ -283,6 +283,15 @@ def test_tensor_shape_invariant():
     assert t.data.flags["C_CONTIGUOUS"]
 
 
+def test_transpose_is_a_view():
+    # a Tensor keeps a strided array as it is: the attention block's q/k/v
+    # transposes copy nothing
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    out = transpose(x, (1, 0, 2))
+    assert np.shares_memory(out.data, x.data)
+    assert np.array_equal(out.data, np.transpose(x.data, (1, 0, 2)))
+
+
 def test_values_finite_after_masked_softmax():
     scores = Tensor(np.zeros((2, 2)))
     masked = add(scores, Tensor([[0.0, -1e30], [0.0, 0.0]]))

@@ -181,14 +181,17 @@ def _plain_adamw_step(plan, params, m, v, t, grads, lr):
         tensor.data -= lr * (m_hat / (np.sqrt(v_hat) + plan.adam_eps))
 
 
-@pytest.mark.parametrize("grad_clip", [1.0, 0.0], ids=["clipping", "no_clip"])
-def test_adamw_in_place_step_is_bit_identical_to_plain_numpy(grad_clip):
+@pytest.mark.parametrize("plan", [
+    TrainPlan(grad_clip=1.0),
+    TrainPlan(grad_clip=0.0),
+    TrainPlan(lr=0.1, beta2=0.999, weight_decay=0.0, grad_clip=0.0),  # learn_masks'
+], ids=["clipping", "no_clip", "mask_plan"])
+def test_adamw_step_is_bit_identical_to_plain_numpy(plan):
     # the demo shape's parameters; "final_norm" gets no gradient
     cfg = ModelConfig(vocab_size=400, width=112, depth=2, n_heads=7, kv_groups=7,
                       ffn_hidden=310)
     params = initialize(cfg, InitScheme("constant", 0.02, 0))
     ref = ParamStore({k: t.copy() for k, t in params.tensors.items()})
-    plan = TrainPlan(grad_clip=grad_clip)
     opt = AdamW(params, plan)
     m = {k: np.zeros(t.shape) for k, t in ref.tensors.items()}
     v = {k: np.zeros(t.shape) for k, t in ref.tensors.items()}
