@@ -33,6 +33,7 @@ import numpy as np
 
 from .fileio import write_atomic
 from .tensor import (
+    DTYPES,
     Tensor,
     _active_tape,
     add,
@@ -147,6 +148,20 @@ class ParamStore:
     def total_elements(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every tensor holds; ValueError if they differ."""
+        dtypes = {t.data.dtype for t in self.tensors.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"parameters hold the dtypes {sorted(map(str, dtypes))}, not one")
+        return dtypes.pop()
+
+    def astype(self, dtype) -> "ParamStore":
+        """The store with every tensor in ``dtype``; a tensor already in it is
+        shared, not copied."""
+        return ParamStore({k: Tensor(t.data.astype(dtype, copy=False), t.requires_grad)
+                           for k, t in self.tensors.items()})
+
     def copy(self) -> "ParamStore":
         return ParamStore(
             {k: Tensor(t.data.copy(), requires_grad=t.requires_grad) for k, t in self.tensors.items()}
@@ -238,29 +253,30 @@ def search_configs(
 # ---------------------------------------------------------------------------
 
 
-def _rope_tables(n_positions: int, head_dim: int, offset: int = 0):
+def _rope_tables(n_positions: int, head_dim: int, offset: int = 0, dtype=np.float64):
     """cos and sin of the rotary angles, each [n_positions, head_dim // 2],
-    for positions offset onward."""
+    for positions offset onward: computed in float64, returned in ``dtype``."""
     half = head_dim // 2
     inv_freq = ROPE_BASE ** (-np.arange(half) * 2.0 / head_dim)
     pos = np.arange(offset, offset + n_positions)
     angles = np.outer(pos, inv_freq)  # [T, half]
-    return np.cos(angles), np.sin(angles)
+    return np.cos(angles).astype(dtype, copy=False), np.sin(angles).astype(dtype, copy=False)
 
 
 class KVCache:
     """Preallocated key/value buffers for decoding with ``forward``.
 
     ``k[i]`` and ``v[i]`` are layer i's [B, kv_groups, capacity, head_dim]
-    buffers. Their first ``length`` positions hold the rotated keys and the
-    values of every token fed so far; ``forward(..., cache=cache)`` writes
-    its tokens at [length, length + T) and then advances ``length``.
+    buffers, in the parameters' ``dtype``. Their first ``length`` positions
+    hold the rotated keys and the values of every token fed so far;
+    ``forward(..., cache=cache)`` writes its tokens at [length, length + T)
+    and then advances ``length``.
     """
 
-    def __init__(self, config: ModelConfig, batch: int, capacity: int):
+    def __init__(self, config: ModelConfig, batch: int, capacity: int, dtype=np.float64):
         shape = (batch, config.kv_groups, capacity, config.head_dim)
-        self.k = [np.zeros(shape) for _ in range(config.depth)]
-        self.v = [np.zeros(shape) for _ in range(config.depth)]
+        self.k = [np.zeros(shape, dtype) for _ in range(config.depth)]
+        self.v = [np.zeros(shape, dtype) for _ in range(config.depth)]
         self.batch = batch
         self.capacity = capacity
         self.length = 0
@@ -310,7 +326,7 @@ def attention_block(
     k = transpose(k, (0, 2, 1, 3))  # [B,G,T,hd]
     v = transpose(v, (0, 2, 1, 3))
     offset = 0 if cache is None else cache.length
-    cos, sin = rope_tables or _rope_tables(t, head_dim, offset)
+    cos, sin = rope_tables or _rope_tables(t, head_dim, offset, x.data.dtype)
     q = rope(q, cos, sin)
     k = rope(k, cos, sin)
     if cache is None:
@@ -356,7 +372,8 @@ def forward(
 
     With ``cache`` the tokens continue the cached sequences (positions
     cache.length onward) and are appended to the cache. A cache is for
-    inference only: it cannot be used under an active Tape.
+    inference only: it cannot be used under an active Tape, and its buffers
+    must hold the embedding's dtype.
     """
     tokens = np.asarray(tokens)
     bad = set(skip_layers) - set(range(config.depth))
@@ -368,13 +385,17 @@ def forward(
         b, t = tokens.shape
         if b != cache.batch:
             raise ValueError(f"batch of {b} sequences for a KV cache of {cache.batch}")
+        if cache.k[0].dtype != params["embed"].data.dtype:
+            raise ValueError(f"a {cache.k[0].dtype} KV cache for "
+                             f"{params['embed'].data.dtype} parameters")
         if cache.length + t > cache.capacity:
             raise ValueError(
                 f"{t} tokens do not fit a KV cache holding {cache.length} of "
                 f"{cache.capacity} positions"
             )
     x = gather_rows(params["embed"], tokens)
-    tables = _rope_tables(tokens.shape[1], config.head_dim, 0 if cache is None else cache.length)
+    tables = _rope_tables(tokens.shape[1], config.head_dim,
+                          0 if cache is None else cache.length, x.data.dtype)
     for i in range(config.depth):
         if i in skip_layers:
             continue
@@ -454,7 +475,7 @@ def generate(
     b, t = prefix.shape
     if t < 1:
         raise ValueError("prefix must contain at least one token")
-    cache = KVCache(config, b, t + n_new - 1)  # the last new token is never fed
+    cache = KVCache(config, b, t + n_new - 1, params.dtype)  # the last new token is never fed
     for start in range(0, t, PREFILL_CHUNK):
         logits = forward(config, params, prefix[:, start : start + PREFILL_CHUNK], cache=cache)
     cur = logits.data[:, -1].argmax(axis=-1)
@@ -467,25 +488,28 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: JSON manifest + raw little-endian float64 payload
+# checkpoint file: JSON manifest + raw little-endian float32 or float64 payload
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TLMCKPT1"
+_PAYLOAD = {name: np.dtype(name).newbyteorder("<") for name in DTYPES}  # "dtype" -> its bytes
 
 
 def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> tuple[str, int]:
-    """Write the checkpoint one tensor at a time; returns write_atomic's
-    (sha256, byte count)."""
+    """Write the checkpoint one tensor at a time, in the parameters' dtype;
+    returns write_atomic's (sha256, byte count)."""
+    dtype = params.dtype.name
+    payload = _PAYLOAD[dtype]
     names = sorted(params.tensors)
     entries = []
     offset = 0
     for name in names:
         t = params.tensors[name]
         entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.size * 8
-    manifest = json.dumps({"config": config.to_dict(), "tensors": entries}).encode()
+        offset += t.size * payload.itemsize
+    manifest = json.dumps({"config": config.to_dict(), "dtype": dtype, "tensors": entries}).encode()
     header = _MAGIC + struct.pack("<Q", len(manifest)) + manifest
-    tensors = (np.ascontiguousarray(params.tensors[name].data, dtype="<f8") for name in names)
+    tensors = (np.ascontiguousarray(params.tensors[name].data, dtype=payload) for name in names)
     return write_atomic(path, itertools.chain([header], tensors))
 
 
@@ -519,6 +543,10 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as err:  # unknown keys or ill-typed values
         raise ValueError(f"checkpoint 'config' is invalid: {err}") from err
+    dtype = manifest.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _PAYLOAD:
+        raise ValueError(f"checkpoint 'dtype' must be one of {DTYPES}, got {dtype!r}")
+    payload = _PAYLOAD[dtype]
     tensors: dict[str, Tensor] = {}
     size = len(data) - start
     expected, name = 0, None  # tensors are stored back to back from offset 0
@@ -532,21 +560,22 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
         if not _natural(offset):
             raise ValueError(f"checkpoint tensor {name!r}: 'offset' must be a non-negative "
                              f"integer, got {offset!r}")
-        nbytes = math.prod(shape) * 8
+        count = math.prod(shape)
+        nbytes = count * payload.itemsize
         if offset != expected:
-            raise ValueError(f"checkpoint tensor {name!r}: offset {offset} != {expected}")
+            raise ValueError(f"checkpoint tensor {name!r}: offset {offset} != {expected}, where "
+                             f"the tensors before it end in a {dtype} payload")
         if expected + nbytes > size:
             raise ValueError(
                 f"checkpoint truncated in tensor {name!r}: needs bytes "
-                f"[{expected}, {expected + nbytes}) of a {size}-byte payload"
+                f"[{expected}, {expected + nbytes}) of a {size}-byte {dtype} payload"
             )
-        arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=start + expected)
-        tensors[name] = Tensor(arr.reshape(shape).copy())
+        arr = np.frombuffer(data, dtype=payload, count=count, offset=start + expected)
+        tensors[name] = Tensor(arr.reshape(shape).astype(dtype))
         expected += nbytes
     if size != expected:
-        raise ValueError(
-            f"checkpoint has {size - expected} trailing bytes after its last tensor {name!r}"
-        )
+        raise ValueError(f"checkpoint has {size - expected} trailing bytes after its last "
+                         f"tensor {name!r} of its {dtype} payload")
     store = ParamStore(tensors)
     store.validate(config)
     return config, store

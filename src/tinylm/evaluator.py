@@ -120,7 +120,7 @@ def score_items(
             counts = [len(items[i][1]) for i in chunk]
             flat = [cand for i in chunk for cand in items[i][1]]
             longest = max(map(len, flat))
-            cache = KVCache(config, len(chunk), n_ctx - 1 + longest)
+            cache = KVCache(config, len(chunk), n_ctx - 1 + longest, params.dtype)
             prefix = contexts[:, :-1]
             for at in range(0, n_ctx - 1, PREFILL_CHUNK):
                 forward(config, params, prefix[:, at : at + PREFILL_CHUNK], cache=cache)

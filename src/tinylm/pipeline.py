@@ -27,6 +27,7 @@ from .fileio import csv_text, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
 from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, convert_to_gqa,
                       layer_skip_eval, make_plan)
+from .tensor import DTYPES, blas_info
 from .tokenizer import (
     Vocabulary,
     compact_vocab,
@@ -72,6 +73,7 @@ REQUIRED, ABSENT, ROOT_SEED = "<required>", "<absent>", "<root seed>"
 FIELDS = (
     ("seed",                            "int",          "[0, inf)",                            REQUIRED),
     ("output_dir",                      "str",          None,                                  REQUIRED),
+    ("dtype",                           "choice",       DTYPES,                                DTYPES[0]),
     ("corpus",                          "object",       ("path", "synthetic"),                 REQUIRED),
     ("corpus.path",                     "file",         None,                                  ABSENT),
     ("corpus.synthetic",                "object",       None,                                  ABSENT),
@@ -506,6 +508,7 @@ class RunManifest:
     stages_completed: list[str] = field(default_factory=list)
     stages_planned: list[str] = field(default_factory=list)
     failure: str | None = None
+    numeric: dict = field(default_factory=dict)  # dtype and the BLAS it ran on; see _NUMERIC
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -519,9 +522,12 @@ class _Run:
             raise ConfigError(f"unknown stage {until!r}; choose from {STAGES}")
         self.cfg = config
         self.out = config.output_dir
+        blas, threads = blas_info()
         self.manifest = RunManifest(
             config=config.raw, version=__version__, seed=config.seed,
             stages_planned=list(STAGES[: STAGES.index(until) + 1]),
+            numeric={"dtype": config.raw["dtype"], "numpy": np.__version__, "blas": blas,
+                     "blas_threads": threads},
         )
         self.corpus: bytes = b""
         self.vocab: Vocabulary | None = None
@@ -646,6 +652,8 @@ class _Run:
                 self.model_config, self.params = convert_to_gqa(
                     self.model_config, self.params, groups
                 )
+        # the one cast: init draws, and surgery runs, in their own dtype
+        self.params = self.params.astype(self.cfg.raw["dtype"])
         self.emit("arch_report.json", param_count(self.model_config).to_json())
         self.emit("model_init.ckpt",
                   lambda path: save_checkpoint(path, self.model_config, self.params))
@@ -734,6 +742,12 @@ _HEADLINES = {  # listed artifact -> (headline, its value from the artifact's te
 
 
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError)  # what _manifest raises
+_NUMERIC = {  # the manifest's numeric block: key -> whether a value fits it
+    "dtype": lambda v: isinstance(v, str) and v in DTYPES,
+    "numpy": lambda v: isinstance(v, str),
+    "blas": lambda v: v is None or isinstance(v, str),  # None: no OpenBLAS to ask
+    "blas_threads": lambda v: v is None or type(v) is int and v >= 1,
+}
 
 
 def _manifest(run_dir: Path) -> tuple[dict, list[tuple[str, str, int]]]:
@@ -754,6 +768,10 @@ def _manifest(run_dir: Path) -> tuple[dict, list[tuple[str, str, int]]]:
     for key in ("stages_planned", "stages_completed"):
         if not isinstance(rec[key], list) or not all(isinstance(s, str) for s in rec[key]):
             raise ValueError(f"{key} is not a list of stage names")
+    numeric = rec["numeric"] = manifest.get("numeric")
+    if not (isinstance(numeric, dict) and sorted(numeric) == sorted(_NUMERIC)
+            and all(_NUMERIC[key](value) for key, value in numeric.items())):
+        raise ValueError(f"numeric is not an object of {', '.join(_NUMERIC)}: {numeric!r}")
     rec["failure"] = manifest.get("failure")
     return rec, listed
 
@@ -812,6 +830,10 @@ def report(output_dir) -> tuple[str, bool]:
     if "unreadable" in rec:
         return "\n".join(lines + [rec["unreadable"]]) + "\n", False
     lines.append(f"toolkit version: {rec['version']}   seed: {rec['seed']}")
+    numeric = rec["numeric"]
+    lines.append(f"numeric: {numeric['dtype']}   numpy {numeric['numpy']}   "
+                 f"BLAS {numeric['blas'] or 'unknown'}   "
+                 f"BLAS threads {numeric['blas_threads'] or 'unknown'}")
     if rec["failure"]:
         lines.append(f"FAILED at {rec['failure']}")
     lines.append(

@@ -228,7 +228,8 @@ def learn_masks(
     MASK_TEMPERATURE; the objective is the task loss plus MASK_PENALTY times
     the squared gap between each layer's expected retained count and its
     target. Model weights stay frozen; only the gate logits move (AdamW at
-    MASK_LR with beta2 0.999, no weight decay and no clipping)."""
+    MASK_LR with beta2 0.999, no weight decay and no clipping). The logits
+    take the parameters' dtype."""
     if not data_batches:
         raise ValueError("learn_masks needs data batches")
     if child_heads > config.n_heads or child_channels > config.ffn_hidden:
@@ -236,14 +237,17 @@ def learn_masks(
     _require_mha(config)
     params.set_requires_grad(False)
     rng = np.random.default_rng(seed)
+    dtype = params.dtype
     # gates open at the start: the relaxed model begins at the dense model's
     # operating point and the count penalty prunes from there
     head_logits = [
-        Tensor(2.0 + rng.normal(0.0, 0.01, size=config.n_heads), requires_grad=True)
+        Tensor(np.asarray(2.0 + rng.normal(0.0, 0.01, size=config.n_heads), dtype),
+               requires_grad=True)
         for _ in range(config.depth)
     ]
     ffn_logits = [
-        Tensor(2.0 + rng.normal(0.0, 0.01, size=config.ffn_hidden), requires_grad=True)
+        Tensor(np.asarray(2.0 + rng.normal(0.0, 0.01, size=config.ffn_hidden), dtype),
+               requires_grad=True)
         for _ in range(config.depth)
     ]
     gates = ParamStore({str(i): lg for i, lg in enumerate(head_logits + ffn_logits)})

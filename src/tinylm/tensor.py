@@ -1,6 +1,8 @@
-"""Dense float64 tensors with tape-based reverse-mode autodiff.
+"""Dense float32 or float64 tensors with tape-based reverse-mode autodiff.
 
-Everything is numpy under the hood. Operations executed while a Tape is
+Everything is numpy under the hood. An op computes in its inputs' dtype:
+float64 unless the parameters are float32, and a plain Python number never
+promotes a float32 tensor. Operations executed while a Tape is
 active (and touching at least one requires_grad tensor) are recorded in
 execution order; Tape.gradients walks the record once, in reverse, and
 returns the gradients of the leaf tensors. A tape is consumed by its
@@ -37,6 +39,7 @@ The active tape is thread-local: one forward/backward pair per thread.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -66,6 +69,27 @@ def _keep_freed_heap() -> bool:
 
 HEAP_KEPT = _keep_freed_heap()
 
+# (prefix, suffix) of the OpenBLAS entry points in the builds numpy ships
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+
+def blas_info() -> tuple[str | None, int | None]:
+    """The OpenBLAS config string numpy runs (it names the runtime kernel)
+    and its current thread count; None for each that cannot be read."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # resolves its BLAS's symbols too
+    except (OSError, AttributeError):
+        return None, None
+    for prefix, suffix in _OPENBLAS_NAMES:
+        try:
+            config = getattr(lib, f"{prefix}get_config{suffix}")
+            threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        config.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+        return " ".join(config().decode(errors="replace").split()), threads()
+    return None, None
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -79,12 +103,16 @@ class NonFiniteError(FloatingPointError):
     """A value that must be finite is inf or nan."""
 
 
-class Tensor:
-    """A dense float64 array, optionally tracked for gradients.
+DTYPES = ("float64", "float32")  # the compute dtypes, the default first
+_KEPT = frozenset(map(np.dtype, DTYPES))
 
-    A float64 array is kept as given, not copied, so ``.data`` may be a
-    strided view, such as a transpose's output; reshape, BLAS and ufuncs
-    all take one.
+
+class Tensor:
+    """A dense float32 or float64 array, optionally tracked for gradients.
+
+    A float32 or float64 array is kept as given, not copied, so ``.data``
+    may be a strided view, such as a transpose's output; reshape, BLAS and
+    ufuncs all take one. Anything else becomes float64.
     Tensors are immutable once created; the only sanctioned mutation is an
     optimizer updating ``.data`` in place between forward passes.
     """
@@ -92,7 +120,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _KEPT else data.astype(np.float64)
         self.requires_grad = requires_grad
         self._tape: Tape | None = None  # the tape that recorded it, if any
         self._node: _Node | None = None  # its producer on that tape
@@ -120,7 +149,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, neg(other))
+        return add(self, neg(_operands(self, other)[1]))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -233,6 +262,17 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors. An operand that is not a
+    Tensor takes the other's dtype, so ``x * 0.5`` stays float32 for a
+    float32 ``x``."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype) if isinstance(b, Tensor) else a)
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
+
+
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap a forward result, recording it when a tape is live and needed.
     ``backward_fn`` holds only what it reads: a shape rather than the tensor
@@ -270,7 +310,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data + b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     shape_a, shape_b = a.shape, b.shape
@@ -285,7 +325,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     shape_a, shape_b = a.shape, b.shape
@@ -364,8 +404,9 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     shape = a.shape
-    n = a.data.size if axis is None else np.prod(
-        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    # a Python int, which does not promote a float32 gradient
+    n = a.data.size if axis is None else math.prod(
+        shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))
     )
 
     def bw(g):
@@ -393,10 +434,10 @@ def getitem(a, key) -> Tensor:
     """Basic (slice/int) indexing with scatter-style backward."""
     a = _as_tensor(a)
     out = a.data[key]
-    shape = a.shape
+    shape, dtype = a.shape, a.data.dtype
 
     def bw(g):
-        gx = np.zeros(shape)
+        gx = np.zeros(shape, dtype)
         gx[key] += g
         return (gx,)
 
@@ -425,10 +466,10 @@ def take(a, indices, axis: int) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     out = np.take(a.data, idx, axis=axis)
-    shape = a.shape
+    shape, dtype = a.shape, a.data.dtype
 
     def bw(g):
-        gx = np.zeros(shape)
+        gx = np.zeros(shape, dtype)
         np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
         return (gx,)
 
@@ -444,10 +485,10 @@ def gather_rows(table, ids) -> Tensor:
             f"id out of range: [{ids.min()}, {ids.max()}] vs table rows {table.shape[0]}"
         )
     out = table.data[ids]
-    shape = table.shape
+    shape, dtype = table.shape, table.data.dtype
 
     def bw(g):
-        gt = np.zeros(shape)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -539,7 +580,7 @@ def causal_attention(q, k, v, length: int | None = None) -> Tensor:
     p = q5 @ kt
     p *= scale
     if t > 1:
-        p += np.triu(np.full((t, length), MASK_VALUE), k=length - t + 1)
+        p += np.triu(np.full((t, length), MASK_VALUE, p.dtype), k=length - t + 1)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -560,7 +601,7 @@ def causal_attention(q, k, v, length: int | None = None) -> Tensor:
         x = x[:, :, 0] if r == 1 else x.sum(axis=2)
         if length == s:
             return x
-        full = np.zeros(k_shape)
+        full = np.zeros(k_shape, x.dtype)
         full[:, :, :length] = x
         return full
 

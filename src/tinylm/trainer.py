@@ -125,14 +125,15 @@ def part_assignment(n_batches: int, parts: int) -> np.ndarray:
 
 class AdamW:
     """Decoupled-weight-decay Adam over a ParamStore. With a zero gradient a
-    parameter shrinks by exactly (1 - lr * wd) per step. The moments update
-    in place; every other temporary is a fresh numpy array."""
+    parameter shrinks by exactly (1 - lr * wd) per step. The moments take
+    each parameter's dtype and update in place; every other temporary is a
+    fresh numpy array."""
 
     def __init__(self, params: ParamStore, plan: TrainPlan):
         self.params = params
         self.plan = plan
-        self.m = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
-        self.v = {k: np.zeros(t.shape) for k, t in params.tensors.items()}
+        self.m = {k: np.zeros(t.shape, t.data.dtype) for k, t in params.tensors.items()}
+        self.v = {k: np.zeros(t.shape, t.data.dtype) for k, t in params.tensors.items()}
         self.step_count = 0
 
     def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:

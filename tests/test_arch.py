@@ -20,6 +20,7 @@ from tinylm.arch import (
     lm_loss,
     load_checkpoint,
     param_count,
+    parse_checkpoint,
     param_shapes,
     save_checkpoint,
     search_configs,
@@ -570,6 +571,73 @@ def test_checkpoint_roundtrip_exact_for_random_configs(tmp_path_factory, model):
     for name, t in params.tensors.items():
         assert loaded[name].shape == t.shape
         assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(model=small_models())
+def test_float32_checkpoint_roundtrip_exact_for_random_configs(tmp_path_factory, model):
+    cfg, params = model
+    with np.errstate(over="ignore"):  # the specials overflow to inf, underflow or stay
+        params = params.astype(np.float32)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, cfg, params)
+    loaded_cfg, loaded = load_checkpoint(path)
+    assert loaded_cfg == cfg and loaded.dtype == np.float32
+    assert sorted(loaded.tensors) == sorted(params.tensors)
+    for name, t in params.tensors.items():
+        assert loaded[name].shape == t.shape
+        assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
+_DTYPE_VALUES = st.one_of(st.sampled_from(["float16", "Float32", "float32 ", "<f4", "f8", ""]),
+                          st.none(), st.integers(), st.floats(allow_nan=False), st.booleans(),
+                          st.lists(st.just("float32"), max_size=2),
+                          st.dictionaries(st.just("float32"), st.just("float64"), max_size=1))
+
+
+def _mutate_dtype(raw: bytes, value) -> bytes:
+    """``raw`` with its manifest's dtype replaced by ``value``, or deleted when
+    ``value`` is the string "delete"."""
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+    if value == "delete":
+        del manifest["dtype"]
+    else:
+        manifest["dtype"] = value
+    new = json.dumps(manifest).encode()
+    return raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + mlen:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(model=small_models(), dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_parse_checkpoint_mutations_raise_only_value_error(tmp_path_factory, model, dtype, data):
+    """Mutated checkpoints, of either dtype, parse or raise ValueError: a
+    flipped, cut or inserted byte anywhere, or a dtype field that is missing,
+    of a wrong type, unknown, or the other dtype."""
+    cfg, params = model
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    with np.errstate(over="ignore"):
+        save_checkpoint(path, cfg, params.astype(dtype))
+    raw = path.read_bytes()
+    kind = data.draw(st.sampled_from(["flip", "cut", "insert", "dtype", "swap"]), label="kind")
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if kind == "flip":
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif kind == "cut":
+        raw = raw[:at] + raw[at + data.draw(st.integers(1, 16)):]
+    elif kind == "insert":
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=16)) + raw[at:]
+    else:
+        other = "float64" if dtype == np.float32 else "float32"
+        value = other if kind == "swap" else data.draw(st.one_of(st.just("delete"), _DTYPE_VALUES))
+        with pytest.raises(ValueError, match=f"{other} payload" if kind == "swap"
+                           else "'dtype' must be"):
+            parse_checkpoint(_mutate_dtype(raw, value))
+        return
+    try:
+        parse_checkpoint(raw)
+    except ValueError:
+        pass
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

@@ -93,12 +93,13 @@ def test_run_manifest_json():
     manifest = RunManifest(
         {"seed": 1, "b": [1.5]}, "0.1.0", 1, {"corpus": "ab"},
         [{"name": "x", "sha256": "cd", "bytes": 3}], ["corpus"], ["corpus", "tokenizer"],
-        "tokenizer: boom")
+        "tokenizer: boom", {"dtype": "float32", "blas_threads": 1})
     assert manifest.to_json() == (
         '{\n  "artifacts": [\n    {\n      "bytes": 3,\n      "name": "x",\n'
         '      "sha256": "cd"\n    }\n  ],\n  "config": {\n    "b": [\n      1.5\n    ],\n'
         '    "seed": 1\n  },\n  "failure": "tokenizer: boom",\n  "input_hashes": {\n'
-        '    "corpus": "ab"\n  },\n  "seed": 1,\n  "stages_completed": [\n    "corpus"\n'
+        '    "corpus": "ab"\n  },\n  "numeric": {\n    "blas_threads": 1,\n'
+        '    "dtype": "float32"\n  },\n  "seed": 1,\n  "stages_completed": [\n    "corpus"\n'
         '  ],\n  "stages_planned": [\n    "corpus",\n    "tokenizer"\n  ],\n'
         '  "version": "0.1.0"\n}')
 
@@ -111,11 +112,17 @@ def test_two_tensor_checkpoint_bytes(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", cfg, params)
     header = (
         b'{"config": {"vocab_size": 256, "width": 2, "depth": 1, "n_heads": 1, '
-        b'"kv_groups": 1, "ffn_hidden": 1}, "tensors": [{"name": "embed", "shape": [2], '
-        b'"offset": 0}, {"name": "head", "shape": [2, 2], "offset": 16}]}')
+        b'"kv_groups": 1, "ffn_hidden": 1}, "dtype": "float64", "tensors": [{"name": "embed", '
+        b'"shape": [2], "offset": 0}, {"name": "head", "shape": [2, 2], "offset": 16}]}')
     expected = (b"TLMCKPT1" + struct.pack("<Q", len(header)) + header
                 + struct.pack("<6d", 1e-300, 2.0, X, -0.0, 3.0, 4.0))
     assert (tmp_path / "m.ckpt").read_bytes() == expected
+    # a float32 store writes a 4-byte payload and says so
+    save_checkpoint(tmp_path / "m32.ckpt", cfg, params.astype(np.float32))
+    header = header.replace(b"float64", b"float32").replace(b'"offset": 16', b'"offset": 8')
+    expected = (b"TLMCKPT1" + struct.pack("<Q", len(header)) + header
+                + struct.pack("<6f", 0.0, 2.0, X, -0.0, 3.0, 4.0))
+    assert (tmp_path / "m32.ckpt").read_bytes() == expected
 
 
 def test_vocab_file_bytes(tmp_path):

@@ -21,7 +21,7 @@ from tinylm import pipeline
 from tinylm.cli import main
 from tinylm.initializers import InitScheme, initialize
 from tinylm.data import zipf_corpus
-from tinylm.surgery import identity_plan
+from tinylm.surgery import InheritancePlan, build_child, identity_plan
 from tinylm.pipeline import FIELDS, ConfigError, OUTPUT_ENV_VAR, report, run, validate
 from tinylm.tokenizer import (BASE_SIZE, Vocabulary, coverage_curve, encode, frequencies,
                              load_vocab, recode, save_vocab, train_bpe, vocab_id_map)
@@ -1219,6 +1219,39 @@ def test_inheritance_run_from_parent_checkpoint(tmp_path):
     plan = json.loads((tmp_path / "child_out" / "plan.json").read_text())
     assert len(plan["kept_layers"]) == 1
     assert len(plan["ffn_indices"][0]) == 12
+
+
+@pytest.mark.parametrize("parent_dtype, child_dtype", [("float64", "float32"),
+                                                      ("float32", "float64")])
+def test_a_child_run_casts_the_parent_to_its_own_dtype(tmp_path, parent_dtype, child_dtype):
+    parent = write_config(tmp_path, name="parent.json", dtype=parent_dtype,
+                          output_dir=str(tmp_path / "parent_out"))
+    run(validate(parent), until="train")
+    parent_config, parent_params = load_checkpoint(tmp_path / "parent_out" / "model.ckpt")
+    assert parent_params.dtype == parent_dtype
+    raw = json.loads(write_config(tmp_path, dtype=child_dtype).read_text())
+    del raw["init"]
+    raw["inheritance"] = {"parent_checkpoint": "parent_out/model.ckpt",
+                          "generate": {"criterion": "learned", "keep_ends": [1, 1],
+                                       "mask_steps": 2, "batches": 1}}
+    manifest = run(validate(_write(tmp_path / "child.json", raw)))
+    assert manifest.numeric["dtype"] == child_dtype
+    out = tmp_path / "out"
+    config, child = load_checkpoint(out / "model_init.ckpt")
+    # surgery ran on the parent in its own dtype; the params stage cast the child
+    plan = InheritancePlan.from_json((out / "plan.json").read_text())
+    expected = build_child(parent_config, parent_params, plan, config)
+    assert expected.dtype == parent_dtype and child.dtype == child_dtype
+    for name, t in expected.tensors.items():
+        assert child[name].data.tobytes() == t.data.astype(child_dtype).tobytes(), name
+    assert load_checkpoint(out / "model.ckpt")[1].dtype == child_dtype
+
+
+@pytest.mark.parametrize("dtype", ["float16", "Float32", None, 32])
+def test_validate_refuses_a_dtype_other_than_the_two_names(tmp_path, capsys, dtype):
+    assert main(["validate", str(write_config(tmp_path, dtype=dtype))]) == 1
+    assert capsys.readouterr().err.startswith("config error: dtype must be choice in "
+                                              "('float64', 'float32')")
 
 
 def test_every_file_field_has_a_parser():
