@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evaluator import ClozeItem
+
 
 def zipf_corpus(
     n_bytes: int,
@@ -73,9 +75,10 @@ def make_cloze_items(
     n_candidates: int,
     vocab_size: int,
     seed: int = 0,
-) -> list[dict]:
+) -> list[ClozeItem]:
     """Multiple-choice items from a token stream: the true continuation is
-    the gold candidate; distractors are random spans from elsewhere."""
+    the gold candidate; distractors are random spans from elsewhere.
+    ``vocab_size`` is not read: every id comes from ``ids``."""
     rng = np.random.default_rng(seed)
     ids = np.asarray(ids)
     span = context_len + candidate_len
@@ -92,11 +95,5 @@ def make_cloze_items(
             candidates.append([int(t) for t in ids[s : s + candidate_len]])
         gold_index = int(rng.integers(0, n_candidates))
         candidates.insert(gold_index, [int(t) for t in gold])
-        items.append(
-            {
-                "context": [int(t) for t in context],
-                "candidates": candidates,
-                "gold": gold_index,
-            }
-        )
+        items.append(ClozeItem([int(t) for t in context], candidates, gold_index))
     return items

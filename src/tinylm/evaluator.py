@@ -89,9 +89,10 @@ def perplexity(
 def score_items(
     config: ModelConfig,
     params: ParamStore,
-    items: list[tuple[list[int], list[list[int]]]],
+    items: list[ClozeItem],
 ) -> list[list[float]]:
-    """Candidate scores of each (context, candidates) item, in item order.
+    """Candidate scores of each item, in item order. ``ClozeItem`` checks each
+    item's shape and ids >= 0; an id >= ``config.vocab_size`` raises here.
 
     Items are grouped by context length and scored ``CLOZE_CHUNK`` at a time:
     ``context[:-1]`` of every item in a chunk is prefilled into one KV cache
@@ -103,22 +104,20 @@ def score_items(
     position, out of every score.
     """
     by_length: dict[int, list[int]] = {}
-    for i, (context, candidates) in enumerate(items):
-        if not context or not candidates or not all(candidates):
-            raise ValueError("candidate scoring needs a nonempty context and candidates")
-        for ids in (context, *candidates):
-            if min(ids) < 0 or max(ids) >= config.vocab_size:
+    for i, item in enumerate(items):
+        for ids in (item.context, *item.candidates):
+            if max(ids) >= config.vocab_size:
                 raise ValueError(
                     f"cloze item {i}: token ids {list(ids)} outside [0, {config.vocab_size})"
                 )
-        by_length.setdefault(len(context), []).append(i)
+        by_length.setdefault(len(item.context), []).append(i)
     scores: list[list[float]] = [[] for _ in items]
     for n_ctx, indices in by_length.items():
         for start in range(0, len(indices), CLOZE_CHUNK):
             chunk = indices[start : start + CLOZE_CHUNK]
-            contexts = np.array([items[i][0] for i in chunk], dtype=np.intp)
-            counts = [len(items[i][1]) for i in chunk]
-            flat = [cand for i in chunk for cand in items[i][1]]
+            contexts = np.array([items[i].context for i in chunk], dtype=np.intp)
+            counts = [len(items[i].candidates) for i in chunk]
+            flat = [cand for i in chunk for cand in items[i].candidates]
             longest = max(map(len, flat))
             cache = KVCache(config, len(chunk), n_ctx - 1 + longest, params.dtype)
             prefix = contexts[:, :-1]
@@ -134,7 +133,7 @@ def score_items(
             logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
             rows = iter(logprobs)
             for i in chunk:
-                for cand, lp in zip(items[i][1], rows):
+                for cand, lp in zip(items[i].candidates, rows):
                     scores[i].append(float(np.mean(lp[np.arange(len(cand)), cand])))
     return scores
 
@@ -144,7 +143,7 @@ def cloze_accuracy(
 ) -> EvalReport:
     if not items:
         raise ValueError("cloze_accuracy needs a nonempty item list")
-    all_scores = score_items(config, params, [(it.context, it.candidates) for it in items])
+    all_scores = score_items(config, params, items)
     correct = 0
     rows = []
     for i, (item, scores) in enumerate(zip(items, all_scores)):
@@ -174,8 +173,6 @@ def load_cloze_items(path) -> list[ClozeItem]:
         return parse_cloze_items(fh.read())
 
 
-def save_cloze_items(items: list[dict] | list[ClozeItem], path) -> tuple[str, int]:
+def save_cloze_items(items: list[ClozeItem], path) -> tuple[str, int]:
     """One JSON object per line; returns write_atomic's (sha256, byte count)."""
-    return write_atomic(path, (
-        (json.dumps(asdict(item) if isinstance(item, ClozeItem) else item) + "\n").encode()
-        for item in items))
+    return write_atomic(path, ((json.dumps(asdict(item)) + "\n").encode() for item in items))

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .arch import ModelConfig, param_count, parse_checkpoint, save_checkpoint, search_configs
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
-from .evaluator import ClozeItem, cloze_accuracy, parse_cloze_items, perplexity, save_cloze_items
+from .evaluator import cloze_accuracy, parse_cloze_items, perplexity, save_cloze_items
 from .fileio import csv_text, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
 from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, convert_to_gqa,
@@ -306,11 +306,14 @@ def _child(raw: dict) -> str:
 
 
 def _gqa_groups(raw: dict, child: ModelConfig | None) -> None:
-    """convert_to_gqa shares each KV head among n_heads / gqa_groups query heads."""
+    """convert_to_gqa shares each KV head of an MHA child among n_heads / gqa_groups query heads."""
     groups = raw.get("inheritance", {}).get("gqa_groups")
     if child and groups is not None and child.n_heads % groups:
         raise ConfigError(f"inheritance.gqa_groups {groups} does not divide "
                           f"{_child(raw)}.n_heads {child.n_heads}")
+    if child and groups is not None and child.kv_groups != child.n_heads:
+        raise ConfigError(f"inheritance.gqa_groups needs an MHA child, but {_child(raw)}."
+                          f"kv_groups {child.kv_groups} differs from n_heads {child.n_heads}")
 
 
 def _child_fits(raw: dict, parent: ModelConfig, child: ModelConfig | None) -> None:
@@ -679,12 +682,10 @@ class _Run:
                            section["batch_size"] * section["seq_len"])
         plan = TrainPlan(lr=lr, **{key: section[key] for key in (
             "weight_decay", "grad_clip", "rounds", "sampling_rate", "parts", "seed")})
-        curve: list[tuple[int, float, float]] = []
-        self.params, ledgers = multi_round_train(
-            self.model_config, self.params, self.train_batches, plan, curve=curve
-        )
+        self.params, ledgers = multi_round_train(self.model_config, self.params,
+                                                 self.train_batches, plan)
         self.emit("ledger.csv", ledgers_to_csv(ledgers))
-        self.emit("curves.csv", curve_to_csv(curve))
+        self.emit("curves.csv", curve_to_csv(ledgers, plan))
         scan = forgetting_scan(self.model_config, self.params, self.train_batches, ledgers[0])
         self.emit("forgetting.csv", csv_text(("part", "mean_loss"), enumerate(scan)))
         self.emit("model.ckpt", lambda path: save_checkpoint(path, self.model_config, self.params))
@@ -700,10 +701,9 @@ class _Run:
         self.emit("eval_perplexity.csv", report.to_csv())
         if "cloze" in section:
             holdout_stream = np.concatenate([b.reshape(-1) for b in self.holdout_batches])
-            raw_items = make_cloze_items(holdout_stream, vocab_size=self.model_config.vocab_size,
-                                         **section["cloze"])
-            self.emit("cloze_items.jsonl", lambda path: save_cloze_items(raw_items, path))
-            items = [ClozeItem(**d) for d in raw_items]
+            items = make_cloze_items(holdout_stream, vocab_size=self.model_config.vocab_size,
+                                     **section["cloze"])
+            self.emit("cloze_items.jsonl", lambda path: save_cloze_items(items, path))
         if items:
             report = cloze_accuracy(self.model_config, self.params, items)
             self.emit("eval_cloze.json", report.to_json())

@@ -86,13 +86,13 @@ class FrequencyTable:
 
 @dataclass
 class CoverageCurve:
-    """Cumulative fraction of corpus occurrences covered by the top-k tokens."""
+    """Cumulative fraction of corpus occurrences covered by the top-k tokens:
+    ``fractions[k - 1]`` for k = 1..n, the CSV's row k."""
 
-    ks: list[int]
     fractions: list[float]
 
     def to_csv(self) -> str:
-        return csv_text(("k", "cumulative_fraction"), zip(self.ks, self.fractions))
+        return csv_text(("k", "cumulative_fraction"), enumerate(self.fractions, start=1))
 
 
 class _PositionIndex:
@@ -405,10 +405,7 @@ def coverage_curve(freq: FrequencyTable) -> CoverageCurve:
         raise EmptyCorpusError("coverage curve needs a nonzero token count")
     order = _frequency_order(freq)
     cum = np.cumsum(freq.counts[order]) / freq.total_tokens
-    return CoverageCurve(
-        ks=list(range(1, len(order) + 1)),
-        fractions=[float(f) for f in cum],
-    )
+    return CoverageCurve([float(f) for f in cum])
 
 
 def _merge_chain(token_id: int, vocab: Vocabulary) -> set[int]:

@@ -5,7 +5,7 @@ One "batch" is an int array [B, T+1]: positions [:, :-1] are inputs and
 [:, 1:] are next-token targets. A round's batches split contiguously, in
 training order, into ``parts`` near-equal parts; the ledger keeps each
 batch's loss at the moment it was trained, which later drives resampling
-and the forgetting scan.
+and the forgetting scan and gives the loss curve (``curve_to_csv``).
 
 A step's gradients are freed before the next forward: ``AdamW.step`` takes
 the map ``Tape.gradients`` returns as a temporary, so training holds at most
@@ -171,7 +171,6 @@ def train_round(
     batches: list[np.ndarray],
     plan: TrainPlan,
     batch_indices: list[int] | None = None,
-    curve: list[tuple[int, float, float]] | None = None,
 ) -> tuple[ParamStore, BatchLossLedger]:
     """One pass over ``batches`` in order. The ledger records each batch's
     pre-update loss and its contiguous part index. ``batch_indices`` lets a
@@ -192,11 +191,8 @@ def train_round(
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise NonFiniteLossError(f"non-finite loss at batch {i}")
-            lr = float(lr_schedule[i])
             ledger.entries.append(LedgerEntry(batch_indices[i], int(parts[i]), loss_val))
-            if curve is not None:
-                curve.append((len(curve), lr, loss_val))
-            opt.step(tape.gradients(loss), lr)
+            opt.step(tape.gradients(loss), float(lr_schedule[i]))
     finally:
         params.set_requires_grad(False)
     return params, ledger
@@ -242,20 +238,17 @@ def multi_round_train(
     params: ParamStore,
     batches: list[np.ndarray],
     plan: TrainPlan,
-    curve: list[tuple[int, float, float]] | None = None,
 ) -> tuple[ParamStore, list[BatchLossLedger]]:
     """Round 1 trains on every batch; each later round trains on a
     loss-weighted resample of the previous round, under a fresh cosine
     schedule and fresh optimizer state."""
     ledgers: list[BatchLossLedger] = []
-    params, ledger = train_round(config, params, batches, plan, curve=curve)
+    params, ledger = train_round(config, params, batches, plan)
     ledgers.append(ledger)
     for r in range(1, plan.rounds):
         picked = resample(ledgers[-1], plan.sampling_rate, seed=plan.seed + r)
         round_batches = [batches[i] for i in picked]
-        params, ledger = train_round(
-            config, params, round_batches, plan, batch_indices=picked, curve=curve
-        )
+        params, ledger = train_round(config, params, round_batches, plan, batch_indices=picked)
         ledgers.append(ledger)
     return params, ledgers
 
@@ -279,5 +272,10 @@ def forgetting_scan(
     return means
 
 
-def curve_to_csv(curve: list[tuple[int, float, float]]) -> str:
-    return csv_text(("step", "lr", "loss"), curve)
+def curve_to_csv(ledgers: list[BatchLossLedger], plan: TrainPlan) -> str:
+    """``step,lr,loss`` rows, a view of the ledgers: steps count on across
+    rounds, and each step's lr comes from its round's cosine schedule."""
+    lrs = [lr for ledger in ledgers
+           for lr in cosine_schedule(plan.lr, len(ledger.entries), plan.cosine_floor)]
+    losses = [e.loss for ledger in ledgers for e in ledger.entries]
+    return csv_text(("step", "lr", "loss"), zip(range(len(lrs)), lrs, losses))

@@ -17,7 +17,7 @@ from tinylm.pipeline import RunManifest, run, validate
 from tinylm.surgery import InheritancePlan, LayerImportance
 from tinylm.tensor import Tensor
 from tinylm.tokenizer import BASE_SIZE, CoverageCurve, FrequencyTable, Vocabulary, save_vocab
-from tinylm.trainer import BatchLossLedger, LedgerEntry, curve_to_csv, ledgers_to_csv
+from tinylm.trainer import BatchLossLedger, LedgerEntry, TrainPlan, curve_to_csv, ledgers_to_csv
 
 X = 0.1 + 0.2  # 0.30000000000000004: repr needs all 17 digits
 
@@ -28,7 +28,7 @@ def test_frequency_table_csv():
 
 
 def test_coverage_curve_csv():
-    assert CoverageCurve([1, 2], [X, 1.0]).to_csv() == (
+    assert CoverageCurve([X, 1.0]).to_csv() == (
         "k,cumulative_fraction\n1,0.30000000000000004\n2,1.0\n")
 
 
@@ -85,8 +85,13 @@ def test_ledgers_csv():
 
 
 def test_curve_csv():
-    assert curve_to_csv([(0, X, 1e-300), (1, 0.001, 5.0)]) == (
-        "step,lr,loss\n0,0.30000000000000004,1e-300\n1,0.001,5.0\n")
+    # steps count on across rounds; each round's lr runs from lr down to
+    # lr * cosine_floor
+    first = BatchLossLedger([LedgerEntry(2, 0, 1e-300), LedgerEntry(0, 1, 5.0)], 2)
+    second = BatchLossLedger([LedgerEntry(2, 0, X)], 2)
+    assert curve_to_csv([first, second], TrainPlan(lr=X, cosine_floor=0.5)) == (
+        "step,lr,loss\n0,0.30000000000000004,1e-300\n1,0.15000000000000002,5.0\n"
+        "2,0.30000000000000004,0.30000000000000004\n")
 
 
 def test_run_manifest_json():
@@ -135,8 +140,8 @@ def test_vocab_file_bytes(tmp_path):
 
 def test_cloze_items_bytes(tmp_path):
     line = b'{"context": [1, 2], "candidates": [[3], [4, 5]], "gold": 1}\n'
-    raw = {"context": [1, 2], "candidates": [[3], [4, 5]], "gold": 1}
-    save_cloze_items([raw, ClozeItem(**raw)], tmp_path / "c.jsonl")
+    item = ClozeItem([1, 2], [[3], [4, 5]], 1)
+    save_cloze_items([item, item], tmp_path / "c.jsonl")
     assert (tmp_path / "c.jsonl").read_bytes() == line + line
 
 

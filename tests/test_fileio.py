@@ -8,7 +8,7 @@ import pytest
 
 import tinylm.fileio
 from tinylm.arch import ModelConfig, save_checkpoint
-from tinylm.evaluator import save_cloze_items
+from tinylm.evaluator import ClozeItem, save_cloze_items
 from tinylm.fileio import csv_text, write_atomic
 from tinylm.initializers import InitScheme, initialize
 from tinylm.tokenizer import save_vocab, train_bpe
@@ -21,7 +21,7 @@ def _writers():
                       ffn_hidden=4)
     params = initialize(cfg, InitScheme("constant", 0.1, seed=0))
     vocab = train_bpe(b"abababab", 258)
-    items = [{"context": [1], "candidates": [[2], [3]], "gold": 0}]
+    items = [ClozeItem([1], [[2], [3]], 0)]
     return {
         "checkpoint": lambda path: save_checkpoint(path, cfg, params),
         "vocab": lambda path: save_vocab(vocab, path),

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -453,6 +455,25 @@ def test_validate_checks_kv_groups_against_surgery(tmp_path, capsys, source, par
         validate(path)
     assert main(["validate", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_validate_rejects_gqa_groups_for_a_grouped_kv_child(tmp_path, capsys):
+    # this used to pass validate and fail in surgery with exit 2, since
+    # convert_to_gqa takes only an MHA child; without gqa_groups it passes
+    shape = {"width": 32, "n_heads": 4, "kv_groups": 2, "ffn_hidden": 48}
+    (tmp_path / "plan.json").write_text(identity_plan(ModelConfig(256, **shape, depth=2)).to_json())
+    save_vocab(Vocabulary.base(), tmp_path / "vocab.txt")
+    raw = json.loads(_inheriting(tmp_path, shape, shape, plan="plan.json",
+                                 gqa_groups=1).read_text())
+    path = _write(tmp_path / "config.json", {**raw, "tokenizer": {"load": "vocab.txt"}})
+    message = ("inheritance.gqa_groups needs an MHA child, but architecture.config.kv_groups 2 "
+               "differs from n_heads 4")
+    with pytest.raises(ConfigError, match=message):
+        validate(path)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    del raw["inheritance"]["gqa_groups"]
+    validate(_write(path, {**raw, "tokenizer": {"load": "vocab.txt"}}))
 
 
 def test_validate_rejects_a_corrupt_parent_checkpoint(tmp_path):
@@ -1003,6 +1024,21 @@ def test_readme_config_table_lists_every_field_in_order():
     assert rows == [(path, kind) for path, kind, *_ in FIELDS]
 
 
+def test_readme_defaults_count_and_list_every_default():
+    # "Defaults (N in all)" counts the FIELDS rows with a default, each seed
+    # that takes the root seed included, and names every other as `key=value`
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"Defaults \((\d+) in all\):(.*?)`validate` writes", text, re.S)
+    count, listed = int(match.group(1)), match.group(2)
+    defaults = [(path, default) for path, _, _, default in FIELDS
+                if default not in (pipeline.REQUIRED, pipeline.ABSENT)]
+    assert count == len(defaults)
+    for path, default in defaults:
+        if default != pipeline.ROOT_SEED:
+            key = path.rpartition(".")[2]
+            assert f"`{key}={json.dumps(default, separators=(',', ':'))}`" in listed, path
+
+
 def test_validate_output_is_a_fixed_point(tmp_path, capsys):
     demo = DEMO
     assert main(["validate", str(demo)]) == 0
@@ -1023,6 +1059,56 @@ def test_the_demo_config_runs_the_config_its_search_picks(tmp_path, monkeypatch)
     report = json.loads((out / "arch_report.json").read_text())
     config, _ = load_checkpoint(out / "model_init.ckpt")
     assert {**config.to_dict(), "total_params": report["total_params"]} == deepest
+
+
+# `tinylm run configs/demo.json` with one BLAS thread: each artifact's (name,
+# sha256, bytes), in manifest order, and the numpy and BLAS they were made with.
+# Another BLAS kernel may round differently, so on any other the test skips.
+DEMO_NUMERIC = {"numpy": "2.4.6", "blas": "OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH "
+                                          "NO_AFFINITY SkylakeX MAX_THREADS=64"}
+DEMO_ARTIFACTS = [
+    ("corpus.bin", "35b50e63aced4abf3032f391922ff20fad7a19a750470b5a6fcd6d861f339f07", 120000),
+    ("vocab.txt", "fdda68313e691c6cb8528279161e74352f94a60b3656df57045b00f12d3a6114", 3758),
+    ("frequencies.csv", "1c0dddee49f206d46687217659635d5667366be806eed27acac1f3c1c7ab7669", 2545),
+    ("coverage.csv", "13f9bb717eb3532a31af4c84f1d269d2fe950f77567128a6f6ca231985590c92", 5197),
+    ("vocab_compact.txt", "fdda68313e691c6cb8528279161e74352f94a60b3656df57045b00f12d3a6114",
+     3758),
+    ("frequencies_compact.csv",
+     "1c0dddee49f206d46687217659635d5667366be806eed27acac1f3c1c7ab7669", 2545),
+    ("coverage_compact.csv", "13f9bb717eb3532a31af4c84f1d269d2fe950f77567128a6f6ca231985590c92",
+     5197),
+    ("search_results.json", "37fcdaf72f676171cd66b78522bb4b661984afaaf95725621d5ee730cc754a1a",
+     156),
+    ("arch_report.json", "7b37b0c8a5ddcacd4eeaa157013fae2fe5deac363baff7ee5dc5087c0fbe710b", 218),
+    ("model_init.ckpt", "1c8935c0913f144fb43f7768f32ee33d35e67ff63b56f550205069a5a36d011d",
+     1596829),
+    ("importance.csv", "b7ec1ae03477f34cb1f3f6da8cfe91546b3dcea2720ad4f17041848ad136a388", 165),
+    ("ledger.csv", "39c0a85d288fab4cb73020a7cde28e04fca49f2df8f62753e55381425f616c33", 2322),
+    ("curves.csv", "6fea0f068cd4cdb0ce78c975a87d4f2a25f234853ac88c96d5f4d4483e1eadfc", 3879),
+    ("forgetting.csv", "1fa33818363accdd9243cfef67794cc8fa6830e4ef214a1ec15d281897d2819b", 177),
+    ("model.ckpt", "536a750af7e38362c83f63bf41696a9b69a7c56cb242f56d427b4860d61ed6b9", 1596829),
+    ("eval_perplexity.json", "b5ef2314f270a40727674bf7b48092162716200d7a3fc1f573717963929dbaf8",
+     77),
+    ("eval_perplexity.csv", "ffe4172c1a570ab47de3b5b77841173d8e1e7c1da387d3108dbc8580b99f6972",
+     72),
+    ("cloze_items.jsonl", "a2b7f48ad2be714621def2047fe96c1b7ac6ec035a916c19cbb88c1c66d810f9",
+     5008),
+    ("eval_cloze.json", "ea589fb33c8bbd7d74d2c4606643618299fe529b2635a1df2cfcffa97e184809", 68),
+    ("eval_cloze.csv", "4a5e7b4079712856b6f7685ca951f752c4a218c18a9ddaf8e8404e1efdfacf51", 286),
+]
+
+
+def test_the_demo_run_keeps_its_artifact_hashes(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", OUTPUT_ENV_VAR: str(tmp_path),
+           "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-m", "tinylm.cli", "run", str(DEMO)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    manifest = json.loads((tmp_path / "demo" / "manifest.json").read_text())
+    numeric = {key: manifest["numeric"][key] for key in DEMO_NUMERIC}
+    if numeric != DEMO_NUMERIC:
+        pytest.skip(f"hashes recorded on {DEMO_NUMERIC}, not {numeric}")
+    assert [(a["name"], a["sha256"], a["bytes"]) for a in manifest["artifacts"]] == \
+        DEMO_ARTIFACTS
 
 
 def test_run_emits_artifacts_and_manifest(tmp_path):

@@ -20,6 +20,7 @@ from tinylm.trainer import (
     TrainPlan,
     batch_loss,
     cosine_schedule,
+    curve_to_csv,
     forgetting_scan,
     ledgers_to_csv,
     multi_round_train,
@@ -488,19 +489,30 @@ def test_round_two_batch_count():
     assert set(e.batch_index for e in ledgers[1].entries) <= set(range(11))
 
 
-def test_each_round_steps_on_its_own_cosine_schedule():
+def test_each_round_steps_on_its_own_cosine_schedule(monkeypatch):
+    # the lr each AdamW step took, and curves.csv's rows derived from the ledgers
     cfg = tiny_config()
     batches = tiny_batches(cfg, n=7, seed=8)
     params = initialize(cfg, InitScheme("constant", 0.02, 4))
     plan = TrainPlan(lr=2e-3, cosine_floor=0.2, rounds=2, sampling_rate=0.5, parts=3, seed=1)
-    curve = []
-    _, ledgers = multi_round_train(cfg, params, batches, plan, curve=curve)
+    used, original = [], AdamW.step
+
+    def spy_step(self, grads, lr):
+        used.append(lr)
+        original(self, grads, lr)
+
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    _, ledgers = multi_round_train(cfg, params, batches, plan)
     n1, n2 = len(ledgers[0].entries), len(ledgers[1].entries)
     assert n1 == 7 and 1 < n2 < n1
     expected = [*cosine_schedule(plan.lr, n1, plan.cosine_floor),
                 *cosine_schedule(plan.lr, n2, plan.cosine_floor)]
-    assert [step for step, _, _ in curve] == list(range(n1 + n2))
-    assert [lr for _, lr, _ in curve] == [float(lr) for lr in expected]
+    assert used == [float(lr) for lr in expected]
+    rows = [row.split(",") for row in curve_to_csv(ledgers, plan).splitlines()[1:]]
+    assert [int(step) for step, _, _ in rows] == list(range(n1 + n2))
+    assert [float(lr) for _, lr, _ in rows] == used
+    assert [float(loss) for _, _, loss in rows] == [e.loss for ledger in ledgers
+                                                   for e in ledger.entries]
 
 
 # --------------------------------------------------------- forgetting scan
