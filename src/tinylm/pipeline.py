@@ -25,8 +25,8 @@ from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf
 from .evaluator import cloze_accuracy, parse_cloze_items, perplexity, save_cloze_items
 from .fileio import csv_text, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
-from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, convert_to_gqa,
-                      layer_skip_eval, make_plan)
+from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, check_child,
+                      convert_to_gqa, layer_skip_eval, make_plan)
 from .tensor import DTYPES, blas_info
 from .tokenizer import (
     Vocabulary,
@@ -300,60 +300,28 @@ def _stream_fills_batches(raw: dict, tokens: Size) -> None:
             "(evaluation.holdout_batches + 1) x training.batch_size x (training.seq_len + 1)")
 
 
-def _child(raw: dict) -> str:
-    """The section that fixes the child's shape, as messages name it."""
-    return "architecture.config" if "config" in raw["architecture"] else "architecture.search.pick"
-
-
-def _gqa_groups(raw: dict, child: ModelConfig | None) -> None:
-    """convert_to_gqa shares each KV head of an MHA child among n_heads / gqa_groups query heads."""
-    groups = raw.get("inheritance", {}).get("gqa_groups")
-    if child and groups is not None and child.n_heads % groups:
-        raise ConfigError(f"inheritance.gqa_groups {groups} does not divide "
-                          f"{_child(raw)}.n_heads {child.n_heads}")
-    if child and groups is not None and child.kv_groups != child.n_heads:
-        raise ConfigError(f"inheritance.gqa_groups needs an MHA child, but {_child(raw)}."
-                          f"kv_groups {child.kv_groups} differs from n_heads {child.n_heads}")
-
-
-def _child_fits(raw: dict, parent: ModelConfig, child: ModelConfig | None) -> None:
-    """The child surgery slices from the parent: no more layers, heads or FFN
-    channels and the same head_dim, so no wider. A generated plan keeps the
-    first and last keep_ends layers, and scores whole heads, of MHA models."""
-    field, named = "inheritance.parent_checkpoint", _child(raw)
-    for name in ("depth", "n_heads", "ffn_hidden") if child else ():
-        if getattr(child, name) > getattr(parent, name):
-            raise ConfigError(f"{named}.{name} {getattr(child, name)} exceeds the {name} "
-                              f"{getattr(parent, name)} of {field}")
-    if child and child.head_dim != parent.head_dim:
-        raise ConfigError(f"{named} head_dim {child.head_dim} (width / n_heads) differs from "
-                          f"the head_dim {parent.head_dim} of {field}")
-    if "generate" not in raw["inheritance"]:
-        return
-    keep = raw["inheritance"]["generate"]["keep_ends"]
-    if len(keep) != 2:
-        raise ConfigError(f"inheritance.generate.keep_ends must be two integers [front, back], "
-                          f"got {keep!r}")
-    for depth, of in ((parent.depth, f"{field} has"), (child and child.depth, f"{named}.depth")):
-        if depth is not None and sum(keep) > depth:
-            raise ConfigError(f"inheritance.generate.keep_ends {keep} keeps more layers than "
-                              f"{of} ({depth})")
-    if parent.kv_groups != parent.n_heads:
-        raise ConfigError(f"{field}: inheritance.generate needs an MHA parent (kv_groups == "
-                          f"n_heads), got kv_groups {parent.kv_groups} and n_heads "
-                          f"{parent.n_heads}")
-    if child and child.kv_groups != child.n_heads:
-        raise ConfigError(f"{named}.kv_groups {child.kv_groups} must equal n_heads "
-                          f"{child.n_heads} under inheritance.generate; set "
-                          "inheritance.gqa_groups for a grouped-KV child")
-
-
-def _plan_fits(plan: InheritancePlan, parent: ModelConfig, child: ModelConfig | None,
-               vocab: Size) -> None:
-    """InheritancePlan's checks on a plan file: those against the child need
-    its shape, and the vocab_map length its exact vocabulary size."""
+def _surgery_fits(raw: dict, parent: ModelConfig, child: ModelConfig | None, vocab: Size,
+                  plan: InheritancePlan | None) -> None:
+    """surgery's checks, each error naming the config path of what it
+    refused: check_child on the parent, the child, generate's keep_ends and
+    gqa_groups, then InheritancePlan's on a plan file, whose checks against
+    the child need its shape, and the vocab_map length its exact vocabulary."""
+    inh = raw["inheritance"]
+    keep = inh["generate"]["keep_ends"] if "generate" in inh else None
     try:
-        (plan.validate if child and vocab.exact else plan.validate_structure)(parent, child)
+        check_child(parent, child, keep, inh.get("gqa_groups"), head_level=keep is not None)
+    except PlanError as err:
+        named = ("architecture.config" if "config" in raw["architecture"]
+                 else "architecture.search.pick")
+        side, _, attr = err.field.partition(".")
+        path = {"parent": "inheritance.parent_checkpoint", "child": f"{named}.{attr}",
+                "keep_ends": "inheritance.generate.keep_ends",
+                "gqa_groups": "inheritance.gqa_groups"}[side]
+        raise ConfigError(f"{path}: {err} (parent: inheritance.parent_checkpoint, child: "
+                          f"{named})") from err
+    try:
+        if plan:
+            (plan.validate if child and vocab.exact else plan.validate_structure)(parent, child)
     except PlanError as err:
         raise ConfigError(f"inheritance.plan: {err}") from err
 
@@ -423,12 +391,13 @@ def validate(config_file) -> PipelineConfig:
     time only where a size known only as a bound, or the child that
     architecture.search picks for it, reaches a rule:
 
-    - `_model_config`, `_search` (exit 1), `_plan_fits` and `_cloze_ids`: the
-      final vocabulary size, which BPE stopping early or compaction can leave
-      below the bound.
+    - `_model_config`, `_search` (exit 1) and `_cloze_ids`: the final
+      vocabulary size, which BPE stopping early or compaction can leave below
+      the bound.
     - `_stream_fills_batches`: the token count, which depends on how far BPE
       merges the corpus.
-    - `_gqa_groups` and `_child_fits`: the shape of a searched child.
+    - `_surgery_fits`: the shape of a searched child, and for a plan file the
+      final vocabulary size.
     - `_parent_vocab`: a generate parent's vocab_size, which only a vocabulary
       of exactly that size can map; a target_size above it passes, since BPE
       may stop early at it."""
@@ -459,7 +428,6 @@ def validate(config_file) -> PipelineConfig:
         _, child = _search(arch["search"], post)
         child = child if post.exact else None
     _stream_fills_batches(raw, tokens)
-    _gqa_groups(raw, child)
     if "cloze" in ev:
         # the eval stage draws items from the hold-out batches laid end to end
         c, train = ev["cloze"], raw["training"]
@@ -476,10 +444,8 @@ def validate(config_file) -> PipelineConfig:
             for i in np.flatnonzero(~np.isfinite(tensor.data))[:1]:  # the first non-finite value
                 raise ConfigError(f"inheritance.parent_checkpoint: tensor {name!r} is "
                                   f"{tensor.data.flat[i]} at flat index {i}")
-        _child_fits(raw, parent, child)
-        if "plan" in inh:
-            _plan_fits(inputs["inheritance.plan"], parent, child, post)
-        else:
+        _surgery_fits(raw, parent, child, post, inputs.get("inheritance.plan"))
+        if "plan" not in inh:
             _parent_vocab(parent.vocab_size, pre, post)
     _cloze_ids(inputs.get("evaluation.cloze_file", ()), post)
     return PipelineConfig(raw=raw, path=path, inputs=inputs, input_hashes=hashes)
@@ -631,15 +597,12 @@ class _Run:
             self.params = initialize(self.model_config, scheme)
         else:
             inh = self.cfg.raw["inheritance"]
-            _at_run(_gqa_groups, self.cfg.raw, self.model_config)
             parent_config, parent_params = self.input("inheritance.parent_checkpoint")
             # no later stage reads the parent: free it before training
             del self.cfg.inputs["inheritance.parent_checkpoint"]
-            _at_run(_child_fits, self.cfg.raw, parent_config, self.model_config)
-            if "plan" in inh:
-                plan = self.input("inheritance.plan")
-                _at_run(_plan_fits, plan, parent_config, self.model_config, self.post)
-            else:
+            plan = self.input("inheritance.plan") if "plan" in inh else None
+            _at_run(_surgery_fits, self.cfg.raw, parent_config, self.model_config, self.post, plan)
+            if plan is None:
                 gen = inh["generate"]
                 _at_run(_parent_vocab, parent_config.vocab_size, self.pre, self.post)
                 parent_vocab = next(v for v in (self.pre_compact_vocab, self.vocab)

@@ -25,7 +25,59 @@ CRITERIA = ("l1", "l2", "taylor", "learned")
 
 
 class PlanError(ValueError):
-    """An inheritance plan is inconsistent with the configs it bridges."""
+    """An inheritance plan is inconsistent with the configs it bridges; from
+    check_child, ``field`` is parent.<attr>, child.<attr>, keep_ends or gqa_groups."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_child(parent: ModelConfig, child: ModelConfig | None = None,
+                keep_ends: tuple[int, int] | None = None, gqa_groups: int | None = None,
+                head_level: bool = False) -> None:
+    """Every rule on the child surgery slices from ``parent``: no deeper, no
+    more heads or FFN channels, the parent's head_dim. ``keep_ends``, the
+    first and last layers a generated plan keeps, fit the child's depth;
+    ``head_level`` surgery (heads scored or pruned one by one) needs an MHA
+    parent and child; ``gqa_groups`` divides the n_heads of an MHA child.
+    Without a ``child`` (its shape is not known yet), the parent's rules only."""
+    if child and gqa_groups is not None:
+        if gqa_groups < 1 or child.n_heads % gqa_groups:
+            raise PlanError(f"gqa_groups {gqa_groups} does not divide child n_heads "
+                            f"{child.n_heads}", "gqa_groups")
+        if child.kv_groups != child.n_heads:
+            raise PlanError(f"gqa_groups needs an MHA child, but child kv_groups "
+                            f"{child.kv_groups} differs from n_heads {child.n_heads}",
+                            "gqa_groups")
+    _check_layers(parent.depth, child and child.depth, keep_ends)
+    for name in ("n_heads", "ffn_hidden") if child else ():
+        if getattr(child, name) > getattr(parent, name):
+            raise PlanError(f"child {name} {getattr(child, name)} exceeds parent {name} "
+                            f"{getattr(parent, name)}", f"child.{name}")
+    if child and child.head_dim != parent.head_dim:
+        raise PlanError(f"child head_dim {child.head_dim} (width / n_heads) differs from parent "
+                        f"head_dim {parent.head_dim}", "child.head_dim")
+    for side, config in (("parent", parent), ("child", child)) if head_level else ():
+        if config and config.kv_groups != config.n_heads:
+            raise PlanError(f"head-level surgery needs an MHA {side}, but {side} kv_groups "
+                            f"{config.kv_groups} differs from n_heads {config.n_heads}; group "
+                            "a child's KV heads after surgery (convert_to_gqa, gqa_groups)",
+                            f"{side}.kv_groups")
+
+
+def _check_layers(depth: int, child_depth: int | None, keep_ends: tuple[int, int] | None) -> None:
+    """check_child's rules on depths, which select_layers applies too."""
+    if child_depth is not None and child_depth > depth:
+        raise PlanError(f"child depth {child_depth} exceeds parent depth {depth}", "child.depth")
+    if keep_ends is not None and (len(keep_ends) != 2 or not all(
+            isinstance(k, (int, np.integer)) and k >= 0 for k in keep_ends)):
+        raise PlanError(f"keep_ends must be two non-negative integers [front, back], got "
+                        f"{keep_ends!r}", "keep_ends")
+    side, fits = ("parent", depth) if child_depth is None else ("child", child_depth)
+    if keep_ends is not None and sum(keep_ends) > fits:
+        raise PlanError(f"keep_ends {keep_ends} keep more layers than {side} depth {fits}",
+                        "keep_ends")
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +131,9 @@ def select_layers(
     """First ``f`` and last ``b`` parent layers always survive; the rest of
     the child slots go to the highest single-layer importances among the
     middle layers. Returns ascending parent layer indices."""
-    f, b = keep_ends
     depth = importance.depth
-    if child_depth > depth:
-        raise PlanError(f"child depth {child_depth} exceeds parent depth {depth}")
-    if f + b > child_depth:
-        raise PlanError(f"keep_ends {keep_ends} exceed child depth {child_depth}")
+    _check_layers(depth, child_depth, keep_ends)
+    f, b = keep_ends
     kept = set(range(f)) | set(range(depth - b, depth))
     middle = [i for i in range(depth) if i not in kept]
     gains = np.array([importance.importance(1, i) for i in middle])
@@ -116,14 +165,6 @@ class NeuronScores:
         """Indices of the best units in one layer, ascending; ties keep the
         lower index."""
         return _top(self.head_scores[layer], n_heads), _top(self.ffn_scores[layer], n_channels)
-
-
-def _require_mha(config: ModelConfig) -> None:
-    if config.kv_groups != config.n_heads:
-        raise PlanError(
-            "head-level surgery needs an MHA parent (kv_groups == n_heads); "
-            "convert to grouped KV after building the child"
-        )
 
 
 def _unit_sums(config: ModelConfig, per_param: dict[str, np.ndarray]):
@@ -159,7 +200,7 @@ def score_neurons(
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
-    _require_mha(config)
+    check_child(config, head_level=True)
 
     if criterion == "learned":
         # train gates toward a generic half-size target and report the final
@@ -195,11 +236,10 @@ def score_neurons(
         per_param = {name: np.abs(t.data) for name, t in params.tensors.items()}
     else:
         per_param = {name: t.data * t.data for name, t in params.tensors.items()}
-    head_scores, ffn_scores = _unit_sums(config, per_param)
+    sums = _unit_sums(config, per_param)
     if criterion == "l2":
-        head_scores = [np.sqrt(s) for s in head_scores]
-        ffn_scores = [np.sqrt(s) for s in ffn_scores]
-    return NeuronScores(criterion, head_scores, ffn_scores)
+        sums = ([np.sqrt(s) for s in layers] for layers in sums)
+    return NeuronScores(criterion, *sums)
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +272,22 @@ def learn_masks(
     take the parameters' dtype."""
     if not data_batches:
         raise ValueError("learn_masks needs data batches")
-    if child_heads > config.n_heads or child_channels > config.ffn_hidden:
-        raise ValueError("child unit counts exceed the parent's")
-    _require_mha(config)
+    try:  # the child these counts give every layer of the parent
+        child = replace(config, width=child_heads * config.head_dim, n_heads=child_heads,
+                        kv_groups=child_heads, ffn_hidden=child_channels)
+    except ValueError as err:
+        raise PlanError(f"{child_heads} heads and {child_channels} FFN channels per layer make "
+                        f"no child: {err}") from err
+    check_child(config, child, head_level=True)
     params.set_requires_grad(False)
     rng = np.random.default_rng(seed)
     dtype = params.dtype
     # gates open at the start: the relaxed model begins at the dense model's
     # operating point and the count penalty prunes from there
-    head_logits = [
-        Tensor(np.asarray(2.0 + rng.normal(0.0, 0.01, size=config.n_heads), dtype),
-               requires_grad=True)
+    head_logits, ffn_logits = ([
+        Tensor(np.asarray(2.0 + rng.normal(0.0, 0.01, size=n), dtype), requires_grad=True)
         for _ in range(config.depth)
-    ]
-    ffn_logits = [
-        Tensor(np.asarray(2.0 + rng.normal(0.0, 0.01, size=config.ffn_hidden), dtype),
-               requires_grad=True)
-        for _ in range(config.depth)
-    ]
+    ] for n in (config.n_heads, config.ffn_hidden))
     gates = ParamStore({str(i): lg for i, lg in enumerate(head_logits + ffn_logits)})
     opt = AdamW(gates, TrainPlan(lr=MASK_LR, beta2=0.999, weight_decay=0.0, grad_clip=0.0))
     tau0, tau1 = MASK_TEMPERATURE
@@ -260,10 +298,9 @@ def learn_masks(
             head_gates = [sigmoid(lg * (1.0 / tau)) for lg in head_logits]
             ffn_gates = [sigmoid(lg * (1.0 / tau)) for lg in ffn_logits]
             loss = lm_loss(config, params, batch, head_gates=head_gates, ffn_gates=ffn_gates)
-            for g in head_gates:
-                loss = loss + MASK_PENALTY * (g.sum() - float(child_heads)) ** 2
-            for g in ffn_gates:
-                loss = loss + MASK_PENALTY * (g.sum() - float(child_channels)) ** 2
+            for gates, target in ((head_gates, child_heads), (ffn_gates, child_channels)):
+                for g in gates:
+                    loss = loss + MASK_PENALTY * (g.sum() - float(target)) ** 2
         if not np.isfinite(loss.data):
             raise RuntimeError(f"mask optimization diverged at step {step}")
         opt.step(tape.gradients(loss), MASK_LR)
@@ -303,10 +340,6 @@ class InheritancePlan:
         depth = len(self.kept_layers)
         if child and depth != child.depth:
             raise PlanError(f"plan keeps {depth} layers, child depth is {child.depth}")
-        if child and parent.head_dim != child.head_dim:
-            raise PlanError(
-                f"head_dim mismatch: parent {parent.head_dim}, child {child.head_dim}"
-            )
         for name in ("head_indices", "ffn_indices"):
             units = getattr(self, name)
             if not isinstance(units, (list, tuple)) or len(units) != depth:
@@ -320,14 +353,9 @@ class InheritancePlan:
                 raise PlanError(
                     f"plan retains {len(chans)} FFN channels, child has {child.ffn_hidden}"
                 )
-        if any(heads != list(range(parent.n_heads)) for heads in self.head_indices):
-            _require_mha(parent)
-            if child and child.kv_groups != child.n_heads:
-                raise PlanError(
-                    "a head-pruned child keeps one KV head per query head; "
-                    "apply convert_to_gqa afterwards for grouped KV"
-                )
-        elif child and child.kv_groups != parent.kv_groups:
+        pruned = any(heads != list(range(parent.n_heads)) for heads in self.head_indices)
+        check_child(parent, child, head_level=pruned)
+        if child and not pruned and child.kv_groups != parent.kv_groups:
             raise PlanError(
                 f"child kv_groups {child.kv_groups} must match parent "
                 f"{parent.kv_groups} when no heads are pruned"
@@ -408,18 +436,12 @@ def build_child(
         else:
             source, index = name, shared
         tensors[name] = Tensor(parent_params[source].data[np.ix_(*(index[r] for r in AXES[kind]))])
-    store = ParamStore(tensors)
-    try:
-        store.validate(child_config)
-    except ValueError as err:
-        raise PlanError(str(err)) from err
-    return store
+    return ParamStore(tensors)  # plan.validate fixed every index count, so every shape
 
 
 def channel_importance(config: ModelConfig, params: ParamStore) -> np.ndarray:
     """Aggregate L2 mass of each residual-stream channel across the embedding,
-    head, and every layer's projections; used to pick a shared channel plan
-    when the child is narrower."""
+    head, and every layer's projections; make_plan keeps the heaviest."""
     sq = np.zeros(config.width)
     for name in param_shapes(config):
         axes = AXES[name.rsplit(".", 1)[-1]]
@@ -442,7 +464,9 @@ def make_plan(
     """End-to-end plan generation: skip-scan the parent for layer selection,
     score units with the chosen criterion, rank residual channels by
     aggregate L2, and map vocab rows (identity when sizes match). Raises
-    PlanError for a plan ``build_child`` would refuse."""
+    PlanError for a child ``check_child`` refuses, before any forward runs,
+    and for a plan ``build_child`` would refuse."""
+    check_child(parent_config, child_config, keep_ends, head_level=True)
     if vocab_map is None:
         if child_config.vocab_size != parent_config.vocab_size:
             raise PlanError("vocab sizes differ; pass an explicit vocab_map")
@@ -463,12 +487,8 @@ def make_plan(
         scores = score_neurons(parent_config, parent_params, data_batches, criterion)
     units = [scores.top_units(i, child_config.n_heads, child_config.ffn_hidden)
              for i in kept_layers]
-    head_indices = [heads for heads, _ in units]
-    ffn_indices = [chans for _, chans in units]
-    if child_config.width == parent_config.width:
-        channel_plan = list(range(parent_config.width))
-    else:
-        channel_plan = _top(channel_importance(parent_config, parent_params), child_config.width)
+    head_indices, ffn_indices = (list(layers) for layers in zip(*units))
+    channel_plan = _top(channel_importance(parent_config, parent_params), child_config.width)
     plan = InheritancePlan(
         kept_layers=kept_layers,
         head_indices=head_indices,
@@ -490,10 +510,7 @@ def convert_to_gqa(
 ) -> tuple[ModelConfig, ParamStore]:
     """Mean-pool each group's KV head projections into one shared head.
     Query and output projections are untouched."""
-    if groups < 1 or config.n_heads % groups != 0:
-        raise ValueError(f"n_heads {config.n_heads} not divisible by groups {groups}")
-    if config.kv_groups != config.n_heads:
-        raise ValueError("convert_to_gqa expects an MHA model (kv_groups == n_heads)")
+    check_child(config, config, gqa_groups=groups)
     hd = config.head_dim
     group_size = config.n_heads // groups
     tensors: dict[str, Tensor] = {}

@@ -296,7 +296,7 @@ def test_validate_accepts_range_edges(tmp_path):
         ("architecture.config.n_heads", {"n_heads": 0}, None),
         ("architecture.config: width 15", {"width": 15}, None),
         ("architecture.config: n_heads 2 not divisible by kv_groups 3", {"kv_groups": 3}, None),
-        ("inheritance.gqa_groups", {}, 3),
+        ("inheritance.gqa_groups: gqa_groups 3 does not divide child n_heads 2", {}, 3),
     ],
     ids=["n_heads_zero", "width_15", "kv_groups_3", "gqa_groups_3"],
 )
@@ -305,10 +305,11 @@ def test_validate_checks_architecture_config(tmp_path, capsys, field, config, gq
     arch = {"config": {"width": 16, "depth": 2, "n_heads": 2, "ffn_hidden": 24, **config}}
     path = write_config(tmp_path, architecture=arch)
     if gqa_groups is not None:
-        (tmp_path / "parent.ckpt").write_bytes(b"")
+        plan = identity_plan(_save_parent(tmp_path / "parent.ckpt"))
+        (tmp_path / "plan.json").write_text(plan.to_json())
         raw = json.loads(path.read_text())
         del raw["init"]
-        raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", "plan": "parent.ckpt",
+        raw["inheritance"] = {"parent_checkpoint": "parent.ckpt", "plan": "plan.json",
                               "gqa_groups": gqa_groups}
         _write(path, raw)
     with pytest.raises(ConfigError, match=field):
@@ -393,13 +394,14 @@ def test_validate_accepts_keep_ends_filling_the_depth(tmp_path):
 
 
 @pytest.mark.parametrize("parent, keep_ends, message", [
-    ({"depth": 1}, [1, 0], "architecture.config.depth 2 exceeds the depth 1"),
-    ({"width": 32}, [1, 1], "architecture.config head_dim 8"),
+    ({"depth": 1}, [1, 0], "architecture.config.depth: child depth 2 exceeds parent depth 1"),
+    ({"width": 32}, [1, 1],
+     "architecture.config.head_dim: child head_dim 8 .* differs from parent head_dim 16"),
     ({"depth": 3}, [2, 2], "inheritance.generate.keep_ends"),
     ({"width": 8, "n_heads": 1, "kv_groups": 1, "vocab_size": 300}, [1, 1],
-     "architecture.config.n_heads 2 exceeds the n_heads 1"),
+     "architecture.config.n_heads: child n_heads 2 exceeds parent n_heads 1"),
     ({"ffn_hidden": 16, "vocab_size": 300}, [1, 1],
-     "architecture.config.ffn_hidden 24 exceeds the ffn_hidden 16"),
+     "architecture.config.ffn_hidden: child ffn_hidden 24 exceeds parent ffn_hidden 16"),
 ], ids=["child_deeper", "head_dim_16_vs_8", "keep_ends_sum_4_over_3", "child_more_heads",
         "child_more_ffn"])
 def test_validate_checks_the_parent_checkpoint(tmp_path, capsys, parent, keep_ends, message):
@@ -421,17 +423,19 @@ V300 = {"vocab_size": 300}
 KV_DEFECTS = {
     "mha_parent_child_kv_groups_2_of_4": (
         {"n_heads": 4, "kv_groups": 4, **V300}, {"n_heads": 4, "kv_groups": 2},
-        "architecture.config.kv_groups 2 must equal n_heads 4 under inheritance.generate; "
-        "set inheritance.gqa_groups",
+        "architecture.config.kv_groups: head-level surgery needs an MHA child, but child "
+        "kv_groups 2 differs from n_heads 4",
         "inheritance.plan: child kv_groups 2 must match parent 4"),
     "child_kv_groups_1_of_2": (
         {"width": 32, "n_heads": 4, "kv_groups": 4, **V300}, {"kv_groups": 1},
-        "architecture.config.kv_groups 1 must equal n_heads 2 under inheritance.generate; "
-        "set inheritance.gqa_groups",
-        "inheritance.plan: a head-pruned child keeps one KV head per query head"),
+        "architecture.config.kv_groups: head-level surgery needs an MHA child, but child "
+        "kv_groups 1 differs from n_heads 2",
+        "inheritance.plan: head-level surgery needs an MHA child, but child kv_groups 1 "
+        "differs from n_heads 2"),
     "grouped_kv_parent": (
         {"width": 32, "n_heads": 4, "kv_groups": 2, **V300}, {},
-        "inheritance.parent_checkpoint: inheritance.generate needs an MHA parent",
+        "inheritance.parent_checkpoint: head-level surgery needs an MHA parent, but parent "
+        "kv_groups 2 differs from n_heads 4",
         "inheritance.plan: head-level surgery needs an MHA parent"),
 }
 
@@ -466,7 +470,7 @@ def test_validate_rejects_gqa_groups_for_a_grouped_kv_child(tmp_path, capsys):
     raw = json.loads(_inheriting(tmp_path, shape, shape, plan="plan.json",
                                  gqa_groups=1).read_text())
     path = _write(tmp_path / "config.json", {**raw, "tokenizer": {"load": "vocab.txt"}})
-    message = ("inheritance.gqa_groups needs an MHA child, but architecture.config.kv_groups 2 "
+    message = ("inheritance.gqa_groups: gqa_groups needs an MHA child, but child kv_groups 2 "
                "differs from n_heads 4")
     with pytest.raises(ConfigError, match=message):
         validate(path)
@@ -795,8 +799,8 @@ def test_validate_checks_the_searched_child_of_an_exact_vocabulary(tmp_path, cap
     raw.update(tokenizer={"load": "vocab.txt"}, architecture=FEASIBLE_SEARCH)
     path = _write(tmp_path / "config.json", raw)
     assert main(["validate", str(path)]) == 1
-    assert "inheritance.gqa_groups 1000 does not divide architecture.search.pick.n_heads" in \
-        capsys.readouterr().err
+    assert re.search(r"inheritance.gqa_groups: gqa_groups 1000 does not divide child n_heads "
+                     r"\d+ \(.*child: architecture.search.pick\)", capsys.readouterr().err)
 
 
 # Each case passes validate, which knows the size only as a bound, and fails
@@ -861,8 +865,8 @@ def test_run_time_gqa_groups_against_the_searched_child(tmp_path, capsys):
     path = _write(tmp_path / "config.json", {**raw, "architecture": FEASIBLE_SEARCH})
     assert main(["validate", str(path)]) == 0
     assert main(["surgery", str(path)]) == 2
-    assert "inheritance.gqa_groups 1000 does not divide architecture.search.pick.n_heads" in \
-        capsys.readouterr().err
+    assert re.search(r"inheritance.gqa_groups: gqa_groups 1000 does not divide child n_heads "
+                     r"\d+ \(.*child: architecture.search.pick\)", capsys.readouterr().err)
 
 
 # Two valid configs that between them use every section: the first searches,
@@ -953,12 +957,18 @@ def test_validate_raises_only_config_errors(base_dir, site, value):
         pass
 
 
+def _rules():
+    """pipeline's rules: its functions that take a Size, or a child that may
+    be unknown."""
+    return {name for name, fn in vars(pipeline).items() if inspect.isfunction(fn)
+            and fn.__module__ == pipeline.__name__
+            and any(p.annotation in ("Size", "ModelConfig | None")
+                    for p in inspect.signature(fn).parameters.values())}
+
+
 def test_validate_names_each_place_a_bound_reaches_a_rule(base_dir, monkeypatch):
-    # the rules are the functions that take a Size, or a child that may be
-    # unknown; a place is a rule that validate calls with a bound or no child
-    rules = {name for name, fn in vars(pipeline).items() if inspect.isfunction(fn)
-             and any(p.annotation in ("Size", "ModelConfig | None")
-                     for p in inspect.signature(fn).parameters.values())}
+    # a place is a rule that validate calls with a bound or no child
+    rules = _rules()
     reached = set()
     for name in rules:
         def spy(*args, rule=getattr(pipeline, name), name=name):
@@ -971,6 +981,13 @@ def test_validate_names_each_place_a_bound_reaches_a_rule(base_dir, monkeypatch)
         validate(_write(base_dir / "places.json", raw))
     listed = re.findall(r"`(\w+)`", pipeline.validate.__doc__.split("reaches a rule:")[1])
     assert set(listed) == reached == rules
+
+
+def test_readme_lists_each_rule():
+    # README's bulleted rule list names the functions validate and the stages
+    # call, no more and no fewer
+    text = (ROOT / "README.md").read_text()
+    assert set(re.findall(r"^  - `(_\w+)`:", text, flags=re.M)) == _rules()
 
 
 def _bad_values(kind, bounds):
@@ -1556,6 +1573,23 @@ def test_package_all_lists_every_public_import():
     public = {name for name, obj in vars(tinylm).items() if not name.startswith("_")
               and (inspect.isclass(obj) or inspect.isfunction(obj))}
     assert public <= set(tinylm.__all__)
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    # both code blocks of README's "Library use", in one namespace, on an 8 KB
+    # corpus; the inheritance block used to pass the default keep_ends (2, 2)
+    # with a depth-2 child, which make_plan refuses
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    (tmp_path / "corpus.txt").write_bytes(zipf_corpus(8_000, seed=0))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert float(capsys.readouterr().out) > 0
+    assert namespace["child"].validate(namespace["child_cfg"]) is None
+    assert namespace["gqa_cfg"].kv_groups == 1
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from tinylm.surgery import (
     PlanError,
     build_child,
     channel_importance,
+    check_child,
     convert_to_gqa,
     identity_plan,
     layer_skip_eval,
@@ -365,6 +367,17 @@ def test_learn_masks_rejects_oversized_target():
                     child_channels=1, steps=1)
 
 
+@pytest.mark.parametrize("heads, channels, message", [
+    (0, 1, "0 heads and 1 FFN channels per layer make no child"),
+    (1, 0, "1 heads and 0 FFN channels per layer make no child"),
+])
+def test_learn_masks_refuses_a_target_no_child_has(heads, channels, message):
+    # a zero target used to train the gates toward a layer with no units
+    cfg, params, batches, _, _ = make_planted_problem(seed=5)
+    with pytest.raises(PlanError, match=message):
+        learn_masks(cfg, params, batches, child_heads=heads, child_channels=channels, steps=1)
+
+
 def _gated_parent():
     """The inherit workload's parent shape (width 96, depth 4, 6 heads, ffn
     192) with a [8, 32] batch and one gate logit per head and FFN channel."""
@@ -576,7 +589,8 @@ def test_plan_validate_checks_kv_groups():
     pruned.validate_structure(mha, narrow)
     cases = [
         (gqa, narrow, pruned, "needs an MHA parent"),
-        (mha, replace(narrow, kv_groups=1), pruned, "one KV head per query head"),
+        (mha, replace(narrow, kv_groups=1), pruned,
+         "needs an MHA child, but child kv_groups 1 differs from n_heads 2"),
         (mha, gqa, identity_plan(mha), "child kv_groups 2 must match parent 4"),
     ]
     identity_plan(gqa).validate_structure(gqa, gqa)
@@ -707,8 +721,8 @@ def test_make_plan_learned_keeps_the_top_units_of_learn_masks():
 
 
 @pytest.mark.parametrize("child, message", [
-    (ModelConfig(300, 16, 2, 2, 2, 16), "plan retains 1 heads, child has 2"),
-    (ModelConfig(300, 8, 2, 1, 1, 24), "plan retains 16 FFN channels, child has 24"),
+    (ModelConfig(300, 16, 2, 2, 2, 16), "child n_heads 2 exceeds parent n_heads 1"),
+    (ModelConfig(300, 8, 2, 1, 1, 24), "child ffn_hidden 24 exceeds parent ffn_hidden 16"),
 ], ids=["more_heads", "more_ffn_channels"])
 def test_make_plan_refuses_a_child_its_plan_cannot_build(child, message):
     # make_plan used to return these plans, and only build_child refused them
@@ -717,6 +731,99 @@ def test_make_plan_refuses_a_child_its_plan_cannot_build(child, message):
     with pytest.raises(PlanError, match=message):
         make_plan(parent, params, child, rand_batches(parent, n=1, seed=26), criterion="l2",
                   keep_ends=(1, 1))
+
+
+@pytest.mark.parametrize("keep_ends", [(-1, 3), (3, -1), (1,), (1, 1, 0), (1.0, 1)])
+def test_make_plan_refuses_keep_ends_that_are_not_two_counts(keep_ends):
+    # (-1, 3) into a depth-2 child used to fail only at the end, because the
+    # selection held 3 layers
+    parent, child = mha_config(depth=4), mha_config(depth=2)
+    params = initialize(parent, InitScheme("constant", 0.1, seed=27))
+    message = re.escape(f"keep_ends must be two non-negative integers [front, back], got "
+                        f"{keep_ends!r}")
+    with pytest.raises(PlanError, match=message) as err:
+        make_plan(parent, params, child, rand_batches(parent, n=1), criterion="l1",
+                  keep_ends=keep_ends)
+    assert err.value.field == "keep_ends"
+    with pytest.raises(PlanError, match=message):
+        select_layers(_importance_from([0.1, 0.2], depth=4), 2, keep_ends)
+
+
+@pytest.mark.parametrize("parent, child, field, message", [
+    (mha_config(depth=2), mha_config(depth=2, width=8), "child.head_dim",
+     "child head_dim 4 (width / n_heads) differs from parent head_dim 8"),
+    (mha_config(depth=2), mha_config(depth=3), "child.depth",
+     "child depth 3 exceeds parent depth 2"),
+    (mha_config(depth=2, n_heads=4, kv_groups=2), mha_config(depth=2, n_heads=4),
+     "parent.kv_groups", "head-level surgery needs an MHA parent, but parent kv_groups 2"),
+    (mha_config(depth=2, n_heads=4), mha_config(depth=2, n_heads=4, kv_groups=1),
+     "child.kv_groups", "head-level surgery needs an MHA child, but child kv_groups 1"),
+], ids=["head_dim", "deeper", "grouped_kv_parent", "grouped_kv_child"])
+def test_make_plan_refuses_an_impossible_child_before_any_forward(monkeypatch, parent, child,
+                                                                  field, message):
+    # a head_dim mismatch used to surface only in make_plan's final
+    # plan.validate, after the layer scan and the unit scores
+    def no_scan(*args, **kwargs):
+        raise AssertionError("make_plan scanned the parent")
+
+    monkeypatch.setattr(surgery, "layer_skip_eval", no_scan)
+    params = initialize(parent, InitScheme("constant", 0.1, seed=28))
+    with pytest.raises(PlanError, match=re.escape(message)) as err:
+        make_plan(parent, params, child, rand_batches(parent, n=1), criterion="learned",
+                  keep_ends=(1, 1))
+    assert err.value.field == field
+
+
+@st.composite
+def _toy_shapes(draw):
+    """An MHA or grouped-KV config of 1-3 heads of head_dim 2 or 4, 1-3
+    layers and 1-4 FFN channels."""
+    heads = draw(st.integers(1, 3))
+    kv = draw(st.sampled_from([g for g in range(1, heads + 1) if heads % g == 0]))
+    return ModelConfig(256, heads * draw(st.sampled_from([2, 4])), draw(st.integers(1, 3)),
+                       heads, kv, draw(st.integers(1, 4)))
+
+
+@st.composite
+def _toy_pairs(draw):
+    """A parent and a child, half the time an MHA child no larger than the
+    parent and mostly of its head_dim."""
+    parent = draw(_toy_shapes())
+    if draw(st.booleans()):
+        return parent, draw(_toy_shapes())
+    heads = draw(st.integers(1, parent.n_heads))
+    head_dim = draw(st.sampled_from([parent.head_dim] * 3 + [2, 4]))
+    return parent, ModelConfig(256, heads * head_dim, draw(st.integers(1, parent.depth)),
+                               heads, heads, draw(st.integers(1, parent.ffn_hidden)))
+
+
+_TOY_ENDS = st.sampled_from([0, 0, 0, 1, 1, 2, 3, -1])
+_TOY_GROUPS = st.sampled_from([None, None, None, 1, 1, 2, 3, 0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(pair=_toy_pairs(), keep_ends=st.tuples(_TOY_ENDS, _TOY_ENDS), gqa_groups=_TOY_GROUPS)
+def test_check_child_accepts_exactly_what_surgery_builds(pair, keep_ends, gqa_groups):
+    parent, child = pair
+    # make_plan -> build_child -> convert_to_gqa succeeds on every child
+    # check_child accepts, and refuses every other with a PlanError
+    try:
+        check_child(parent, child, keep_ends, gqa_groups, head_level=True)
+        accepted = True
+    except PlanError:
+        accepted = False
+    params = initialize(parent, InitScheme("constant", 0.1, seed=29))
+    try:
+        plan = make_plan(parent, params, child, rand_batches(parent, n=1, bsz=1, seq=4),
+                         criterion="l1", keep_ends=keep_ends)
+        store = build_child(parent, params, plan, child)
+        if gqa_groups is not None:
+            child, store = convert_to_gqa(child, store, gqa_groups)
+    except PlanError:
+        assert not accepted
+    else:
+        assert accepted
+        store.validate(child)
 
 
 # The benchmark's inherit_gqa job counts the arch.forward spans nested in
