@@ -4,120 +4,30 @@ initialization, parameter inheritance from a trained parent, grouped-KV
 conversion, and multi-round training with loss-driven resampling.
 """
 
-from .tensor import (
-    NonFiniteError,
-    ShapeError,
-    Tape,
-    TapeConsumedError,
-    Tensor,
-    finite_diff_check,
-    softmax_cross_entropy,
-)
-from .arch import (
-    ArchReport,
-    KVCache,
-    ModelConfig,
-    ParamStore,
-    forward,
-    generate,
-    load_checkpoint,
-    param_count,
-    save_checkpoint,
-    search_configs,
-)
-from .tokenizer import (
-    CoverageCurve,
-    FrequencyTable,
-    Vocabulary,
-    compact_vocab,
-    compression_rate,
-    count_frequencies,
-    coverage_curve,
-    decode,
-    encode,
-    recode,
-    train_and_encode,
-    train_bpe,
-)
+from .arch import ModelConfig, search_configs
+from .evaluator import ClozeItem, perplexity
 from .initializers import InitScheme, initialize
-from .surgery import (
-    InheritancePlan,
-    LayerImportance,
-    NeuronScores,
-    build_child,
-    convert_to_gqa,
-    layer_skip_eval,
-    learn_masks,
-    make_plan,
-    score_neurons,
-    select_layers,
-)
-from .trainer import (
-    BatchLossLedger,
-    ScalingRule,
-    TrainPlan,
-    forgetting_scan,
-    multi_round_train,
-    resample,
-    scaled_lr,
-    train_round,
-)
-from .evaluator import ClozeItem, EvalReport, cloze_accuracy, perplexity
+from .surgery import build_child, convert_to_gqa, make_plan
+from .tokenizer import compact_vocab, encode, recode, train_and_encode
+from .trainer import ScalingRule, TrainPlan, multi_round_train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchReport",
-    "BatchLossLedger",
     "ClozeItem",
-    "CoverageCurve",
-    "EvalReport",
-    "FrequencyTable",
-    "InheritancePlan",
     "InitScheme",
-    "KVCache",
-    "LayerImportance",
     "ModelConfig",
-    "NeuronScores",
-    "NonFiniteError",
-    "ParamStore",
     "ScalingRule",
-    "ShapeError",
-    "Tape",
-    "TapeConsumedError",
-    "Tensor",
     "TrainPlan",
-    "Vocabulary",
     "build_child",
-    "cloze_accuracy",
     "compact_vocab",
-    "compression_rate",
     "convert_to_gqa",
-    "count_frequencies",
-    "coverage_curve",
-    "decode",
     "encode",
-    "finite_diff_check",
-    "forgetting_scan",
-    "forward",
-    "generate",
     "initialize",
-    "layer_skip_eval",
-    "learn_masks",
-    "load_checkpoint",
     "make_plan",
     "multi_round_train",
-    "param_count",
     "perplexity",
     "recode",
-    "resample",
-    "save_checkpoint",
-    "scaled_lr",
-    "score_neurons",
     "search_configs",
-    "select_layers",
-    "softmax_cross_entropy",
-    "train_round",
     "train_and_encode",
-    "train_bpe",
 ]

@@ -554,6 +554,8 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValueError(f"checkpoint tensor entry {i} must be an object with a 'name' string")
         name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
+        if name in tensors:
+            raise ValueError(f"checkpoint tensor {name!r} is listed twice")
         if not isinstance(shape, list) or not all(_natural(d) for d in shape):
             raise ValueError(f"checkpoint tensor {name!r}: 'shape' must be a list of "
                              f"non-negative integers, got {shape!r}")

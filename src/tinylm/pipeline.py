@@ -380,6 +380,15 @@ class PipelineConfig:
         return Path(self.raw["output_dir"])
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key that comes twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ConfigError(f"config repeats the key {key!r}")
+    return obj
+
+
 def validate(config_file) -> PipelineConfig:
     """Parse and check a config file, writing every default into it; errors
     name the field. Each input file is read here and only here, and parsed
@@ -405,7 +414,7 @@ def validate(config_file) -> PipelineConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):

@@ -78,7 +78,10 @@ class FrequencyTable:
     """Occurrence counts per token id over one encoded corpus."""
 
     counts: np.ndarray  # int64, length == vocab size
-    total_tokens: int
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.counts.sum())
 
     def to_csv(self) -> str:
         return csv_text(("token_id", "count"), enumerate(self.counts.tolist()))
@@ -386,8 +389,7 @@ def decode(ids, vocab: Vocabulary) -> bytes:
 
 def frequencies(ids: np.ndarray, size: int) -> FrequencyTable:
     """Occurrence counts of already-encoded ids over a vocabulary of ``size``."""
-    counts = np.bincount(ids, minlength=size).astype(np.int64)
-    return FrequencyTable(counts=counts, total_tokens=int(ids.size))
+    return FrequencyTable(np.bincount(ids, minlength=size).astype(np.int64))
 
 
 def count_frequencies(corpus: bytes, vocab: Vocabulary) -> FrequencyTable:
@@ -401,10 +403,11 @@ def _frequency_order(freq: FrequencyTable) -> np.ndarray:
 
 
 def coverage_curve(freq: FrequencyTable) -> CoverageCurve:
-    if freq.total_tokens == 0:
+    total = freq.total_tokens
+    if total == 0:
         raise EmptyCorpusError("coverage curve needs a nonzero token count")
     order = _frequency_order(freq)
-    cum = np.cumsum(freq.counts[order]) / freq.total_tokens
+    cum = np.cumsum(freq.counts[order]) / total
     return CoverageCurve([float(f) for f in cum])
 
 
@@ -447,12 +450,12 @@ def compact_vocab(
     retained: set[int] = set(range(BASE_SIZE))
     order = _frequency_order(freq)
     if coverage is not None:
-        if freq.total_tokens == 0:
+        covered, total = 0, freq.total_tokens
+        if total == 0:
             raise EmptyCorpusError("coverage compaction needs a nonzero token count")
-        covered = 0
         for t in order:
             t = int(t)
-            if covered / freq.total_tokens >= coverage - 1e-12:
+            if covered / total >= coverage - 1e-12:
                 break
             covered += int(freq.counts[t])
             if t >= BASE_SIZE:
@@ -478,13 +481,6 @@ def compact_vocab(
     out = Vocabulary(tokens=new_tokens, merges=new_merges)
     out.validate()
     return out
-
-
-def compression_rate(corpus: bytes, vocab: Vocabulary) -> float:
-    """Tokens emitted per corpus byte (1.0 for the bare byte vocabulary)."""
-    if len(corpus) == 0:
-        raise EmptyCorpusError("compression rate needs a nonempty corpus")
-    return encode(corpus, vocab).size / len(corpus)
 
 
 # ---------------------------------------------------------------------------

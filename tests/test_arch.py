@@ -684,6 +684,23 @@ def _with_manifest(path, edit):
     path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + mlen :])
 
 
+def test_checkpoint_rejects_a_tensor_listed_twice(tmp_path):
+    # a second "embed" entry over one more embed-sized block used to load,
+    # keeping the second copy's values
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    embed = next(e for e in manifest["tensors"] if e["name"] == "embed")
+    assert manifest["dtype"] == "float64"
+    manifest["tensors"].append({**embed, "offset": len(raw) - 16 - mlen})
+    new = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + mlen :]
+                     + np.ones(embed["shape"], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="checkpoint tensor 'embed' is listed twice"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_manifest_length_past_the_file_raises_value_error(tmp_path):
     # used to try to read all 10**12 bytes and die with MemoryError
     path = _saved_checkpoint(tmp_path)

@@ -23,7 +23,7 @@ X = 0.1 + 0.2  # 0.30000000000000004: repr needs all 17 digits
 
 
 def test_frequency_table_csv():
-    table = FrequencyTable(np.array([3, 0, 2], dtype=np.int64), 5)
+    table = FrequencyTable(np.array([3, 0, 2], dtype=np.int64))
     assert table.to_csv() == "token_id,count\n0,3\n1,0\n2,2\n"
 
 

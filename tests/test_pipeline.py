@@ -1575,6 +1575,15 @@ def test_package_all_lists_every_public_import():
     assert public <= set(tinylm.__all__)
 
 
+def test_package_exports_exactly_what_readme_documents():
+    # every tl.<name> in "Library use" is exported, and every export is named
+    # there, as tl.<name> or in backticks
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1].split("\n## ")[0]
+    used = set(re.findall(r"\btl\.(\w+)", section))
+    assert used <= set(tinylm.__all__)
+    assert set(tinylm.__all__) <= used | set(re.findall(r"`(\w+)`", section))
+
+
 def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
     # both code blocks of README's "Library use", in one namespace, on an 8 KB
     # corpus; the inheritance block used to pass the default keep_ends (2, 2)
@@ -1601,6 +1610,14 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, corpus={"path": "missing.bin"})
     assert main(["validate", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_validate_refuses_a_repeated_key(tmp_path, capsys):
+    # "seed": 7, "seed": 8 used to pass and run with seed 8
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace('"seed": 7', '"seed": 7, "seed": 8', 1))
+    assert main(["validate", str(path)]) == 1
+    assert "config repeats the key 'seed'" in capsys.readouterr().err
 
 
 def test_cli_zero_seq_len_is_config_error_exit_1(tmp_path, capsys):

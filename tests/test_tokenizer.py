@@ -13,7 +13,6 @@ from tinylm.tokenizer import (
     FrequencyTable,
     Vocabulary,
     compact_vocab,
-    compression_rate,
     count_frequencies,
     coverage_curve,
     decode,
@@ -343,7 +342,7 @@ def test_recode_matches_encode_when_any_token_is_dropped_property(corpus, data):
     counts = data.draw(st.lists(st.integers(0, 9), min_size=vocab.size,
                                 max_size=vocab.size))
     size = data.draw(st.integers(BASE_SIZE, vocab.size))
-    freq = FrequencyTable(counts=np.array(counts, dtype=np.int64), total_tokens=sum(counts))
+    freq = FrequencyTable(np.array(counts, dtype=np.int64))
     _assert_recode_matches_encode(corpus, vocab, compact_vocab(vocab, freq, size=size))
 
 
@@ -439,14 +438,14 @@ def test_count_with_merge():
 def test_coverage_degenerate_single_token():
     counts = np.zeros(BASE_SIZE, dtype=np.int64)
     counts[5] = 12
-    curve = coverage_curve(FrequencyTable(counts, 12))
+    curve = coverage_curve(FrequencyTable(counts))
     assert curve.fractions[0] == 1.0
 
 
 def test_coverage_hand_fractions():
     counts = np.zeros(BASE_SIZE, dtype=np.int64)
     counts[0], counts[1] = 3, 1
-    curve = coverage_curve(FrequencyTable(counts, 4))
+    curve = coverage_curve(FrequencyTable(counts))
     assert curve.fractions[:2] == [0.75, 1.0]
 
 
@@ -454,7 +453,7 @@ def test_coverage_uniform_is_linear():
     n = 10
     counts = np.zeros(BASE_SIZE, dtype=np.int64)
     counts[:n] = 7
-    curve = coverage_curve(FrequencyTable(counts, 7 * n))
+    curve = coverage_curve(FrequencyTable(counts))
     for k in range(n):
         assert curve.fractions[k] == pytest.approx((k + 1) / n, rel=1e-12)
 
@@ -470,7 +469,7 @@ def test_coverage_monotone_ends_at_one():
 
 def test_coverage_empty_corpus_raises():
     with pytest.raises(EmptyCorpusError):
-        coverage_curve(FrequencyTable(np.zeros(BASE_SIZE, dtype=np.int64), 0))
+        coverage_curve(FrequencyTable(np.zeros(BASE_SIZE, dtype=np.int64)))
 
 
 # ------------------------------------------------------------ compact_vocab
@@ -581,39 +580,6 @@ def test_roundtrip_random_byte_strings():
         blob = bytes(rng.integers(0, 256, size=n, dtype=np.uint8))
         assert decode(encode(blob, vocab), vocab) == blob
         assert decode(encode(blob, compacted), compacted) == blob
-
-
-# -------------------------------------------------------- compression_rate
-
-
-def test_compression_base_vocab_is_one():
-    assert compression_rate(b"hello world", Vocabulary.base()) == 1.0
-
-
-def test_compression_pair_merge_halves():
-    vocab = _vocab_with_merges([(b"a", b"b")])
-    assert compression_rate(b"ab" * 20, vocab) == 0.5
-
-
-def test_compression_unused_merge_no_effect():
-    used = _vocab_with_merges([(b"a", b"b")])
-    extra = _vocab_with_merges([(b"a", b"b"), (b"x", b"y")])
-    corpus = b"abcabc" * 10
-    assert compression_rate(corpus, used) == compression_rate(corpus, extra)
-
-
-def test_compression_empty_corpus_raises():
-    with pytest.raises(EmptyCorpusError):
-        compression_rate(b"", Vocabulary.base())
-
-
-def test_compression_nonincreasing_with_vocab_growth():
-    corpus = zipf_corpus(9_000, seed=8)
-    rates = [
-        compression_rate(corpus, train_bpe(corpus, size))
-        for size in (256, 280, 320, 380)
-    ]
-    assert all(a >= b - 1e-15 for a, b in zip(rates, rates[1:]))
 
 
 # ------------------------------------------------------------ serialization
