@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .tensor import (
     DTYPES,
     Tensor,
@@ -496,30 +496,22 @@ _PAYLOAD = {name: np.dtype(name).newbyteorder("<") for name in DTYPES}  # "dtype
 
 
 def save_checkpoint(path, config: ModelConfig, params: ParamStore) -> tuple[str, int]:
-    """Write the checkpoint one tensor at a time, in the parameters' dtype;
-    returns write_atomic's (sha256, byte count)."""
+    """Write the checkpoint one tensor at a time, in sorted-name order and the
+    parameters' dtype; returns write_atomic's (sha256, byte count). A store
+    that does not fit ``config`` raises ValueError and writes nothing."""
+    params.validate(config)
     dtype = params.dtype.name
-    payload = _PAYLOAD[dtype]
-    names = sorted(params.tensors)
-    entries = []
-    offset = 0
-    for name in names:
-        t = params.tensors[name]
-        entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.size * payload.itemsize
-    manifest = json.dumps({"config": config.to_dict(), "dtype": dtype, "tensors": entries}).encode()
+    manifest = json.dumps({"config": config.to_dict(), "dtype": dtype}).encode()
     header = _MAGIC + struct.pack("<Q", len(manifest)) + manifest
-    tensors = (np.ascontiguousarray(params.tensors[name].data, dtype=payload) for name in names)
+    tensors = (np.ascontiguousarray(params.tensors[name].data, dtype=_PAYLOAD[dtype])
+               for name in sorted(params.tensors))
     return write_atomic(path, itertools.chain([header], tensors))
 
 
-def _natural(x) -> bool:
-    return type(x) is int and x >= 0
-
-
 def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
-    """A checkpoint file's bytes as its config and parameters. Every defect
-    raises a ValueError that names it."""
+    """A checkpoint file's bytes as its config and parameters: the payload
+    holds every tensor of ``param_shapes(config)``, in sorted-name order,
+    back to back. Every defect raises a ValueError that names it."""
     magic = data[:8]
     if magic != _MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
@@ -528,17 +520,14 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
     (mlen,) = struct.unpack_from("<Q", data, 8)
     start = 16 + mlen  # the payload's first byte
     if start > len(data):
-        raise ValueError(
-            f"checkpoint manifest length {mlen} exceeds the {len(data) - 16} bytes after it"
-        )
-    try:
-        manifest = json.loads(data[16:start])
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"checkpoint manifest is not valid JSON: {err}") from err
+        raise ValueError(f"checkpoint manifest length {mlen} exceeds the {len(data) - 16} "
+                         f"bytes after it")
+    manifest = read_json(data[16:start], "checkpoint manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValueError("checkpoint manifest must be an object with a 'config' object")
-    if not isinstance(manifest.get("tensors"), list):
-        raise ValueError("checkpoint manifest must have a 'tensors' list")
+    extra = sorted(set(manifest) - {"config", "dtype"})
+    if extra:
+        raise ValueError(f"checkpoint manifest has the unknown key {extra[0]!r}")
     try:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as err:  # unknown keys or ill-typed values
@@ -546,41 +535,24 @@ def parse_checkpoint(data: bytes) -> tuple[ModelConfig, ParamStore]:
     dtype = manifest.get("dtype")
     if not isinstance(dtype, str) or dtype not in _PAYLOAD:
         raise ValueError(f"checkpoint 'dtype' must be one of {DTYPES}, got {dtype!r}")
-    payload = _PAYLOAD[dtype]
-    tensors: dict[str, Tensor] = {}
-    size = len(data) - start
-    expected, name = 0, None  # tensors are stored back to back from offset 0
-    for i, entry in enumerate(manifest["tensors"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ValueError(f"checkpoint tensor entry {i} must be an object with a 'name' string")
-        name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
-        if name in tensors:
-            raise ValueError(f"checkpoint tensor {name!r} is listed twice")
-        if not isinstance(shape, list) or not all(_natural(d) for d in shape):
-            raise ValueError(f"checkpoint tensor {name!r}: 'shape' must be a list of "
-                             f"non-negative integers, got {shape!r}")
-        if not _natural(offset):
-            raise ValueError(f"checkpoint tensor {name!r}: 'offset' must be a non-negative "
-                             f"integer, got {offset!r}")
-        count = math.prod(shape)
+    if config.depth * config.width > len(data):  # each layer stores over width bytes
+        raise ValueError(f"checkpoint config depth {config.depth} at width {config.width} "
+                         f"exceeds the file's {len(data)} bytes")
+    payload, size, shapes = _PAYLOAD[dtype], len(data) - start, param_shapes(config)
+    tensors, offset = {}, 0  # tensors are stored back to back from offset 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
         nbytes = count * payload.itemsize
-        if offset != expected:
-            raise ValueError(f"checkpoint tensor {name!r}: offset {offset} != {expected}, where "
-                             f"the tensors before it end in a {dtype} payload")
-        if expected + nbytes > size:
-            raise ValueError(
-                f"checkpoint truncated in tensor {name!r}: needs bytes "
-                f"[{expected}, {expected + nbytes}) of a {size}-byte {dtype} payload"
-            )
-        arr = np.frombuffer(data, dtype=payload, count=count, offset=start + expected)
-        tensors[name] = Tensor(arr.reshape(shape).astype(dtype))
-        expected += nbytes
-    if size != expected:
-        raise ValueError(f"checkpoint has {size - expected} trailing bytes after its last "
+        if offset + nbytes > size:
+            raise ValueError(f"checkpoint truncated in tensor {name!r}: needs bytes [{offset}, "
+                             f"{offset + nbytes}) of a {size}-byte {dtype} payload")
+        arr = np.frombuffer(data, dtype=payload, count=count, offset=start + offset)
+        tensors[name] = Tensor(arr.reshape(shapes[name]).astype(dtype))
+        offset += nbytes
+    if size != offset:
+        raise ValueError(f"checkpoint has {size - offset} trailing bytes after its last "
                          f"tensor {name!r} of its {dtype} payload")
-    store = ParamStore(tensors)
-    store.validate(config)
-    return config, store
+    return config, ParamStore(tensors)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ParamStore]:

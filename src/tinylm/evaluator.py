@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arch import PREFILL_CHUNK, KVCache, ModelConfig, ParamStore, batch_loss, forward
-from .fileio import csv_text, write_atomic
+from .fileio import csv_text, read_json, write_atomic
 
 # cloze items per prefix-shared scoring chunk; bounds the chunk's KV cache
 # rows and [rows, T, V] logits, which dominate scoring memory
@@ -161,7 +161,7 @@ def parse_cloze_items(data: bytes) -> list[ClozeItem]:
         line = line.strip()
         if not line:
             continue
-        d = json.loads(line)
+        d = read_json(line, f"cloze item {len(items)}")
         if not isinstance(d, dict) or sorted(d) != ["candidates", "context", "gold"]:
             raise ValueError(f"cloze item {len(items)}: need exactly context, candidates, gold")
         items.append(ClozeItem(**d))

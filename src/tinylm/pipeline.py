@@ -23,7 +23,7 @@ from . import __version__
 from .arch import ModelConfig, param_count, parse_checkpoint, save_checkpoint, search_configs
 from .data import batches_from_windows, make_cloze_items, windows_from_ids, zipf_corpus
 from .evaluator import cloze_accuracy, parse_cloze_items, perplexity, save_cloze_items
-from .fileio import csv_text, write_atomic
+from .fileio import csv_text, read_json, write_atomic
 from .initializers import VARIANTS, InitScheme, initialize
 from .surgery import (CRITERIA, InheritancePlan, PlanError, build_child, check_child,
                       convert_to_gqa, layer_skip_eval, make_plan)
@@ -152,7 +152,7 @@ INPUTS = {
     "corpus.path": (lambda data: data, "corpus"),
     "tokenizer.load": (parse_vocab, "vocab"),
     "inheritance.parent_checkpoint": (parse_checkpoint, "parent_checkpoint"),
-    "inheritance.plan": (lambda data: InheritancePlan.from_json(data.decode()), "plan"),
+    "inheritance.plan": (InheritancePlan.from_json, "plan"),
     "evaluation.cloze_file": (parse_cloze_items, "cloze_file"),
 }
 _TYPES = {"int": int, "real": (int, float), "str": str, "object": dict, "choice": str,
@@ -380,15 +380,6 @@ class PipelineConfig:
         return Path(self.raw["output_dir"])
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object's pairs as a dict, refusing a key that comes twice."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ConfigError(f"config repeats the key {key!r}")
-    return obj
-
-
 def validate(config_file) -> PipelineConfig:
     """Parse and check a config file, writing every default into it; errors
     name the field. Each input file is read here and only here, and parsed
@@ -414,9 +405,9 @@ def validate(config_file) -> PipelineConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+        raw = read_json(path.read_bytes(), "config")
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _walk(raw, path)
@@ -705,10 +696,10 @@ def run(config: PipelineConfig, until: str = "eval", dry_run: bool = False) -> R
 
 
 _HEADLINES = {  # listed artifact -> (headline, its value from the artifact's text)
-    "arch_report.json": ("params", lambda text: json.loads(text)["total_params"]),
+    "arch_report.json": ("params", lambda text: read_json(text, "arch report")["total_params"]),
     "curves.csv": ("final_loss", lambda text: float(text.split()[-1].split(",")[2])),
-    "eval_perplexity.json": ("perplexity", lambda text: json.loads(text)["value"]),
-    "eval_cloze.json": ("cloze", lambda text: json.loads(text)["value"]),
+    "eval_perplexity.json": ("perplexity", lambda text: read_json(text, "perplexity")["value"]),
+    "eval_cloze.json": ("cloze", lambda text: read_json(text, "cloze")["value"]),
     "coverage.csv": ("coverage", lambda text: text.split()[-1]),
 }
 
@@ -726,7 +717,7 @@ def _manifest(run_dir: Path) -> tuple[dict, list[tuple[str, str, int]]]:
     """A run directory's manifest fields, and the (name, sha256, bytes) of
     each artifact it lists; raises one of ``_UNREADABLE`` on a manifest that
     is missing or malformed."""
-    manifest = json.loads((run_dir / "manifest.json").read_bytes())
+    manifest = read_json((run_dir / "manifest.json").read_bytes(), "manifest.json")
     if not isinstance(manifest, dict):
         raise TypeError("not a JSON object")
     rec = {key: manifest[key] for key in ("version", "seed", "stages_planned",

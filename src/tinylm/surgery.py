@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .arch import AXES, ModelConfig, ParamStore, batch_loss, lm_loss, param_shapes
-from .fileio import csv_text
+from .fileio import csv_text, read_json
 from .tensor import Tape, Tensor, sigmoid
 from .trainer import AdamW, TrainPlan
 
@@ -371,9 +371,9 @@ class InheritancePlan:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "InheritancePlan":
-        """The plan as written; ``validate`` checks its entries."""
-        d = json.loads(text)
+    def from_json(cls, text) -> "InheritancePlan":
+        """The plan as written, from str or UTF-8 bytes; ``validate`` checks its entries."""
+        d = read_json(text, "plan")
         keys = tuple(f.name for f in fields(cls))
         if not isinstance(d, dict) or sorted(d) != sorted(keys):
             raise PlanError(f"a plan is a JSON object with exactly the keys {keys}")

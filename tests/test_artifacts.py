@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from tinylm.arch import ArchReport, ModelConfig, ParamStore, save_checkpoint
+from tinylm.arch import ArchReport, ModelConfig, ParamStore, param_shapes, save_checkpoint
 from tinylm.evaluator import ClozeItem, EvalReport, save_cloze_items
 from tinylm.pipeline import RunManifest, run, validate
 from tinylm.surgery import InheritancePlan, LayerImportance
@@ -110,23 +110,31 @@ def test_run_manifest_json():
 
 
 def test_two_tensor_checkpoint_bytes(tmp_path):
+    # every tensor of the config is zero but embed and head
     cfg = ModelConfig(vocab_size=256, width=2, depth=1, n_heads=1, kv_groups=1, ffn_hidden=1)
+    tensors = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    tensors["embed"][0] = [1e-300, 2.0]
     # a transposed (non-contiguous) tensor is written in row-major order
-    params = ParamStore({"head": Tensor(np.array([[X, 3.0], [-0.0, 4.0]]).T),
-                         "embed": Tensor(np.array([1e-300, 2.0]))})
+    head = np.zeros((256, 2))
+    head[:2] = [[X, 5.0], [-0.0, 0.0]]
+    tensors["head"] = head.T
+    params = ParamStore({name: Tensor(data) for name, data in tensors.items()})
+
+    def payload(code: str, size: int) -> bytes:
+        # sorted names: embed, final_norm, head, then layers.0's nine (26 zeros)
+        return (struct.pack(f"<2{code}", 1e-300, 2.0) + bytes(510 * size) + bytes(2 * size)
+                + struct.pack(f"<2{code}", X, -0.0) + bytes(254 * size)
+                + struct.pack(f"<{code}", 5.0) + bytes(255 * size) + bytes(26 * size))
+
     save_checkpoint(tmp_path / "m.ckpt", cfg, params)
-    header = (
-        b'{"config": {"vocab_size": 256, "width": 2, "depth": 1, "n_heads": 1, '
-        b'"kv_groups": 1, "ffn_hidden": 1}, "dtype": "float64", "tensors": [{"name": "embed", '
-        b'"shape": [2], "offset": 0}, {"name": "head", "shape": [2, 2], "offset": 16}]}')
-    expected = (b"TLMCKPT1" + struct.pack("<Q", len(header)) + header
-                + struct.pack("<6d", 1e-300, 2.0, X, -0.0, 3.0, 4.0))
+    header = (b'{"config": {"vocab_size": 256, "width": 2, "depth": 1, "n_heads": 1, '
+              b'"kv_groups": 1, "ffn_hidden": 1}, "dtype": "float64"}')
+    expected = b"TLMCKPT1" + struct.pack("<Q", len(header)) + header + payload("d", 8)
     assert (tmp_path / "m.ckpt").read_bytes() == expected
-    # a float32 store writes a 4-byte payload and says so
+    # a float32 store writes a 4-byte payload and says so; 1e-300 becomes 0.0
     save_checkpoint(tmp_path / "m32.ckpt", cfg, params.astype(np.float32))
-    header = header.replace(b"float64", b"float32").replace(b'"offset": 16', b'"offset": 8')
-    expected = (b"TLMCKPT1" + struct.pack("<Q", len(header)) + header
-                + struct.pack("<6f", 0.0, 2.0, X, -0.0, 3.0, 4.0))
+    header = header.replace(b"float64", b"float32")
+    expected = b"TLMCKPT1" + struct.pack("<Q", len(header)) + header + payload("f", 4)
     assert (tmp_path / "m32.ckpt").read_bytes() == expected
 
 

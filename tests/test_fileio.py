@@ -9,7 +9,7 @@ import pytest
 import tinylm.fileio
 from tinylm.arch import ModelConfig, save_checkpoint
 from tinylm.evaluator import ClozeItem, save_cloze_items
-from tinylm.fileio import csv_text, write_atomic
+from tinylm.fileio import csv_text, read_json, write_atomic
 from tinylm.initializers import InitScheme, initialize
 from tinylm.tokenizer import save_vocab, train_bpe
 
@@ -83,6 +83,35 @@ def test_write_atomic_hashes_array_chunks_by_their_bytes(tmp_path):
 def test_csv_text():
     assert csv_text(("a", "b"), []) == "a,b\n"
     assert csv_text(["x"], [[0.1 + 0.2], [3]]) == "x\n0.30000000000000004\n3\n"
+
+
+def test_read_json_refuses_what_json_loads_lets_through():
+    assert read_json(b'{"a": [1, {"b": 2}]}', "doc") == {"a": [1, {"b": 2}]}
+    for text, message in [('{"a": [{"b": 1, "b": 2}]}', "doc repeats the key 'b'"),
+                          ("[" * 200_000, "doc is nested too deeply to parse"),
+                          (b'{"a": "\xff"}', "doc is not valid JSON: 'utf-8' codec"),
+                          ('{"a": ', "doc is not valid JSON: Expecting value")]:
+        with pytest.raises(ValueError, match=message):
+            read_json(text, "doc")
+
+
+def _parses_json(node: ast.AST) -> bool:
+    """A ``json.load``/``json.loads`` call, or a ``from json import``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    func = getattr(node, "func", None)
+    return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+            and getattr(func.value, "id", None) == "json")
+
+
+def test_only_fileio_parses_json():
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "fileio.py"
+                 for node in ast.walk(ast.parse(path.read_text())) if _parses_json(node)]
+    assert offenders == []
+    for src, parses in [("json.loads(s)", True), ("json.load(fh)", True),
+                        ("from json import loads", True), ("json.dumps(x)", False)]:
+        assert any(map(_parses_json, ast.walk(ast.parse(src)))) == parses, src
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -508,6 +509,45 @@ def test_validate_parses_cloze_file(tmp_path, capsys, text):
         validate(path)
     assert main(["validate", str(path)]) == 1
     assert "evaluation.cloze_file" in capsys.readouterr().err
+
+
+def _lead_with(text: str, key: str, value) -> str:
+    """JSON object text with ``key``: ``value`` put first, so that a reader
+    that keeps a repeated key's last value reads ``text`` unchanged."""
+    return text.replace("{", "{" + json.dumps(key) + ": " + json.dumps(value) + ", ", 1)
+
+
+def _input_with_a_repeated_key(tmp_path, field):
+    """A config that validate accepted when its ``field`` input file repeated a key."""
+    if field == "inheritance.parent_checkpoint":
+        path = _inheriting(tmp_path, generate={"keep_ends": [1, 1]})
+        raw = (tmp_path / "parent.ckpt").read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        new = _lead_with(raw[16 : 16 + mlen].decode(), "dtype", "float16").encode()
+        (tmp_path / "parent.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new
+                                               + raw[16 + mlen :])
+        return path
+    if field == "inheritance.plan":
+        plan = identity_plan(ModelConfig(BASE_SIZE, 16, 2, 2, 2, 24)).to_json()
+        (tmp_path / "plan.json").write_text(_lead_with(plan, "kept_layers", []))
+        save_vocab(Vocabulary.base(), tmp_path / "vocab.txt")
+        raw = json.loads(_inheriting(tmp_path, plan="plan.json").read_text())
+        return _write(tmp_path / "config.json", {**raw, "tokenizer": {"load": "vocab.txt"}})
+    item = json.dumps({"context": [1, 2], "candidates": [[3], [4]], "gold": 0})
+    (tmp_path / "cloze.jsonl").write_text(_lead_with(item, "gold", 1) + "\n")
+    return write_config(tmp_path, evaluation={"holdout_batches": 2, "cloze_file": "cloze.jsonl"})
+
+
+@pytest.mark.parametrize("field, message", [
+    ("inheritance.parent_checkpoint", "checkpoint manifest repeats the key 'dtype'"),
+    ("inheritance.plan", "plan repeats the key 'kept_layers'"),
+    ("evaluation.cloze_file", "cloze item 0 repeats the key 'gold'"),
+], ids=["checkpoint", "plan", "cloze_file"])
+def test_validate_refuses_a_repeated_key_in_an_input_file(tmp_path, capsys, field, message):
+    # each used to pass, keeping the key's last value
+    path = _input_with_a_repeated_key(tmp_path, field)
+    assert main(["validate", str(path)]) == 1
+    assert f"config error: {field}: {message}" in capsys.readouterr().err
 
 
 def test_validate_rejects_a_cloze_shape_the_holdout_stream_cannot_fit(tmp_path, capsys):
@@ -1097,13 +1137,13 @@ DEMO_ARTIFACTS = [
     ("search_results.json", "37fcdaf72f676171cd66b78522bb4b661984afaaf95725621d5ee730cc754a1a",
      156),
     ("arch_report.json", "7b37b0c8a5ddcacd4eeaa157013fae2fe5deac363baff7ee5dc5087c0fbe710b", 218),
-    ("model_init.ckpt", "1c8935c0913f144fb43f7768f32ee33d35e67ff63b56f550205069a5a36d011d",
-     1596829),
+    ("model_init.ckpt", "3e6f54fabcaa29ccdb0ff9a485867f2eddcc9a3c95311d290bec88cf309e0291",
+     1595470),
     ("importance.csv", "b7ec1ae03477f34cb1f3f6da8cfe91546b3dcea2720ad4f17041848ad136a388", 165),
     ("ledger.csv", "39c0a85d288fab4cb73020a7cde28e04fca49f2df8f62753e55381425f616c33", 2322),
     ("curves.csv", "6fea0f068cd4cdb0ce78c975a87d4f2a25f234853ac88c96d5f4d4483e1eadfc", 3879),
     ("forgetting.csv", "1fa33818363accdd9243cfef67794cc8fa6830e4ef214a1ec15d281897d2819b", 177),
-    ("model.ckpt", "536a750af7e38362c83f63bf41696a9b69a7c56cb242f56d427b4860d61ed6b9", 1596829),
+    ("model.ckpt", "987ef1d877b50bad4260188e3df326729e8df7f670a285e2aaa28743125c85aa", 1595470),
     ("eval_perplexity.json", "b5ef2314f270a40727674bf7b48092162716200d7a3fc1f573717963929dbaf8",
      77),
     ("eval_perplexity.csv", "ffe4172c1a570ab47de3b5b77841173d8e1e7c1da387d3108dbc8580b99f6972",
@@ -1531,7 +1571,12 @@ def _manifest_text(artifact=None, **fields):
                        "stages_completed": ["corpus"], "artifacts": [artifact], **fields})
 
 
-UNREADABLE = {"truncated": ('{"version": "0.1.0", "se', "manifest unreadable: Unterminated"),
+NUMERIC = {"dtype": "float64", "numpy": "2.0", "blas": None, "blas_threads": None}
+UNREADABLE = {"truncated": ('{"version": "0.1.0", "se',
+                            "manifest unreadable: manifest.json is not valid JSON: Unterminated"),
+              "repeated_key": (_lead_with(_manifest_text(numeric=NUMERIC), "seed", 8),
+                               "manifest unreadable: manifest.json repeats the key 'seed'"),
+              "deep": ("[" * 200_000, "manifest unreadable: manifest.json is nested too deeply"),
               "no_seed": ('{"version": "0.1.0"}', "manifest unreadable: no key 'seed'"),
               "not_an_object": ("[1, 2]", "manifest unreadable: not a JSON object"),
               "string_bytes": (_manifest_text({"bytes": "12"}),
@@ -1618,6 +1663,14 @@ def test_cli_validate_refuses_a_repeated_key(tmp_path, capsys):
     path.write_text(path.read_text().replace('"seed": 7', '"seed": 7, "seed": 8', 1))
     assert main(["validate", str(path)]) == 1
     assert "config repeats the key 'seed'" in capsys.readouterr().err
+
+
+def test_cli_validate_refuses_a_config_nested_too_deeply(tmp_path, capsys):
+    # used to end in a RecursionError traceback
+    path = tmp_path / "config.json"
+    path.write_text("[" * 200_000)
+    assert main(["validate", str(path)]) == 1
+    assert "config error: config is nested too deeply to parse" in capsys.readouterr().err
 
 
 def test_cli_zero_seq_len_is_config_error_exit_1(tmp_path, capsys):
